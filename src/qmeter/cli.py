@@ -61,7 +61,13 @@ def _pairs_from_matrix(m) -> list:
 def _number(x, where: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise DeviceSpecError(f"{where}: expected a number, got {x!r}")
-    return float(x)
+    try:
+        value = float(x)
+    except OverflowError:  # integers beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise DeviceSpecError(f"{where}: expected a finite number, got {x!r}")
+    return value
 
 
 def _complex_from_pair(x, where: str) -> complex:
@@ -113,7 +119,7 @@ def load_device(path: str, tolerance: float | None = None) -> Measurement:
     if "dim" not in obj or "kraus" not in obj:
         raise DeviceSpecError(f"{path}: device spec needs 'dim' and 'kraus'")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise DeviceSpecError(f"{path}: 'dim' must be a positive integer")
     raw_kraus = obj["kraus"]
     if not isinstance(raw_kraus, list) or not raw_kraus:
@@ -162,7 +168,7 @@ def write_device(m: Measurement, path: str) -> None:
 
 def _emit(record: dict, human_lines, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(record))
+        print(json.dumps(record, allow_nan=False))
     else:
         for line in human_lines:
             print(line)
@@ -287,6 +293,8 @@ def cmd_fidelities(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.shots < 1:
+        raise OutOfDomain(f"--shots must be at least 1, got {args.shots}")
     m = load_device(args.device)
     if args.state is not None:
         psi = as_state(load_state(args.state, m.dim), m.dim)

@@ -22,7 +22,7 @@ class NotUnitary(QmeterError):
 
 
 class NoConvergence(QmeterError):
-    """An iterative decomposition hit its sweep cap before converging."""
+    """A LAPACK decomposition reported that it did not converge."""
 
 
 class IncompleteDevice(QmeterError):

@@ -25,7 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IncompleteDevice, OutOfDomain
-from .matkernel import EIG_GAP_TOL, fro_norm, frobenius_distance, frozen, hermitian_eig
+from .matkernel import (
+    EIG_GAP_TOL,
+    canonicalize_phase,
+    fro_norm,
+    frobenius_distance,
+    frozen,
+    hermitian_eig,
+)
 from .measurement import DEFAULT_COMPLETENESS_TOL, Measurement, as_state
 
 # Phase-insensitive overlap criteria count as satisfied above 1 - OVERLAP_TOL.
@@ -79,8 +86,18 @@ class RelationCheck:
 
 
 def best_post_estimate(m: Measurement, s: int) -> np.ndarray:
-    """Top eigenvector of ``M_s M_s^dag``: the optimal post-measurement guess."""
+    """Top eigenvector of ``M_s M_s^dag``: the optimal post-measurement guess.
+
+    For a non-degenerate, non-vanishing top eigenvalue it follows from the
+    cached effect spectrum by the link relation
+    ``M_s chi_pre = sqrt(a_max) chi_post``. Otherwise ``M_s M_s^dag`` is
+    diagonalized so that the deterministic tie-break picks the vector.
+    """
+    effect = m.effect(s)
     k = m.kraus_op(s)
+    if effect.a_max > A_MAX_FLOOR and effect.spectrum.top_gap() >= EIG_GAP_TOL:
+        v = k @ effect.spectrum.eigenvectors[:, 0]
+        return canonicalize_phase(v / fro_norm(v))
     left = k @ k.conj().T
     return hermitian_eig(0.5 * (left + left.conj().T)).eigenvectors[:, 0].copy()
 

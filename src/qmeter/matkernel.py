@@ -1,15 +1,15 @@
 """Dense complex matrix primitives with deterministic, reproducible output.
 
 Everything downstream (effects, spectral data, polar factors) is built on the
-routines here. The solvers are self-contained iterations with explicit
-tolerances rather than wrappers around an opaque LAPACK path:
+routines here. They are thin layers over LAPACK:
 
-* ``hermitian_eig`` runs cyclic complex Jacobi rotations,
-* ``polar_decompose`` factors through a one-sided Jacobi SVD.
+* ``hermitian_eig`` calls ``numpy.linalg.eigh`` on the Hermitized input,
+* ``polar_decompose`` assembles both factors from ``numpy.linalg.svd``.
 
-Both are ample for the small dimensions this package targets (d <= ~64) and,
-together with phase canonicalization and a deterministic tie-break for
-degenerate eigenvalues, make every decomposition bit-reproducible run to run.
+What this module adds is a fixed output convention: eigenvalues descending,
+eigenvector phases canonicalized, and a lexicographic tie-break inside
+degenerate eigenvalue groups. Results are bit-reproducible within one
+numpy/BLAS build and agree to rounding across builds.
 """
 
 from __future__ import annotations
@@ -24,16 +24,8 @@ from .errors import NoConvergence, NotHermitian, ShapeMismatch
 EIG_GAP_TOL = 1e-10
 # First vector component with modulus above this is rotated to be real positive.
 PHASE_TOL = 1e-12
-# Jacobi convergence: off-diagonal Frobenius norm <= OFF_DIAGONAL_FACTOR * ||m||_F.
-OFF_DIAGONAL_FACTOR = 1e-14
-# Sweep cap for the iterative solvers, times d**2.
-MAX_SWEEP_FACTOR = 100
-# Singular values below SIGMA_CUTOFF * sigma_max are treated as exact zeros.
-SIGMA_CUTOFF = 1e-12
 # Default relative Hermitian-symmetry tolerance for hermitian_eig inputs.
 HERMITICITY_TOL = 1e-10
-# Relative column-orthogonality tolerance for the one-sided SVD sweeps.
-SVD_REL_TOL = 1e-13
 
 
 def as_cmatrix(m, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -124,22 +116,12 @@ def _order_basis(values: np.ndarray, vectors: np.ndarray, gap_tol: float = EIG_G
     Columns are phase-canonicalized first; groups of values closer than
     ``gap_tol`` are then ordered by descending lexicographic key over the
     interleaved (real, imag) components of their canonicalized vectors.
-
-    Returns ``(values_sorted, vectors_sorted, perm, phases)`` where ``perm`` and
-    ``phases`` reproduce the reordering on any index-aligned companion data.
     """
     d = values.shape[0]
     order = np.argsort(-values, kind="stable")
-    phases = np.ones(d, dtype=np.complex128)
     canon = np.empty_like(vectors)
     for i in range(d):
-        col = vectors[:, order[i]]
-        canon_col = canonicalize_phase(col)
-        canon[:, i] = canon_col
-        nz = np.flatnonzero(np.abs(col) > PHASE_TOL)
-        if nz.size:
-            x = col[nz[0]]
-            phases[i] = x.conjugate() / abs(x)
+        canon[:, i] = canonicalize_phase(vectors[:, order[i]])
 
     # Walk clusters of near-equal values and break ties inside each one.
     final = list(range(d))
@@ -153,33 +135,14 @@ def _order_basis(values: np.ndarray, vectors: np.ndarray, gap_tol: float = EIG_G
             final[start:stop] = cluster
         start = stop
 
-    perm = order[final]
-    vals_sorted = values[perm]
-    vecs_sorted = canon[:, final]
-    return vals_sorted, vecs_sorted, perm, phases[final]
-
-
-def _rotation_2x2(app: float, aqq: float, apq: complex) -> np.ndarray:
-    """Unitary G with G^dag [[app, apq], [conj(apq), aqq]] G diagonal."""
-    mod = abs(apq)
-    phase = apq / mod
-    tau = (aqq - app) / (2.0 * mod)
-    denom = abs(tau) + np.sqrt(1.0 + tau * tau)
-    t = (1.0 if tau >= 0.0 else -1.0) / denom
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-    return np.array(
-        [[c, s], [-s * phase.conjugate(), c * phase.conjugate()]], dtype=np.complex128
-    )
+    return values[order[final]], canon[:, final]
 
 
 def hermitian_eig(m, hermiticity_tol: float = HERMITICITY_TOL) -> EigenSystem:
-    """Diagonalize a Hermitian matrix by cyclic complex Jacobi rotations.
+    """Diagonalize a Hermitian matrix with LAPACK ``eigh``.
 
-    Converges when the off-diagonal Frobenius norm drops below
-    ``OFF_DIAGONAL_FACTOR * ||m||_F``; raises :class:`NoConvergence` if the
-    ``MAX_SWEEP_FACTOR * d**2`` sweep cap is hit first and
-    :class:`NotHermitian` when ``||m - m^dag||_F > hermiticity_tol * ||m||_F``.
+    Raises :class:`NotHermitian` when ``||m - m^dag||_F > hermiticity_tol *
+    ||m||_F`` and :class:`NoConvergence` when LAPACK reports failure.
     """
     a = as_cmatrix(m)
     d = a.shape[0]
@@ -194,104 +157,30 @@ def hermitian_eig(m, hermiticity_tol: float = HERMITICITY_TOL) -> EigenSystem:
     work = 0.5 * (a + a.conj().T)
     if d == 1:
         return EigenSystem(frozen(work.real.diagonal()), frozen(np.ones((1, 1), np.complex128)))
-
-    vecs = np.eye(d, dtype=np.complex128)
-    threshold = OFF_DIAGONAL_FACTOR * scale
-    skip = threshold / (d * d)
-    max_sweeps = MAX_SWEEP_FACTOR * d * d
-    for _ in range(max_sweeps):
-        # Sum off-diagonal moduli directly; the ||A||^2 - ||diag||^2 shortcut
-        # cancels catastrophically and cannot certify thresholds near eps*||m||.
-        off_part = work.copy()
-        np.fill_diagonal(off_part, 0.0)
-        if fro_norm(off_part) <= threshold:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = work[p, q]
-                if abs(apq) <= skip:
-                    continue
-                g = _rotation_2x2(work[p, p].real, work[q, q].real, apq)
-                work[:, [p, q]] = work[:, [p, q]] @ g
-                work[[p, q], :] = g.conj().T @ work[[p, q], :]
-                vecs[:, [p, q]] = vecs[:, [p, q]] @ g
-    else:
-        raise NoConvergence(f"Jacobi eigensolver did not converge in {max_sweeps} sweeps")
-
-    values = work.real.diagonal().copy()
-    vals_sorted, vecs_sorted, _, _ = _order_basis(values, vecs)
+    try:
+        values, vecs = np.linalg.eigh(work)
+    except np.linalg.LinAlgError as e:
+        raise NoConvergence(f"LAPACK eigh failed: {e}") from e
+    vals_sorted, vecs_sorted = _order_basis(values, vecs)
     return EigenSystem(frozen(vals_sorted), frozen(vecs_sorted))
-
-
-def _svd_one_sided(m: np.ndarray):
-    """One-sided Jacobi SVD of a square matrix: ``m = W diag(sigma) V^dag``.
-
-    Right-rotates column pairs until all columns are mutually orthogonal to a
-    relative tolerance, which keeps the left singular vectors orthonormal even
-    when singular values differ by many orders of magnitude. Singular values
-    below ``SIGMA_CUTOFF * sigma_max`` are zeroed and the matching left columns
-    are filled by deterministic Gram-Schmidt against the canonical basis.
-    """
-    d = m.shape[0]
-    cols = m.copy()
-    v = np.eye(d, dtype=np.complex128)
-    max_sweeps = MAX_SWEEP_FACTOR * d * d
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                cpq = np.vdot(cols[:, p], cols[:, q])
-                app = float(np.sum(cols[:, p].real ** 2 + cols[:, p].imag ** 2))
-                aqq = float(np.sum(cols[:, q].real ** 2 + cols[:, q].imag ** 2))
-                bound = np.sqrt(app * aqq)
-                if bound == 0.0 or abs(cpq) <= SVD_REL_TOL * bound:
-                    continue
-                rotated = True
-                g = _rotation_2x2(app, aqq, cpq)
-                cols[:, [p, q]] = cols[:, [p, q]] @ g
-                v[:, [p, q]] = v[:, [p, q]] @ g
-        if not rotated:
-            break
-    else:
-        raise NoConvergence(f"one-sided Jacobi SVD did not converge in {max_sweeps} sweeps")
-
-    sigma = np.sqrt(np.sum(cols.real**2 + cols.imag**2, axis=0))
-    _, v_sorted, perm, phases = _order_basis(sigma.copy(), v)
-    sigma = sigma[perm]
-    cols = cols[:, perm] * phases
-
-    w = np.zeros((d, d), dtype=np.complex128)
-    cutoff = SIGMA_CUTOFF * (sigma[0] if sigma.size else 0.0)
-    kernel = []
-    for i in range(d):
-        if sigma[i] > cutoff:
-            w[:, i] = cols[:, i] / sigma[i]
-        else:
-            sigma[i] = 0.0
-            kernel.append(i)
-    for i in kernel:
-        residual_norms = 1.0 - np.sum(np.abs(w) ** 2, axis=1)
-        j = int(np.argmax(residual_norms))
-        r = np.zeros(d, dtype=np.complex128)
-        r[j] = 1.0
-        r -= w @ (w.conj().T @ r)
-        r /= np.sqrt(np.sum(r.real**2 + r.imag**2))
-        w[:, i] = canonicalize_phase(r)
-    return w, sigma, v_sorted
 
 
 def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:
     """Split a square matrix as ``m = unitary @ positive_root``.
 
-    ``positive_root`` is the principal square root of ``m^dag m``; the unitary
-    factor is ``W V^dag`` from the SVD, with a fixed deterministic completion
-    on the kernel of rank-deficient inputs.
+    From the LAPACK SVD ``m = W diag(sigma) V^dag``: ``unitary = W V^dag`` and
+    ``positive_root = V diag(sigma) V^dag``, the principal square root of
+    ``m^dag m``. On the kernel of a rank-deficient input the unitary factor is
+    LAPACK's completion of the singular bases, fixed for a given build.
     """
     a = as_cmatrix(m)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch("polar_decompose requires a square matrix")
-    w, sigma, v = _svd_one_sided(a)
-    unitary = w @ v.conj().T
-    root = (v * sigma) @ v.conj().T
+    try:
+        w, sigma, vh = np.linalg.svd(a)
+    except np.linalg.LinAlgError as e:
+        raise NoConvergence(f"LAPACK svd failed: {e}") from e
+    unitary = w @ vh
+    root = (vh.conj().T * sigma) @ vh
     root = 0.5 * (root + root.conj().T)
     return unitary, root

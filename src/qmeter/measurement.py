@@ -142,6 +142,9 @@ class Measurement:
         self._effects = tuple(frozen(e) for e in effects)
         self._labels = labels
         self._tolerance = float(tolerance)
+        # Effects and probabilities of an accepted device may exceed 1 by up to
+        # its tolerance; never hold them to less slack than the default.
+        self._slack = max(self._tolerance, DEFAULT_COMPLETENESS_TOL)
         self._defect = defect
         self._spectra: list[EigenSystem | None] = [None] * len(ops)
         self._factors: list[BiOrthogonalFactors | None] = [None] * len(ops)
@@ -193,7 +196,7 @@ class Measurement:
             spectrum = hermitian_eig(self._effects[i])
             lo = float(spectrum.eigenvalues[-1])
             hi = float(spectrum.eigenvalues[0])
-            if lo < -NEGATIVITY_TOL or hi > 1.0 + 1e-10:
+            if lo < -NEGATIVITY_TOL or hi > 1.0 + self._slack:
                 raise InternalConsistencyError(
                     f"effect {s} spectrum [{lo:.3e}, {hi:.3e}] outside [0, 1]"
                 )
@@ -209,7 +212,7 @@ class Measurement:
         if np.any(p < -NEGATIVITY_TOL):
             raise InternalConsistencyError(f"probability {p.min():.3e} below -{NEGATIVITY_TOL:.0e}")
         p = np.clip(p, 0.0, None)
-        if abs(p.sum() - 1.0) > 1e-10:
+        if abs(p.sum() - 1.0) > self._slack:
             raise InternalConsistencyError(f"probabilities sum to {p.sum():.12f}, not 1")
         return p
 

@@ -18,7 +18,7 @@ def rand_hermitian(rng, d):
 def charpoly_eigenvalues(h, grid_points=4001, refine_tol=1e-12):
     """Brute-force eigenvalue oracle: scan det(h - x*I) for sign changes, bisect.
 
-    Independent of the package's Jacobi solver. Only reliable for matrices
+    Independent of the package's LAPACK eigensolver. Only reliable for matrices
     with well-separated simple eigenvalues (seeded test inputs are checked to
     produce exactly d roots).
     """

@@ -290,3 +290,38 @@ class TestCatalogCommand:
     def test_unknown_family_rejected(self, capsys, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["catalog", "nonsense", "--out", str(tmp_path / "x.json")])
+
+
+class TestInputOutputHardening:
+    def test_simulate_rejects_nonpositive_shots(self, capsys, tmp_path):
+        path = write_catalog(capsys, tmp_path, "proj.json", "projective", "--d", "2")
+        for shots in ("0", "-3"):
+            code, out, err = run(capsys, "simulate", path, "--haar", "--shots", shots, "--json")
+            assert code == 2 and out == ""
+            assert "shots" in err
+
+    def test_json_emit_refuses_nan(self, capsys):
+        with pytest.raises(ValueError):
+            cli._emit({"frequencies": [float("nan")]}, [], as_json=True)
+        assert capsys.readouterr().out == ""
+
+    def test_bool_dim_is_malformed(self, capsys, tmp_path):
+        path = tmp_path / "bool_dim.json"
+        path.write_text(json.dumps({"dim": True, "kraus": [[[[1.0, 0.0]]]]}))
+        code, _, err = run(capsys, "validate", str(path))
+        assert code == 1 and "dim" in err
+
+    def test_non_finite_numbers_are_malformed(self, capsys, tmp_path):
+        one = "[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]"
+        specs = {
+            "nan.json": '{"dim": 2, "kraus": [[[[NaN, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}',
+            "inf.json": '{"dim": 2, "kraus": [[[[1.0, Infinity], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}',
+            "tol.json": '{"dim": 2, "kraus": [' + one + '], "tolerance": -Infinity}',
+            "huge.json": '{"dim": 2, "kraus": [' + one + '], "tolerance": 1' + "0" * 400 + "}",
+        }
+        for name, text in specs.items():
+            path = tmp_path / name
+            path.write_text(text)
+            code, _, err = run(capsys, "validate", str(path))
+            assert code == 1, name
+            assert "finite" in err

@@ -6,7 +6,7 @@ import pytest
 from conftest import corpus_params, overlap2, rand_complex
 from qmeter import catalog, estimator as est, haar
 from qmeter.errors import DimensionMismatch, IncompleteDevice, OutOfDomain
-from qmeter.matkernel import frobenius_distance
+from qmeter.matkernel import EIG_GAP_TOL, PHASE_TOL, frobenius_distance, hermitian_eig
 from qmeter.measurement import validate
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -56,6 +56,41 @@ class TestBestEstimates:
         e = m.effect_matrix(1)
         residual = e @ pair.chi_pre - pair.a_max * pair.chi_pre
         assert np.linalg.norm(residual) <= 1e-9
+
+    def test_link_relation_matches_eigh_oracle(self):
+        checked = 0
+        for i in range(48):
+            m = catalog.random_device((2, 4, 16)[i % 3], 2 + i % 4, seed=7000 + i)
+            for s in range(1, m.n_outcomes + 1):
+                if m.effect(s).spectrum.top_gap() < EIG_GAP_TOL:
+                    continue
+                k = m.kraus_op(s)
+                left = k @ k.conj().T
+                oracle = np.linalg.eigh(left)[1][:, -1]
+                post = est.best_post_estimate(m, s)
+                assert overlap2(post, oracle) >= 1.0 - 1e-10
+                lead = post[np.argmax(np.abs(post) > PHASE_TOL)]
+                assert lead.real > 0.0 and lead.imag == pytest.approx(0.0, abs=1e-15)
+                rayleigh = np.vdot(post, left @ post).real
+                assert rayleigh == pytest.approx(m.effect(s).a_max, abs=1e-12)
+                checked += 1
+        assert checked > 100
+
+    def test_degenerate_or_vanishing_top_uses_tie_break(self):
+        kicked = catalog.with_kicks(catalog.identity_device(3), [haar.haar_isometry(3, 3, haar.RngStream(5, 0))])
+        devices = [
+            catalog.identity_device(3),
+            kicked,
+            catalog.unsharp_qubit(0.0),
+            validate([np.eye(2), np.zeros((2, 2))]),
+        ]
+        for m in devices:
+            for s in range(1, m.n_outcomes + 1):
+                effect = m.effect(s)
+                assert effect.a_max <= est.A_MAX_FLOOR or effect.spectrum.top_gap() < EIG_GAP_TOL
+                k = m.kraus_op(s)
+                expected = hermitian_eig(k @ k.conj().T).eigenvectors[:, 0]
+                assert np.array_equal(est.best_post_estimate(m, s), expected)
 
 
 class TestMeanFidelities:

@@ -6,6 +6,10 @@ from qmeter import matkernel as mk
 from qmeter.errors import NoConvergence, NotHermitian, ShapeMismatch
 
 
+def _raise_linalg_error(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
+
+
 class TestAdjoint:
     def test_identity(self):
         assert np.array_equal(mk.adjoint(np.eye(2)), np.eye(2))
@@ -98,8 +102,8 @@ class TestHermitianEig:
         assert es.eigenvalues[0] == 2.5
         assert es.top_gap() == np.inf
 
-    def test_sweep_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(mk, "MAX_SWEEP_FACTOR", 0)
+    def test_lapack_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(mk.np.linalg, "eigh", _raise_linalg_error)
         with pytest.raises(NoConvergence):
             mk.hermitian_eig(rand_hermitian(np.random.default_rng(0), 3))
 
@@ -175,6 +179,11 @@ class TestPolarDecompose:
     def test_non_square_rejected(self):
         with pytest.raises(ShapeMismatch):
             mk.polar_decompose(np.zeros((2, 3)))
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(mk.np.linalg, "svd", _raise_linalg_error)
+        with pytest.raises(NoConvergence):
+            mk.polar_decompose(rand_complex(np.random.default_rng(0), 3, 3))
 
 
 class TestFrobeniusDistance:

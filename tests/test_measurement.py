@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import overlap2, rand_complex
-from qmeter import catalog, haar
+from qmeter import catalog, estimator as est, haar
 from qmeter.errors import (
     DimensionMismatch,
     IncompleteDevice,
@@ -53,6 +53,12 @@ class TestValidate:
             validate(ops)
         m = validate(ops, tolerance=1e-2)
         assert m.completeness_defect == pytest.approx(0.001, abs=1e-12)
+
+    def test_accepted_device_passes_later_checks_at_its_tolerance(self):
+        m = Measurement([np.diag([1.0 + 1e-7, 0.0]), np.diag([0.0, 1.0])], tolerance=1e-5)
+        assert m.effect(1).a_max > 1.0 + 1e-10
+        assert est.check_bound(m).g_post == pytest.approx(1.0, abs=1e-6)
+        assert m.outcome_distribution([1.0, 0.0]) == pytest.approx([1.0, 0.0], abs=1e-6)
 
 
 class TestEffects:

@@ -47,6 +47,7 @@ from .haar import (
     haar_state,
     haar_states,
     mc_estimation_fidelity,
+    mc_fidelities,
     mc_g_post,
     mc_g_pre,
     mc_operation_fidelity,

@@ -233,10 +233,11 @@ def cmd_estimate(args) -> int:
 def _mc_block(m: Measurement, samples: int, seed: int, report) -> dict:
     post_guesses = [estimator.best_post_estimate(m, s) for s in range(1, m.n_outcomes + 1)]
     pre_guesses = [estimator.best_pre_estimate(m, s) for s in range(1, m.n_outcomes + 1)]
+    mc_post, mc_pre, mc_f = haar.mc_fidelities(m, post_guesses, pre_guesses, samples, seed)
     results = {
-        "g_post": (haar.mc_g_post(m, post_guesses, samples, seed), report.g_post),
-        "g_pre": (haar.mc_g_pre(m, pre_guesses, samples, seed), report.g_pre),
-        "f": (haar.mc_operation_fidelity(m, samples, seed), report.f_op),
+        "g_post": (mc_post, report.g_post),
+        "g_pre": (mc_pre, report.g_pre),
+        "f": (mc_f, report.f_op),
     }
     block = {"samples": samples, "seed": seed}
     all_ok = True

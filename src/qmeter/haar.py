@@ -16,6 +16,16 @@ complex amplitude via Box-Muller), so every sample is a pure function of
 ``(seed, i)``. Any contiguous block of samples can therefore be regenerated
 bit-exactly in isolation: partitioning work across workers cannot change the
 result, and reductions use numpy's deterministic pairwise summation.
+
+Monte Carlo evaluation
+----------------------
+One Monte Carlo call draws its Haar ensemble once, in blocks of ``MC_CHUNK``
+samples, and evaluates every integrand it was asked for on each block before
+drawing the next. :func:`mc_fidelities` therefore checks ``g_post``, ``g_pre``
+and ``F`` on one set of states. Each block's values are written into one
+preallocated row per integrand, and each row is summarized as a whole, so the
+results do not depend on the block size. Memory is O(samples) floats plus
+O(``MC_CHUNK`` * d) complex amplitudes.
 """
 
 from __future__ import annotations
@@ -25,9 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfDomain, ZeroProbabilityOutcome
+from .estimator import _check_guesses
 from .measurement import PROBABILITY_FLOOR, Measurement, as_state
 
 DEFAULT_SAMPLES = 100_000
+# Haar samples drawn and integrated at a time by one Monte Carlo call.
+MC_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -127,24 +140,30 @@ def _check_samples(samples: int) -> None:
 def g_post_integrand(m: Measurement, guesses, states: np.ndarray) -> np.ndarray:
     """Per-state values of ``sum_s |<chi_s|M_s|psi>|^2``.
 
+    ``guesses`` holds one normalized state per outcome and is used as given;
+    the ``mc_*`` functions validate it once per call.
+
     This product form is the same integral as the fidelity-times-probability
     sum but never divides by a near-zero outcome probability.
     """
     values = np.zeros(states.shape[0])
     for s, chi in enumerate(guesses, start=1):
-        weight = m.kraus_op(s).conj().T @ as_state(chi, m.dim)
+        weight = m.kraus_op(s).conj().T @ chi
         amp = states @ weight.conj()
         values += amp.real**2 + amp.imag**2
     return values
 
 
 def g_pre_integrand(m: Measurement, guesses, states: np.ndarray) -> np.ndarray:
-    """Per-state values of ``sum_s p_s(psi) |<chi_s|psi>|^2``."""
+    """Per-state values of ``sum_s p_s(psi) |<chi_s|psi>|^2``.
+
+    ``guesses`` is used as given, as in :func:`g_post_integrand`.
+    """
     values = np.zeros(states.shape[0])
     for s, chi in enumerate(guesses, start=1):
         collapsed = states @ m.kraus_op(s).T
         p = np.sum(collapsed.real**2 + collapsed.imag**2, axis=1)
-        amp = states @ np.conj(as_state(chi, m.dim))
+        amp = states @ np.conj(chi)
         values += p * (amp.real**2 + amp.imag**2)
     return values
 
@@ -152,28 +171,59 @@ def g_pre_integrand(m: Measurement, guesses, states: np.ndarray) -> np.ndarray:
 def operation_integrand(m: Measurement, states: np.ndarray) -> np.ndarray:
     """Per-state values of ``sum_s |<psi|M_s|psi>|^2``."""
     values = np.zeros(states.shape[0])
+    conj = states.conj()
     for k in m.kraus:
-        amp = np.einsum("ij,jk,ik->i", states.conj(), k, states)
+        amp = np.einsum("ij,ij->i", conj, states @ k.T)
         values += amp.real**2 + amp.imag**2
     return values
 
 
+def _monte_carlo(m: Measurement, samples: int, seed: int, integrands) -> list[MonteCarloResult]:
+    """Average each ``integrand(states)`` over one Haar ensemble drawn in blocks."""
+    _check_samples(samples)
+    values = np.empty((len(integrands), samples))
+    for start in range(0, samples, MC_CHUNK):
+        states = haar_states(m.dim, min(MC_CHUNK, samples - start), seed, start)
+        for row, integrand in zip(values, integrands):
+            row[start : start + states.shape[0]] = integrand(states)
+    return [_summarize(row) for row in values]
+
+
+def mc_fidelities(
+    m: Measurement, post_guesses, pre_guesses, samples: int = DEFAULT_SAMPLES, seed: int = 0
+) -> tuple[MonteCarloResult, MonteCarloResult, MonteCarloResult]:
+    """Monte Carlo ``(g_post, g_pre, F)`` estimates from one Haar ensemble.
+
+    Bit-identical to :func:`mc_g_post`, :func:`mc_g_pre` and
+    :func:`mc_operation_fidelity` at the same ``samples`` and ``seed``.
+    """
+    post = _check_guesses(m, post_guesses)
+    pre = _check_guesses(m, pre_guesses)
+    g_post, g_pre, f = _monte_carlo(
+        m,
+        samples,
+        seed,
+        [
+            lambda states: g_post_integrand(m, post, states),
+            lambda states: g_pre_integrand(m, pre, states),
+            lambda states: operation_integrand(m, states),
+        ],
+    )
+    return g_post, g_pre, f
+
+
 def mc_g_post(m: Measurement, guesses, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> MonteCarloResult:
     """Monte Carlo estimate of the mean post-measurement estimation fidelity."""
-    _check_samples(samples)
-    states = haar_states(m.dim, samples, seed)
-    return _summarize(g_post_integrand(m, guesses, states))
+    guesses = _check_guesses(m, guesses)
+    return _monte_carlo(m, samples, seed, [lambda states: g_post_integrand(m, guesses, states)])[0]
 
 
 def mc_g_pre(m: Measurement, guesses, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> MonteCarloResult:
     """Monte Carlo estimate of the mean pre-measurement estimation fidelity."""
-    _check_samples(samples)
-    states = haar_states(m.dim, samples, seed)
-    return _summarize(g_pre_integrand(m, guesses, states))
+    guesses = _check_guesses(m, guesses)
+    return _monte_carlo(m, samples, seed, [lambda states: g_pre_integrand(m, guesses, states)])[0]
 
 
 def mc_operation_fidelity(m: Measurement, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> MonteCarloResult:
     """Monte Carlo estimate of the mean operation fidelity."""
-    _check_samples(samples)
-    states = haar_states(m.dim, samples, seed)
-    return _summarize(operation_integrand(m, states))
+    return _monte_carlo(m, samples, seed, [lambda states: operation_integrand(m, states)])[0]

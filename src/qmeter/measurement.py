@@ -205,7 +205,9 @@ class Measurement:
 
     def outcome_distribution(self, psi) -> np.ndarray:
         """Outcome probabilities ``p_s = <psi|E_s|psi>`` for a normalized state."""
-        psi = as_state(psi, self._dim)
+        return self._probabilities(as_state(psi, self._dim))
+
+    def _probabilities(self, psi: np.ndarray) -> np.ndarray:
         p = np.empty(self.n_outcomes)
         for i, e in enumerate(self._effects):
             p[i] = np.vdot(psi, e @ psi).real
@@ -219,11 +221,13 @@ class Measurement:
     def collapse(self, psi, s: int, floor: float = PROBABILITY_FLOOR) -> np.ndarray:
         """Conditional post-measurement state ``M_s|psi> / sqrt(p_s)``."""
         i = self._index(s)
-        psi = as_state(psi, self._dim)
+        return self._collapse(as_state(psi, self._dim), i, floor)
+
+    def _collapse(self, psi: np.ndarray, i: int, floor: float) -> np.ndarray:
         out = self._kraus[i] @ psi
         p = float(np.sum(out.real**2 + out.imag**2))
         if p <= floor:
-            raise ZeroProbabilityOutcome(f"outcome {s} has probability {p:.3e} <= {floor:.0e}")
+            raise ZeroProbabilityOutcome(f"outcome {i + 1} has probability {p:.3e} <= {floor:.0e}")
         return out / np.sqrt(p)
 
     def sample_outcome(self, psi, rng, floor: float = PROBABILITY_FLOOR):
@@ -235,15 +239,15 @@ class Measurement:
         Returns ``(s, collapsed_state)``.
         """
         gen = rng.generator() if hasattr(rng, "generator") else rng
-        p = self.outcome_distribution(psi)
+        psi = as_state(psi, self._dim)
+        p = self._probabilities(psi)
         u = gen.random()
         i = min(int(np.searchsorted(np.cumsum(p), u, side="right")), self.n_outcomes - 1)
         if p[i] <= floor:
             viable = np.flatnonzero(p > floor)
             following = viable[viable >= i]
             i = int(following[0]) if following.size else int(viable[-1])
-        s = i + 1
-        return s, self.collapse(psi, s, floor=floor)
+        return i + 1, self._collapse(psi, i, floor)
 
     def bi_orthogonal_factors(self, s: int) -> BiOrthogonalFactors:
         """Polar-split outcome ``s``: right/left eigenbases joined by ``U_s``."""

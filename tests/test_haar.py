@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qmeter import catalog, estimator as est, haar
-from qmeter.errors import OutOfDomain, ZeroProbabilityOutcome
+from qmeter.errors import DimensionMismatch, OutOfDomain, ZeroProbabilityOutcome
 from qmeter.measurement import Measurement
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -259,3 +259,62 @@ class TestMonteCarloIntegrals:
             assert abs(rp.mean - report.g_post) <= max(5 * rp.std_error, 1e-3)
             assert abs(rq.mean - report.g_pre) <= max(5 * rq.std_error, 1e-3)
             assert abs(rf.mean - report.f_op) <= max(5 * rf.std_error, 1e-3)
+
+
+class TestBlockDriver:
+    """One Haar ensemble per Monte Carlo call, drawn in MC_CHUNK blocks."""
+
+    def test_mc_fidelities_matches_single_calls(self):
+        m = catalog.random_device(4, 3, seed=40)
+        post, pre = optimal_post(m), optimal_pre(m)
+        together = haar.mc_fidelities(m, post, pre, samples=10_000, seed=41)
+        apart = (
+            haar.mc_g_post(m, post, samples=10_000, seed=41),
+            haar.mc_g_pre(m, pre, samples=10_000, seed=41),
+            haar.mc_operation_fidelity(m, samples=10_000, seed=41),
+        )
+        assert together == apart
+
+    @pytest.mark.parametrize(
+        "samples",
+        [100, haar.MC_CHUNK - 1, haar.MC_CHUNK, haar.MC_CHUNK + 1, 5 * haar.MC_CHUNK // 2],
+    )
+    def test_blocks_match_one_block(self, samples):
+        m = catalog.random_device(5, 4, seed=42)
+        post, pre = optimal_post(m), optimal_pre(m)
+        states = haar.haar_states(m.dim, samples, seed=43)
+        expected = (
+            haar._summarize(haar.g_post_integrand(m, post, states)),
+            haar._summarize(haar.g_pre_integrand(m, pre, states)),
+            haar._summarize(haar.operation_integrand(m, states)),
+        )
+        assert haar.mc_fidelities(m, post, pre, samples=samples, seed=43) == expected
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_operation_integrand_matches_triple_einsum(self, d):
+        m = catalog.random_device(d, 3, seed=44 + d)
+        states = haar.haar_states(d, 500, seed=45)
+        oracle = np.zeros(states.shape[0])
+        for k in m.kraus:
+            amp = np.einsum("ij,jk,ik->i", states.conj(), k, states)
+            oracle += amp.real**2 + amp.imag**2
+        values = haar.operation_integrand(m, states)
+        assert np.max(np.abs(values - oracle)) <= 1e-14
+
+    def test_mc_g_post_rejects_wrong_guess_count(self):
+        m = catalog.random_device(3, 4, seed=1)
+        with pytest.raises(DimensionMismatch):
+            haar.mc_g_post(m, optimal_post(m)[:2], samples=1000, seed=46)
+
+    def test_mc_g_pre_rejects_wrong_guess_count(self):
+        m = catalog.random_device(3, 4, seed=1)
+        with pytest.raises(DimensionMismatch):
+            haar.mc_g_pre(m, optimal_pre(m)[:2], samples=1000, seed=46)
+
+    def test_mc_fidelities_rejects_wrong_guess_count(self):
+        m = catalog.random_device(3, 4, seed=1)
+        post, pre = optimal_post(m), optimal_pre(m)
+        with pytest.raises(DimensionMismatch):
+            haar.mc_fidelities(m, post[:2], pre, samples=1000, seed=46)
+        with pytest.raises(DimensionMismatch):
+            haar.mc_fidelities(m, post, pre[:3], samples=1000, seed=46)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import overlap2, rand_complex
-from qmeter import catalog, estimator as est, haar
+from qmeter import catalog, estimator as est, haar, measurement
 from qmeter.errors import (
     DimensionMismatch,
     IncompleteDevice,
@@ -200,6 +200,38 @@ class TestSampleOutcome:
         m = catalog.projective(2)
         s, _ = m.sample_outcome([1.0, 0.0], haar.RngStream(4))
         assert s == 1
+
+    def test_validates_the_state_once(self, monkeypatch):
+        calls = []
+        as_state = measurement.as_state
+
+        def counting_as_state(*args, **kwargs):
+            calls.append(1)
+            return as_state(*args, **kwargs)
+
+        m = catalog.random_device(3, 4, seed=34)
+        psi = haar.haar_state(3, haar.RngStream(35))
+        monkeypatch.setattr(measurement, "as_state", counting_as_state)
+        m.sample_outcome(psi, haar.RngStream(36))
+        assert len(calls) == 1
+
+    def test_matches_public_distribution_and_collapse(self):
+        m = catalog.random_device(3, 4, seed=37)
+        gen = haar.RngStream(38, 1).generator()
+        replay = haar.RngStream(38, 1).generator()
+        for psi in haar.haar_states(3, 50, seed=39):
+            s, post = m.sample_outcome(psi, gen)
+            p = m.outcome_distribution(psi)
+            u = replay.random()
+            assert s == min(int(np.searchsorted(np.cumsum(p), u, side="right")), 3) + 1
+            assert np.array_equal(post, m.collapse(psi, s))
+
+    def test_rejects_invalid_state(self):
+        m = catalog.projective(2)
+        with pytest.raises(ValueError):
+            m.sample_outcome([1.0, 1.0], haar.RngStream(4))
+        with pytest.raises(DimensionMismatch):
+            m.sample_outcome([1.0, 0.0, 0.0], haar.RngStream(4))
 
 
 class TestBiOrthogonalFactors:

@@ -27,9 +27,11 @@ post = device.collapse(plus, 1)
 print("state after outcome '+':", np.round(post, 6))
 print("weight on |0> went from 0.5 to", round(abs(post[0]) ** 2, 6))
 
-# Seeded sampling: same stream, same record, every run.
+# Seeded sampling: same stream, same record, every run. All 20 uniforms come
+# from one draw, exactly as 20 single-shot calls would consume them.
 gen = haar.RngStream(seed=42, stream_index=1).generator()
-record = [device.sample_outcome(plus, gen)[0] for _ in range(20)]
+outcomes, _ = device.sample_outcomes(plus, gen, shots=20)
+record = outcomes.tolist()
 print("\n20 seeded shots:", record)
 
 counts = np.bincount(record, minlength=3)[1:]

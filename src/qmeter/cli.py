@@ -107,6 +107,12 @@ def default_tolerance() -> float:
         raise DeviceSpecError(f"QMETER_DEFAULT_TOLERANCE={raw!r} is not a number") from e
 
 
+def _dim(raw, path: str) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
+        raise DeviceSpecError(f"{path}: 'dim' must be a positive integer")
+    return raw
+
+
 def load_device(path: str, tolerance: float | None = None) -> Measurement:
     """Parse and validate a device spec file.
 
@@ -118,9 +124,7 @@ def load_device(path: str, tolerance: float | None = None) -> Measurement:
         raise DeviceSpecError(f"{path}: device spec must be a JSON object")
     if "dim" not in obj or "kraus" not in obj:
         raise DeviceSpecError(f"{path}: device spec needs 'dim' and 'kraus'")
-    dim = obj["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise DeviceSpecError(f"{path}: 'dim' must be a positive integer")
+    dim = _dim(obj["dim"], path)
     raw_kraus = obj["kraus"]
     if not isinstance(raw_kraus, list) or not raw_kraus:
         raise DeviceSpecError(f"{path}: 'kraus' must be a non-empty list of matrices")
@@ -143,9 +147,9 @@ def load_device(path: str, tolerance: float | None = None) -> Measurement:
 
 def load_state(path: str, dim: int) -> np.ndarray:
     obj = _load_json(path)
-    if not isinstance(obj, dict) or "amplitudes" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("amplitudes"), list):
         raise DeviceSpecError(f"{path}: state file needs an 'amplitudes' array")
-    declared = obj.get("dim", dim)
+    declared = _dim(obj["dim"], path) if "dim" in obj else dim
     if declared != dim or len(obj["amplitudes"]) != dim:
         raise DimensionMismatch(
             f"{path}: state dimension {declared} does not match device dimension {dim}"
@@ -304,16 +308,15 @@ def cmd_simulate(args) -> int:
         psi = haar.haar_state(m.dim, haar.RngStream(args.seed, 0))
         source = {"source": "haar", "seed": args.seed}
     gen = haar.RngStream(args.seed, 1).generator()
-    counts = np.zeros(m.n_outcomes, dtype=int)
-    shots = []
+    outcomes, posts = m.sample_outcomes(psi, gen, args.shots)
+    log = outcomes.tolist()
+    counts = np.bincount(outcomes - 1, minlength=m.n_outcomes)
+    pairs = {s: _pairs_from_vector(canonicalize_phase(post)) for s, post in posts.items()}
+    shots = [{"shot": shot, "outcome": s, "post_state": pairs[s]} for shot, s in enumerate(log, 1)]
     lines = []
-    for shot in range(1, args.shots + 1):
-        s, post = m.sample_outcome(psi, gen)
-        counts[s - 1] += 1
-        post = canonicalize_phase(post)
-        pairs = _pairs_from_vector(post)
-        shots.append({"shot": shot, "outcome": s, "post_state": pairs})
-        lines.append(f"{shot},{s},{json.dumps(pairs)}")
+    if not args.json:
+        texts = {s: json.dumps(v) for s, v in pairs.items()}
+        lines = [f"{shot},{s},{texts[s]}" for shot, s in enumerate(log, 1)]
     freqs = counts / args.shots
     rec = {
         "command": "simulate",

@@ -21,6 +21,7 @@ from .errors import (
     IncompleteDevice,
     InternalConsistencyError,
     OutcomeOutOfRange,
+    OutOfDomain,
     ShapeMismatch,
     ZeroProbabilityOutcome,
 )
@@ -231,23 +232,43 @@ class Measurement:
         return out / np.sqrt(p)
 
     def sample_outcome(self, psi, rng, floor: float = PROBABILITY_FLOOR):
-        """Draw one outcome by inverse CDF on a single uniform variate.
+        """Draw one outcome: the ``shots=1`` case of :meth:`sample_outcomes`.
+
+        Returns ``(s, collapsed_state)``.
+        """
+        outcomes, posts = self.sample_outcomes(psi, rng, 1, floor)
+        s = int(outcomes[0])
+        return s, posts[s]
+
+    def sample_outcomes(self, psi, rng, shots: int, floor: float = PROBABILITY_FLOOR):
+        """Draw ``shots`` outcomes by inverse CDF, one uniform variate per shot.
 
         ``rng`` is a ``numpy.random.Generator`` (or anything with a
         ``.generator()`` method producing one, e.g. :class:`qmeter.haar.RngStream`);
         the caller owns its state, so fixed streams reproduce bit-identically.
-        Returns ``(s, collapsed_state)``.
+        All uniforms come from one ``random(shots)`` call, which consumes the
+        stream exactly as ``shots`` single draws do. A draw that lands on an
+        outcome with ``p <= floor`` moves to the next outcome above the floor,
+        or to the last one when none follows.
+
+        Returns ``(outcomes, posts)``: the 1-based outcome of every shot as an
+        int array, and a dict from each outcome that occurs to its collapsed
+        state (computed once per distinct outcome).
         """
+        if shots < 1:
+            raise OutOfDomain(f"shots must be at least 1, got {shots}")
         gen = rng.generator() if hasattr(rng, "generator") else rng
         psi = as_state(psi, self._dim)
         p = self._probabilities(psi)
-        u = gen.random()
-        i = min(int(np.searchsorted(np.cumsum(p), u, side="right")), self.n_outcomes - 1)
-        if p[i] <= floor:
-            viable = np.flatnonzero(p > floor)
-            following = viable[viable >= i]
-            i = int(following[0]) if following.size else int(viable[-1])
-        return i + 1, self._collapse(psi, i, floor)
+        n = self.n_outcomes
+        # Rounding can leave the total mass below a uniform: clamp to outcome n.
+        drawn = np.minimum(np.searchsorted(np.cumsum(p), gen.random(shots), side="right"), n - 1)
+        viable = np.flatnonzero(p > floor)
+        # nearest[i]: the first viable index >= i, else the last viable one.
+        nearest = viable[np.minimum(np.searchsorted(viable, np.arange(n)), viable.size - 1)]
+        outcomes = nearest[drawn] + 1
+        posts = {s: self._collapse(psi, s - 1, floor) for s in np.unique(outcomes).tolist()}
+        return outcomes, posts
 
     def bi_orthogonal_factors(self, s: int) -> BiOrthogonalFactors:
         """Polar-split outcome ``s``: right/left eigenbases joined by ``U_s``."""

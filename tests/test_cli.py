@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -191,6 +192,39 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", dev, "--state", str(state), "--shots", "1")
         assert code == 2
 
+    # sha256 of stdout as the shot-by-shot simulator printed it (numpy 2.4.6,
+    # OpenBLAS 0.3.31, x86-64). Outputs are bit-reproducible within one
+    # numpy/BLAS build, so another build may need its own digests.
+    PINNED_DIGESTS = {
+        ("unsharp", False): "fe1755470b7c33e522fea0e645ed01310f19c8b0f57a3b55562b1a613d9ae0da",
+        ("unsharp", True): "930cfe13b6e2b2060297d46f6395789dcb4d59bc1dfe4ef518e50224fb81752a",
+        ("projective", False): "f1b8d6ec3637ffcf56398bd622b8014e7fcde6e23067b858d0bf4a23d1db9bc4",
+        ("projective", True): "e72cff5c9e437dd46bda399c192ae0cb2885f41ba295fd0b9ff960a977bf7291",
+        ("random", False): "1000fdff260aff88025eb79912a3494e88c72d6c5a35110a3c90fffb7abdcf16",
+        ("random", True): "cc3b8686652020a212b6c6496e7c8e26b99269a36e511b5205302e64d4a07bc1",
+    }
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
+    @pytest.mark.parametrize("case", ["unsharp", "projective", "random"])
+    def test_stdout_matches_pinned_digest(self, capsys, tmp_path, monkeypatch, case, as_json):
+        monkeypatch.chdir(tmp_path)  # the JSON record names the state file as given
+        if case == "unsharp":
+            dev = write_catalog(capsys, tmp_path, "u.json", "unsharp", "--lambda", "0.4")
+            argv = [dev, "--haar", "--seed", "9", "--shots", "200"]
+        elif case == "projective":
+            # |0> on a 3-outcome projective device: outcomes 2 and 3 have p = 0.
+            dev = write_catalog(capsys, tmp_path, "p.json", "projective", "--d", "3")
+            (tmp_path / "zero.json").write_text(
+                json.dumps({"dim": 3, "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]})
+            )
+            argv = [dev, "--state", "zero.json", "--seed", "2", "--shots", "50"]
+        else:
+            dev = write_catalog(capsys, tmp_path, "r.json", "random", "--d", "4", "--n", "4", "--seed", "5")
+            argv = [dev, "--haar", "--seed", "11", "--shots", "300"]
+        code, out, err = run(capsys, "simulate", *argv, *(["--json"] if as_json else []))
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_DIGESTS[case, as_json]
+
 
 class TestDomain:
     def test_qubit_three_steps(self, capsys):
@@ -325,3 +359,27 @@ class TestInputOutputHardening:
             code, _, err = run(capsys, "validate", str(path))
             assert code == 1, name
             assert "finite" in err
+
+    def _simulate_with_state(self, capsys, tmp_path, state):
+        dev = write_catalog(capsys, tmp_path, "id1.json", "identity", "--d", "1")
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state))
+        return run(capsys, "simulate", dev, "--state", str(path), "--shots", "3")
+
+    def test_state_amplitudes_not_a_list_is_malformed(self, capsys, tmp_path):
+        code, out, err = self._simulate_with_state(capsys, tmp_path, {"dim": 1, "amplitudes": 5})
+        assert code == 1 and out == ""
+        assert "amplitudes" in err
+
+    def test_state_bool_dim_is_malformed(self, capsys, tmp_path):
+        state = {"dim": True, "amplitudes": [[1.0, 0.0]]}
+        code, out, err = self._simulate_with_state(capsys, tmp_path, state)
+        assert code == 1 and out == ""
+        assert "dim" in err
+
+    def test_state_non_integer_dim_is_malformed(self, capsys, tmp_path):
+        for dim in (1.5, "1", None):
+            state = {"dim": dim, "amplitudes": [[1.0, 0.0]]}
+            code, out, err = self._simulate_with_state(capsys, tmp_path, state)
+            assert code == 1 and out == "", dim
+            assert "dim" in err

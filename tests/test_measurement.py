@@ -7,6 +7,7 @@ from qmeter.errors import (
     DimensionMismatch,
     IncompleteDevice,
     OutcomeOutOfRange,
+    OutOfDomain,
     ShapeMismatch,
     ZeroProbabilityOutcome,
 )
@@ -180,9 +181,11 @@ class TestSampleOutcome:
         assert np.allclose(post, psi, atol=1e-14)
 
     def test_fair_coin_frequency(self):
+        # 100k single shots, drawn as one batch (equal to sequential draws,
+        # see TestSampleOutcomes.test_equals_sequential_draws).
         m = catalog.projective(2)
-        gen = haar.RngStream(101, 1).generator()
-        hits = sum(m.sample_outcome(PLUS, gen)[0] == 1 for _ in range(100_000))
+        outcomes, _ = m.sample_outcomes(PLUS, haar.RngStream(101, 1).generator(), 100_000)
+        hits = int(np.count_nonzero(outcomes == 1))
         assert abs(hits / 100_000 - 0.5) < 0.01
 
     def test_bit_reproducible(self):
@@ -232,6 +235,116 @@ class TestSampleOutcome:
             m.sample_outcome([1.0, 1.0], haar.RngStream(4))
         with pytest.raises(DimensionMismatch):
             m.sample_outcome([1.0, 0.0, 0.0], haar.RngStream(4))
+
+
+def scalar_rule(p, u, floor=measurement.PROBABILITY_FLOOR):
+    """1-based outcome of one uniform ``u``: inverse CDF, then the floor skip."""
+    i = min(int(np.searchsorted(np.cumsum(p), u, side="right")), len(p) - 1)
+    if p[i] <= floor:
+        viable = [j for j in range(len(p)) if p[j] > floor]
+        following = [j for j in viable if j >= i]
+        i = following[0] if following else viable[-1]
+    return i + 1
+
+
+class StubGenerator:
+    """Hands out chosen uniforms, one ``random(size)`` call at a time."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=float)
+
+    def random(self, size=None):
+        assert size == self.uniforms.size
+        return self.uniforms.copy()
+
+
+class TestSampleOutcomes:
+    def test_batch_uniforms_match_single_draws(self):
+        for seed in (0, 5, 2**40):
+            batch = haar.RngStream(seed, 1).generator()
+            single = haar.RngStream(seed, 1).generator()
+            assert batch.random(1)[0] == single.random()
+            assert np.array_equal(batch.random(1001), [single.random() for _ in range(1001)])
+            assert batch.random() == single.random()
+
+    @pytest.mark.parametrize("shots", [1, 2, 1000])
+    @pytest.mark.parametrize("d", [2, 4, 16])
+    def test_equals_sequential_draws(self, d, shots):
+        m = catalog.random_device(d, 5, seed=40 + d)
+        psi = haar.haar_state(d, haar.RngStream(41 + d))
+        outcomes, posts = m.sample_outcomes(psi, haar.RngStream(42, 1).generator(), shots)
+        assert outcomes.shape == (shots,)
+        assert set(posts) == set(outcomes.tolist())
+        sequential = haar.RngStream(42, 1).generator()
+        replay = haar.RngStream(42, 1).generator()
+        p = m.outcome_distribution(psi)
+        for s, (seq_s, seq_post) in zip(outcomes, (m.sample_outcome(psi, sequential) for _ in range(shots))):
+            assert s == seq_s == scalar_rule(p, replay.random())
+            assert np.array_equal(posts[s], seq_post)
+            assert np.array_equal(posts[s], m.collapse(psi, int(s)))
+
+    def test_validates_the_state_once(self, monkeypatch):
+        calls = []
+        as_state = measurement.as_state
+
+        def counting_as_state(*args, **kwargs):
+            calls.append(1)
+            return as_state(*args, **kwargs)
+
+        m = catalog.random_device(3, 4, seed=43)
+        psi = haar.haar_state(3, haar.RngStream(44))
+        monkeypatch.setattr(measurement, "as_state", counting_as_state)
+        m.sample_outcomes(psi, haar.RngStream(45), 1000)
+        assert len(calls) == 1
+
+    def test_rejects_nonpositive_shots(self):
+        m = catalog.projective(2)
+        for shots in (0, -3):
+            with pytest.raises(OutOfDomain):
+                m.sample_outcomes(PLUS, haar.RngStream(4), shots)
+
+    def test_accepts_rng_stream_directly(self):
+        m = catalog.random_device(3, 4, seed=46)
+        psi = haar.haar_state(3, haar.RngStream(47))
+        direct, _ = m.sample_outcomes(psi, haar.RngStream(48, 2), 100)
+        via_gen, _ = m.sample_outcomes(psi, haar.RngStream(48, 2).generator(), 100)
+        assert np.array_equal(direct, via_gen)
+
+    def test_floor_skip_first_middle_last(self):
+        # Outcomes 1, 3 and 5 have 0 < p <= floor; 2 and 4 share the rest.
+        tiny = 4e-15
+        amps = np.sqrt([tiny, 0.4, tiny, 0.6 - 3 * tiny, tiny])
+        m = catalog.projective(5)
+        p = m.outcome_distribution(amps)
+        assert np.all((p[[0, 2, 4]] > 0) & (p[[0, 2, 4]] <= measurement.PROBABILITY_FLOOR))
+        c = np.cumsum(p)
+        uniforms = [
+            0.0,  # on outcome 1 -> next viable is 2
+            0.5 * c[0],
+            0.5 * (c[1] + c[2]),  # on outcome 3 -> next viable is 4
+            c[1],  # a draw on a boundary belongs to the outcome above it: 3 -> 4
+            0.5 * (c[3] + c[4]),  # on outcome 5 -> none follows, last viable is 4
+            c[-1],  # at the total mass: clamped to outcome 5 -> 4
+            np.nextafter(1.0, 0.0),
+            0.2,
+            0.9,
+        ]
+        outcomes, posts = m.sample_outcomes(amps, StubGenerator(uniforms), len(uniforms))
+        assert outcomes.tolist() == [scalar_rule(p, u) for u in uniforms]
+        assert outcomes.tolist() == [2, 2, 4, 4, 4, 4, 4, 2, 4]
+        assert set(posts) == {2, 4}
+
+    def test_floor_skip_single_viable_outcome(self):
+        tiny = 4e-15
+        amps = np.sqrt([tiny, 1.0 - 2 * tiny, tiny])
+        m = catalog.projective(3)
+        p = m.outcome_distribution(amps)
+        c = np.cumsum(p)
+        uniforms = [0.0, 0.5 * c[0], 0.5, 0.5 * (c[1] + c[2]), c[-1], np.nextafter(1.0, 0.0)]
+        outcomes, posts = m.sample_outcomes(amps, StubGenerator(uniforms), len(uniforms))
+        assert outcomes.tolist() == [scalar_rule(p, u) for u in uniforms] == [2] * len(uniforms)
+        assert list(posts) == [2]
+        assert overlap2(posts[2], [0.0, 1.0, 0.0]) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestBiOrthogonalFactors:

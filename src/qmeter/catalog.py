@@ -14,7 +14,6 @@ import numpy as np
 from .errors import NotUnitary, OutOfDomain, ShapeMismatch
 from .estimator import make_rank_one_device
 from .haar import RngStream, haar_isometry
-from .matkernel import as_cmatrix, frobenius_distance
 from .measurement import Measurement
 
 # Bloch vectors of a regular tetrahedron (pairwise overlap -1/3, summing to 0).
@@ -28,8 +27,7 @@ def projective(d: int) -> Measurement:
     if d < 2:
         raise OutOfDomain(f"projective devices need d >= 2, got {d}")
     eye = np.eye(d, dtype=np.complex128)
-    ops = [np.outer(eye[:, s], eye[:, s]) for s in range(d)]
-    return Measurement(ops, labels=[str(s + 1) for s in range(d)])
+    return Measurement(eye[:, :, None] * eye[:, None, :], labels=[str(s + 1) for s in range(d)])
 
 
 def identity_device(d: int) -> Measurement:
@@ -60,9 +58,7 @@ def random_device(d: int, n: int, seed: int) -> Measurement:
     """
     if d < 2 or n < 1:
         raise OutOfDomain(f"need d >= 2 and n >= 1, got d={d}, n={n}")
-    iso = haar_isometry(n * d, d, RngStream(seed))
-    ops = [iso[s * d : (s + 1) * d, :] for s in range(n)]
-    return Measurement(ops)
+    return Measurement(haar_isometry(n * d, d, RngStream(seed)).reshape(n, d, d))
 
 
 def with_kicks(m: Measurement, unitaries) -> Measurement:
@@ -71,16 +67,14 @@ def with_kicks(m: Measurement, unitaries) -> Measurement:
     Effects (hence outcome statistics and both estimation fidelities) are
     unchanged; the operation fidelity generally is not.
     """
-    kicks = [as_cmatrix(v, rows=m.dim, cols=m.dim) for v in unitaries]
-    if len(kicks) != m.n_outcomes:
-        raise ShapeMismatch(f"{len(kicks)} kicks for {m.n_outcomes} outcomes")
-    eye = np.eye(m.dim)
-    for v in kicks:
-        defect = frobenius_distance(v.conj().T @ v, eye)
-        if defect > 1e-10:
-            raise NotUnitary(f"kick unitarity defect {defect:.3e} exceeds 1e-10")
-    ops = [v @ k for v, k in zip(kicks, m.kraus)]
-    return Measurement(ops, labels=m.labels, tolerance=m.tolerance)
+    kicks = np.asarray(unitaries, dtype=np.complex128)
+    if kicks.shape != m.kraus.shape:
+        raise ShapeMismatch(f"kicks of shape {kicks.shape} for Kraus operators of shape {m.kraus.shape}")
+    gram = kicks.conj().swapaxes(1, 2) @ kicks
+    defect = float(np.linalg.norm(gram - np.eye(m.dim), axis=(1, 2)).max())
+    if defect > 1e-10:
+        raise NotUnitary(f"kick unitarity defect {defect:.3e} exceeds 1e-10")
+    return Measurement(kicks @ m.kraus, labels=m.labels, tolerance=m.tolerance)
 
 
 def bloch_state(direction) -> np.ndarray:

@@ -50,12 +50,10 @@ MC_AGREEMENT_SIGMAS = 5.0
 # serialization helpers
 
 
-def _pairs_from_vector(v) -> list:
-    return [[float(x.real), float(x.imag)] for x in np.asarray(v, dtype=complex)]
-
-
-def _pairs_from_matrix(m) -> list:
-    return [_pairs_from_vector(row) for row in np.asarray(m, dtype=complex)]
+def _pairs(a) -> list:
+    """Nested lists of ``[re, im]`` pairs for a complex array of any shape."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def _number(x, where: str) -> float:
@@ -158,7 +156,7 @@ def load_state(path: str, dim: int) -> np.ndarray:
 
 
 def device_record(m: Measurement) -> dict:
-    record = {"dim": m.dim, "kraus": [_pairs_from_matrix(k) for k in m.kraus]}
+    record = {"dim": m.dim, "kraus": _pairs(m.kraus)}
     if m.labels is not None:
         record["labels"] = list(m.labels)
     return record
@@ -211,8 +209,8 @@ def _outcome_record(m: Measurement, s: int) -> dict:
         "outcome": s,
         "a_max": pair.a_max,
         "degenerate": pair.degenerate,
-        "chi_pre": _pairs_from_vector(pair.chi_pre),
-        "chi_post": _pairs_from_vector(pair.chi_post),
+        "chi_pre": _pairs(pair.chi_pre),
+        "chi_post": _pairs(pair.chi_post),
     }
     if m.labels is not None:
         rec["label"] = m.labels[s - 1]
@@ -311,7 +309,7 @@ def cmd_simulate(args) -> int:
     outcomes, posts = m.sample_outcomes(psi, gen, args.shots)
     log = outcomes.tolist()
     counts = np.bincount(outcomes - 1, minlength=m.n_outcomes)
-    pairs = {s: _pairs_from_vector(canonicalize_phase(post)) for s, post in posts.items()}
+    pairs = {s: _pairs(canonicalize_phase(post)) for s, post in posts.items()}
     shots = [{"shot": shot, "outcome": s, "post_state": pairs[s]} for shot, s in enumerate(log, 1)]
     lines = []
     if not args.json:
@@ -323,7 +321,7 @@ def cmd_simulate(args) -> int:
         "shots": shots,
         "counts": [int(c) for c in counts],
         "frequencies": [float(f) for f in freqs],
-        "state": _pairs_from_vector(canonicalize_phase(psi)),
+        "state": _pairs(canonicalize_phase(psi)),
         **source,
     }
     for s in range(1, m.n_outcomes + 1):

@@ -41,6 +41,8 @@ OVERLAP_TOL = 1e-9
 BOUND_SLACK = 1e-9
 # a_max below this is treated as an outcome that (numerically) never fires.
 A_MAX_FLOOR = 1e-12
+# Tolerance for a Kraus operator to count as Hermitian positive semidefinite.
+PURITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -119,21 +121,22 @@ def estimate_pair(m: Measurement, s: int) -> EstimatePair:
     )
 
 
-def _check_guesses(m: Measurement, guesses) -> list[np.ndarray]:
+def _check_guesses(m: Measurement, guesses) -> np.ndarray:
     states = [as_state(g, m.dim) for g in guesses]
     if len(states) != m.n_outcomes:
         raise DimensionMismatch(f"{len(states)} guesses for {m.n_outcomes} outcomes")
-    return states
+    return np.array(states)
+
+
+def _sum_squared_norms(ops: np.ndarray, states: np.ndarray) -> float:
+    """``sum_s ||ops[s] states[s]||^2``, summed over outcomes in order."""
+    amp = (ops @ states[:, :, None])[:, :, 0]
+    return sum(np.sum(amp.real**2 + amp.imag**2, axis=1).tolist())
 
 
 def g_post_of_guess(m: Measurement, guesses) -> float:
     """Mean post-measurement estimation fidelity of arbitrary per-outcome guesses."""
-    states = _check_guesses(m, guesses)
-    total = 0.0
-    for s, chi in enumerate(states, start=1):
-        amp = m.kraus_op(s).conj().T @ chi
-        total += float(np.sum(amp.real**2 + amp.imag**2))
-    return total / m.dim
+    return _sum_squared_norms(m.kraus.conj().swapaxes(1, 2), _check_guesses(m, guesses)) / m.dim
 
 
 def g_post(m: Measurement) -> float:
@@ -143,13 +146,8 @@ def g_post(m: Measurement) -> float:
 
 def g_pre_of_guess(m: Measurement, guesses) -> float:
     """Mean pre-measurement estimation fidelity of arbitrary per-outcome guesses."""
-    states = _check_guesses(m, guesses)
     d = m.dim
-    total = 0.0
-    for s, chi in enumerate(states, start=1):
-        amp = m.kraus_op(s) @ chi
-        total += float(np.sum(amp.real**2 + amp.imag**2))
-    return (d + total) / (d * (d + 1))
+    return (d + _sum_squared_norms(m.kraus, _check_guesses(m, guesses))) / (d * (d + 1))
 
 
 def g_pre(m: Measurement) -> float:
@@ -160,7 +158,7 @@ def g_pre(m: Measurement) -> float:
 def operation_fidelity(m: Measurement) -> float:
     """Mean overlap of input and output states: ``(d + sum_s |tr M_s|^2)/(d(d+1))``."""
     d = m.dim
-    traces = sum(abs(np.trace(k)) ** 2 for k in m.kraus)
+    traces = sum(abs(t) ** 2 for t in np.trace(m.kraus, axis1=1, axis2=2))
     return (d + float(traces)) / (d * (d + 1))
 
 
@@ -209,12 +207,12 @@ def pure_part(m: Measurement) -> Measurement:
     return Measurement(roots, labels=m.labels, tolerance=m.tolerance)
 
 
-def is_pure_measurement(m: Measurement, tol: float = 1e-10) -> bool:
+def is_pure_measurement(m: Measurement) -> bool:
     """True iff every Kraus operator is Hermitian positive semidefinite."""
     for k in m.kraus:
-        if frobenius_distance(k, k.conj().T) > tol * max(1.0, fro_norm(k)):
+        if frobenius_distance(k, k.conj().T) > PURITY_TOL * max(1.0, fro_norm(k)):
             return False
-        if hermitian_eig(0.5 * (k + k.conj().T)).eigenvalues[-1] < -tol:
+        if hermitian_eig(0.5 * (k + k.conj().T)).eigenvalues[-1] < -PURITY_TOL:
             return False
     return True
 
@@ -251,23 +249,22 @@ def make_rank_one_device(pre_states, post_states, weights, tolerance=None) -> Me
     form an overcomplete basis); the post-states are unconstrained, and the
     resulting device always attains ``g_post = 1``.
     """
-    pres = [as_state(x) for x in pre_states]
-    d = pres[0].shape[0]
-    posts = [as_state(x, d) for x in post_states]
+    pres = np.array([as_state(x) for x in pre_states])
+    d = pres.shape[1]
+    posts = np.array([as_state(x, d) for x in post_states])
     w = np.asarray(weights, dtype=np.float64)
     if len(pres) != len(posts) or w.shape != (len(pres),):
         raise DimensionMismatch("pre_states, post_states and weights must have equal length")
     if np.any(w <= 0.0):
         raise OutOfDomain("rank-one weights must be positive")
-    total = np.zeros((d, d), dtype=np.complex128)
-    for ws, pre in zip(w, pres):
-        total += ws * np.outer(pre, pre.conj())
+    bras = pres.conj()[:, None, :]
+    total = (w[:, None, None] * (pres[:, :, None] * bras)).sum(axis=0)
     if tolerance is None:
         tolerance = DEFAULT_COMPLETENESS_TOL
     defect = frobenius_distance(total, np.eye(d))
     if defect > tolerance:
         raise IncompleteDevice(defect, f"pre-state projectors sum off identity by {defect:.6g}")
-    kraus = [np.sqrt(ws) * np.outer(post, pre.conj()) for ws, pre, post in zip(w, pres, posts)]
+    kraus = np.sqrt(w)[:, None, None] * (posts[:, :, None] * bras)
     return Measurement(kraus, tolerance=tolerance)
 
 

@@ -147,8 +147,8 @@ def g_post_integrand(m: Measurement, guesses, states: np.ndarray) -> np.ndarray:
     sum but never divides by a near-zero outcome probability.
     """
     values = np.zeros(states.shape[0])
-    for s, chi in enumerate(guesses, start=1):
-        weight = m.kraus_op(s).conj().T @ chi
+    for k, chi in zip(m.kraus, guesses, strict=True):
+        weight = k.conj().T @ chi
         amp = states @ weight.conj()
         values += amp.real**2 + amp.imag**2
     return values
@@ -160,8 +160,8 @@ def g_pre_integrand(m: Measurement, guesses, states: np.ndarray) -> np.ndarray:
     ``guesses`` is used as given, as in :func:`g_post_integrand`.
     """
     values = np.zeros(states.shape[0])
-    for s, chi in enumerate(guesses, start=1):
-        collapsed = states @ m.kraus_op(s).T
+    for k, chi in zip(m.kraus, guesses, strict=True):
+        collapsed = states @ k.T
         p = np.sum(collapsed.real**2 + collapsed.imag**2, axis=1)
         amp = states @ np.conj(chi)
         values += p * (amp.real**2 + amp.imag**2)

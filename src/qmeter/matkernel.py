@@ -24,7 +24,7 @@ from .errors import NoConvergence, NotHermitian, ShapeMismatch
 EIG_GAP_TOL = 1e-10
 # First vector component with modulus above this is rotated to be real positive.
 PHASE_TOL = 1e-12
-# Default relative Hermitian-symmetry tolerance for hermitian_eig inputs.
+# Relative Hermitian-symmetry tolerance for hermitian_eig inputs.
 HERMITICITY_TOL = 1e-10
 
 
@@ -67,15 +67,15 @@ def fro_norm(m) -> float:
     return float(np.sqrt(np.sum(m.real**2 + m.imag**2)))
 
 
-def canonicalize_phase(v: np.ndarray, tol: float = PHASE_TOL) -> np.ndarray:
-    """Rotate the global phase so the first component with |v_i| > tol is real positive.
+def canonicalize_phase(v: np.ndarray) -> np.ndarray:
+    """Rotate the global phase so the first component with |v_i| > PHASE_TOL is real positive.
 
     Idempotent, and a no-op on the (physically empty) all-below-tolerance vector.
     """
     v = np.asarray(v, dtype=np.complex128)
     for x in v:
         mod = abs(x)
-        if mod > tol:
+        if mod > PHASE_TOL:
             return v * (x.conjugate() / mod)
     return v.copy()
 
@@ -110,11 +110,11 @@ def _lex_key(v: np.ndarray) -> tuple:
     return tuple(key)
 
 
-def _order_basis(values: np.ndarray, vectors: np.ndarray, gap_tol: float = EIG_GAP_TOL):
+def _order_basis(values: np.ndarray, vectors: np.ndarray):
     """Sort a (values, column-vectors) pair descending with deterministic ties.
 
     Columns are phase-canonicalized first; groups of values closer than
-    ``gap_tol`` are then ordered by descending lexicographic key over the
+    ``EIG_GAP_TOL`` are then ordered by descending lexicographic key over the
     interleaved (real, imag) components of their canonicalized vectors.
     """
     d = values.shape[0]
@@ -128,7 +128,7 @@ def _order_basis(values: np.ndarray, vectors: np.ndarray, gap_tol: float = EIG_G
     start = 0
     while start < d:
         stop = start + 1
-        while stop < d and values[order[stop - 1]] - values[order[stop]] < gap_tol:
+        while stop < d and values[order[stop - 1]] - values[order[stop]] < EIG_GAP_TOL:
             stop += 1
         if stop - start > 1:
             cluster = sorted(range(start, stop), key=lambda i: _lex_key(canon[:, i]), reverse=True)
@@ -138,10 +138,10 @@ def _order_basis(values: np.ndarray, vectors: np.ndarray, gap_tol: float = EIG_G
     return values[order[final]], canon[:, final]
 
 
-def hermitian_eig(m, hermiticity_tol: float = HERMITICITY_TOL) -> EigenSystem:
+def hermitian_eig(m) -> EigenSystem:
     """Diagonalize a Hermitian matrix with LAPACK ``eigh``.
 
-    Raises :class:`NotHermitian` when ``||m - m^dag||_F > hermiticity_tol *
+    Raises :class:`NotHermitian` when ``||m - m^dag||_F > HERMITICITY_TOL *
     ||m||_F`` and :class:`NoConvergence` when LAPACK reports failure.
     """
     a = as_cmatrix(m)
@@ -151,8 +151,8 @@ def hermitian_eig(m, hermiticity_tol: float = HERMITICITY_TOL) -> EigenSystem:
     scale = fro_norm(a)
     if scale > 0.0:
         defect = frobenius_distance(a, a.conj().T)
-        if defect > hermiticity_tol * scale:
-            raise NotHermitian(f"symmetry defect {defect:.3e} exceeds {hermiticity_tol:.1e} * ||m||_F")
+        if defect > HERMITICITY_TOL * scale:
+            raise NotHermitian(f"symmetry defect {defect:.3e} exceeds {HERMITICITY_TOL:.1e} * ||m||_F")
 
     work = 0.5 * (a + a.conj().T)
     if d == 1:

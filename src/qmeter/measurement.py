@@ -1,10 +1,10 @@
 """Generalized (POVM) measurements on a single d-level system.
 
 A :class:`Measurement` is an ordered set of Kraus operators ``M_1..M_n`` acting
-on dimension ``d``, validated against the completeness relation
-``sum_s M_s^dag M_s = 1``. Reading outcome ``s`` collapses a pure state to
-``M_s |psi> / sqrt(<psi|E_s|psi>)`` where ``E_s = M_s^dag M_s`` is the effect
-(POVM element) of the outcome.
+on dimension ``d``, held as one ``(n, d, d)`` array and validated against the
+completeness relation ``sum_s M_s^dag M_s = 1``. Reading outcome ``s``
+collapses a pure state to ``M_s |psi> / sqrt(<psi|E_s|psi>)`` where
+``E_s = M_s^dag M_s`` is the effect (POVM element) of the outcome.
 
 Outcome indices are 1-based throughout. Devices and all derived data are
 immutable after validation; sampling takes a caller-owned RNG stream.
@@ -12,6 +12,7 @@ immutable after validation; sampling takes a caller-owned RNG stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,6 @@ from .errors import (
 )
 from .matkernel import (
     EigenSystem,
-    as_cmatrix,
     frobenius_distance,
     frozen,
     hermitian_eig,
@@ -43,9 +43,11 @@ NEGATIVITY_TOL = 1e-12
 # Effect eigenvalues this far below the top one (relatively) are rounding noise
 # and are zeroed before square roots enter any reconstruction.
 EIGENVALUE_FLOOR_FACTOR = 1e-14
+# A state's norm may differ from 1 by this much before it is rejected.
+STATE_NORM_TOL = 1e-10
 
 
-def as_state(vec, dim: int | None = None, norm_tol: float = 1e-10) -> np.ndarray:
+def as_state(vec, dim: int | None = None) -> np.ndarray:
     """Coerce ``vec`` to a normalized complex amplitude vector."""
     v = np.asarray(vec, dtype=np.complex128)
     if v.ndim != 1:
@@ -55,8 +57,8 @@ def as_state(vec, dim: int | None = None, norm_tol: float = 1e-10) -> np.ndarray
     if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
         raise ValueError("state amplitudes must be finite")
     norm = float(np.sqrt(np.sum(v.real**2 + v.imag**2)))
-    if abs(norm - 1.0) > norm_tol:
-        raise ValueError(f"state norm is {norm:.12g}, not 1 within {norm_tol:.1e}")
+    if abs(norm - 1.0) > STATE_NORM_TOL:
+        raise ValueError(f"state norm is {norm:.12g}, not 1 within {STATE_NORM_TOL:.1e}")
     return v.copy()
 
 
@@ -107,63 +109,69 @@ class BiOrthogonalFactors:
 class Measurement:
     """A validated generalized measurement (ordered Kraus set) on dimension d.
 
-    Immutable after construction: operators and cached effects are exposed as
-    read-only arrays, so instances are safe to share across threads.
+    ``kraus_ops`` is an iterable of ``d x d`` matrices or one ``(n, d, d)`` array;
+    ``tolerance`` (finite, >= 0) bounds the Frobenius completeness defect. The
+    operators and their effects are held as read-only ``(n, d, d)`` arrays (row
+    ``s - 1`` is outcome ``s``), so instances are safe to share across threads.
     """
 
     def __init__(self, kraus_ops, labels=None, tolerance: float | None = None):
-        ops = [as_cmatrix(k) for k in kraus_ops]
-        if not ops:
-            raise ShapeMismatch("a measurement needs at least one Kraus operator")
-        d = ops[0].shape[0]
-        for k in ops:
-            if k.shape != (d, d):
-                raise ShapeMismatch(f"all Kraus operators must be {d}x{d}, got {k.shape}")
-        if tolerance is None:
-            tolerance = DEFAULT_COMPLETENESS_TOL
-
-        effects = []
-        total = np.zeros((d, d), dtype=np.complex128)
-        for k in ops:
-            e = k.conj().T @ k
-            e = 0.5 * (e + e.conj().T)
-            effects.append(e)
-            total += e
-        defect = frobenius_distance(total, np.eye(d))
+        tolerance = DEFAULT_COMPLETENESS_TOL if tolerance is None else float(tolerance)
+        if not (math.isfinite(tolerance) and tolerance >= 0.0):
+            raise OutOfDomain(f"completeness tolerance must be finite and >= 0, got {tolerance}")
+        try:
+            kraus = np.array(list(kraus_ops), dtype=np.complex128)
+        except ValueError as e:  # ragged nesting or non-numeric entries
+            raise ShapeMismatch(f"Kraus operators do not form one (n, d, d) array: {e}") from e
+        if kraus.ndim != 3 or 0 in kraus.shape or kraus.shape[1] != kraus.shape[2]:
+            raise ShapeMismatch(f"need a non-empty (n, d, d) array of Kraus operators, got {kraus.shape}")
+        if not np.isfinite(kraus).all():
+            raise ValueError("Kraus operator entries must be finite")
+        n, d, _ = kraus.shape
+        effects = kraus.conj().swapaxes(1, 2) @ kraus
+        effects = 0.5 * (effects + effects.conj().swapaxes(1, 2))
+        defect = frobenius_distance(effects.sum(axis=0), np.eye(d))
         if defect > tolerance:
             raise IncompleteDevice(defect)
 
         if labels is not None:
             labels = tuple(str(x) for x in labels)
-            if len(labels) != len(ops):
-                raise ShapeMismatch(f"{len(labels)} labels for {len(ops)} outcomes")
+            if len(labels) != n:
+                raise ShapeMismatch(f"{len(labels)} labels for {n} outcomes")
 
-        self._dim = d
-        self._kraus = tuple(frozen(k) for k in ops)
-        self._effects = tuple(frozen(e) for e in effects)
+        kraus.setflags(write=False)
+        effects.setflags(write=False)
+        self._kraus = kraus
+        self._effects = effects
         self._labels = labels
-        self._tolerance = float(tolerance)
+        self._tolerance = tolerance
         # Effects and probabilities of an accepted device may exceed 1 by up to
         # its tolerance; never hold them to less slack than the default.
-        self._slack = max(self._tolerance, DEFAULT_COMPLETENESS_TOL)
+        self._slack = max(tolerance, DEFAULT_COMPLETENESS_TOL)
         self._defect = defect
-        self._spectra: list[EigenSystem | None] = [None] * len(ops)
-        self._factors: list[BiOrthogonalFactors | None] = [None] * len(ops)
+        self._spectra: list[EigenSystem | None] = [None] * n
+        self._factors: list[BiOrthogonalFactors | None] = [None] * n
 
     def __repr__(self):
-        return f"Measurement(dim={self._dim}, n_outcomes={self.n_outcomes})"
+        return f"Measurement(dim={self.dim}, n_outcomes={self.n_outcomes})"
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return self._kraus.shape[1]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self._kraus)
+        return self._kraus.shape[0]
 
     @property
-    def kraus(self) -> tuple[np.ndarray, ...]:
+    def kraus(self) -> np.ndarray:
+        """The read-only ``(n, d, d)`` array of Kraus operators."""
         return self._kraus
+
+    @property
+    def effects(self) -> np.ndarray:
+        """The read-only ``(n, d, d)`` array of effects ``E_s = M_s^dag M_s``."""
+        return self._effects
 
     @property
     def labels(self):
@@ -183,11 +191,11 @@ class Measurement:
         return s - 1
 
     def kraus_op(self, s: int) -> np.ndarray:
-        """Kraus operator of outcome ``s`` (1-based)."""
+        """Kraus operator of outcome ``s`` (1-based), a read-only view."""
         return self._kraus[self._index(s)]
 
     def effect_matrix(self, s: int) -> np.ndarray:
-        """Effect matrix ``E_s`` without spectral data (cached at validation)."""
+        """Effect matrix ``E_s`` without spectral data, a read-only view."""
         return self._effects[self._index(s)]
 
     def effect(self, s: int) -> Effect:
@@ -206,12 +214,10 @@ class Measurement:
 
     def outcome_distribution(self, psi) -> np.ndarray:
         """Outcome probabilities ``p_s = <psi|E_s|psi>`` for a normalized state."""
-        return self._probabilities(as_state(psi, self._dim))
+        return self._probabilities(as_state(psi, self.dim))
 
     def _probabilities(self, psi: np.ndarray) -> np.ndarray:
-        p = np.empty(self.n_outcomes)
-        for i, e in enumerate(self._effects):
-            p[i] = np.vdot(psi, e @ psi).real
+        p = np.vecdot(psi, self._effects @ psi).real
         if np.any(p < -NEGATIVITY_TOL):
             raise InternalConsistencyError(f"probability {p.min():.3e} below -{NEGATIVITY_TOL:.0e}")
         p = np.clip(p, 0.0, None)
@@ -219,28 +225,28 @@ class Measurement:
             raise InternalConsistencyError(f"probabilities sum to {p.sum():.12f}, not 1")
         return p
 
-    def collapse(self, psi, s: int, floor: float = PROBABILITY_FLOOR) -> np.ndarray:
+    def collapse(self, psi, s: int) -> np.ndarray:
         """Conditional post-measurement state ``M_s|psi> / sqrt(p_s)``."""
         i = self._index(s)
-        return self._collapse(as_state(psi, self._dim), i, floor)
+        return self._collapse(as_state(psi, self.dim), i)
 
-    def _collapse(self, psi: np.ndarray, i: int, floor: float) -> np.ndarray:
+    def _collapse(self, psi: np.ndarray, i: int) -> np.ndarray:
         out = self._kraus[i] @ psi
         p = float(np.sum(out.real**2 + out.imag**2))
-        if p <= floor:
-            raise ZeroProbabilityOutcome(f"outcome {i + 1} has probability {p:.3e} <= {floor:.0e}")
+        if p <= PROBABILITY_FLOOR:
+            raise ZeroProbabilityOutcome(f"outcome {i + 1} has probability {p:.3e} <= {PROBABILITY_FLOOR:.0e}")
         return out / np.sqrt(p)
 
-    def sample_outcome(self, psi, rng, floor: float = PROBABILITY_FLOOR):
+    def sample_outcome(self, psi, rng):
         """Draw one outcome: the ``shots=1`` case of :meth:`sample_outcomes`.
 
         Returns ``(s, collapsed_state)``.
         """
-        outcomes, posts = self.sample_outcomes(psi, rng, 1, floor)
+        outcomes, posts = self.sample_outcomes(psi, rng, 1)
         s = int(outcomes[0])
         return s, posts[s]
 
-    def sample_outcomes(self, psi, rng, shots: int, floor: float = PROBABILITY_FLOOR):
+    def sample_outcomes(self, psi, rng, shots: int):
         """Draw ``shots`` outcomes by inverse CDF, one uniform variate per shot.
 
         ``rng`` is a ``numpy.random.Generator`` (or anything with a
@@ -248,8 +254,8 @@ class Measurement:
         the caller owns its state, so fixed streams reproduce bit-identically.
         All uniforms come from one ``random(shots)`` call, which consumes the
         stream exactly as ``shots`` single draws do. A draw that lands on an
-        outcome with ``p <= floor`` moves to the next outcome above the floor,
-        or to the last one when none follows.
+        outcome with ``p <= PROBABILITY_FLOOR`` moves to the next outcome above
+        the floor, or to the last one when none follows.
 
         Returns ``(outcomes, posts)``: the 1-based outcome of every shot as an
         int array, and a dict from each outcome that occurs to its collapsed
@@ -258,16 +264,16 @@ class Measurement:
         if shots < 1:
             raise OutOfDomain(f"shots must be at least 1, got {shots}")
         gen = rng.generator() if hasattr(rng, "generator") else rng
-        psi = as_state(psi, self._dim)
+        psi = as_state(psi, self.dim)
         p = self._probabilities(psi)
         n = self.n_outcomes
         # Rounding can leave the total mass below a uniform: clamp to outcome n.
         drawn = np.minimum(np.searchsorted(np.cumsum(p), gen.random(shots), side="right"), n - 1)
-        viable = np.flatnonzero(p > floor)
+        viable = np.flatnonzero(p > PROBABILITY_FLOOR)
         # nearest[i]: the first viable index >= i, else the last viable one.
         nearest = viable[np.minimum(np.searchsorted(viable, np.arange(n)), viable.size - 1)]
         outcomes = nearest[drawn] + 1
-        posts = {s: self._collapse(psi, s - 1, floor) for s in np.unique(outcomes).tolist()}
+        posts = {s: self._collapse(psi, s - 1) for s in np.unique(outcomes).tolist()}
         return outcomes, posts
 
     def bi_orthogonal_factors(self, s: int) -> BiOrthogonalFactors:

@@ -226,6 +226,62 @@ class TestSimulate:
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_DIGESTS[case, as_json]
 
 
+class TestPinnedOutputs:
+    """Spec files and reports pinned byte for byte (numpy 2.4.6, OpenBLAS 0.3.31, x86-64).
+
+    The devices cover n >= 8 outcomes (where numpy's pairwise summation and a
+    Python ``sum`` can differ), a degenerate kicked identity (the tie-break
+    path), a rank-one device and a kicked unsharp qubit.
+    """
+
+    DEVICES = {
+        "random_d16": ["random", "--d", "16", "--n", "4", "--seed", "1000"],
+        "random_n12": ["random", "--d", "5", "--n", "12", "--seed", "1"],
+        "kicked_identity": ["identity", "--d", "3", "--kick-seed", "2"],
+        "tetrahedron": ["tetrahedron", "--post-seed", "4"],
+        "kicked_unsharp": ["unsharp", "--lambda", "0.3", "--kick-seed", "5"],
+    }
+    COMMANDS = {
+        "validate": ["validate", "--json"],
+        "fidelities": ["fidelities", "--json"],
+        "estimate": ["estimate", "--outcome", "1", "--json"],
+    }
+    PINNED_DIGESTS = {
+        ("random_d16", "spec"): "7abe4f936a83a5680a333bd356b2172657e38ac8e3e8cecd85f8d19ec0211ea5",
+        ("random_d16", "validate"): "1823c04f32e8859243f04662e0066466fdd819649a37c7e9177197c9b56aec93",
+        ("random_d16", "fidelities"): "881d5fc02b32a86223b8b63f1ba92af3723f9a42b91312a6a91f6dfcbd0645b6",
+        ("random_d16", "estimate"): "6d0671ec10b236be95c3c724e45eb97f708474ecefa6b89236ae68bc89a2ba52",
+        ("random_n12", "spec"): "04ec60964bfdf446026f92f3f8de34c3fe83ee3e647a2933894b7ea0a38d685f",
+        ("random_n12", "validate"): "6052989cf3870a7f5e4c92250b138f96296a27fed43dda7736a2c5eeaf03a340",
+        ("random_n12", "fidelities"): "e11e2acf8df93baae1607640d047104eb1a896083340d68ffca6a14a4e05a753",
+        ("random_n12", "estimate"): "366e8e870f2d87ff1702b4506231d55cef38e803e8bc1e68e3013248c9325664",
+        ("kicked_identity", "spec"): "d538b30cb8423a5ce9a07460ca2170f9e092c3989038737d04e17af8aa41fd4b",
+        ("kicked_identity", "validate"): "92878231374792db8e4cc72ff7f56b0d69b100004bca1122c581a4848027ebe1",
+        ("kicked_identity", "fidelities"): "0be676f02ef34ad49336a795b4e845e06323c90983bff1f4538932a9b4bf904a",
+        ("kicked_identity", "estimate"): "dda2a32ec80e4fd0ef97c1bd7f37c4bfc930878def7e0abb08a2a0d84c49f208",
+        ("tetrahedron", "spec"): "10eba3d589217d812227eadee945ebd5284462fef0c2fcc7b739a95bdeda5c79",
+        ("tetrahedron", "validate"): "08de8f46a98a802f1b9edb8fa92021eb6a15ff746114a517f0799cfc838f4e81",
+        ("tetrahedron", "fidelities"): "9090960c146c713d3ccaa8f7e6b48cbedc9fc513772a197fc7082e9bebc43ffe",
+        ("tetrahedron", "estimate"): "a403b0596b0fc6585fcd671f5ecbfcd7610edd96634ac243aa918f01400e1b54",
+        ("kicked_unsharp", "spec"): "9105f818ed9ecc0291a161a5ce11ec45fa87ed370bf9e2c4693bfce7972a4887",
+        ("kicked_unsharp", "validate"): "a04de58f73a287d97249bc61d7d3234bc46c32e3ab4e01b0ae54ee5772481c76",
+        ("kicked_unsharp", "fidelities"): "debfc971770d8dfa06b7c05a1a9669a40c6e78c0337f778a9e78196d12213dd3",
+        ("kicked_unsharp", "estimate"): "8a97f2e6701f0dacee760c8927fda3f7200c8d273a73ca5da4e9d4dc0b9ab978",
+    }
+
+    @pytest.mark.parametrize("device", list(DEVICES))
+    def test_outputs_match_pinned_digests(self, capsys, tmp_path, device):
+        path = write_catalog(capsys, tmp_path, "dev.json", *self.DEVICES[device])
+        with open(path, "rb") as fh:
+            outputs = {"spec": fh.read()}
+        for name, (command, *flags) in self.COMMANDS.items():
+            code, out, err = run(capsys, command, path, *flags)
+            assert code == 0, err
+            outputs[name] = out.encode()
+        for name, data in outputs.items():
+            assert hashlib.sha256(data).hexdigest() == self.PINNED_DIGESTS[device, name], name
+
+
 class TestDomain:
     def test_qubit_three_steps(self, capsys):
         code, out, _ = run(capsys, "domain", "--d", "2", "--steps", "3")
@@ -359,6 +415,33 @@ class TestInputOutputHardening:
             code, _, err = run(capsys, "validate", str(path))
             assert code == 1, name
             assert "finite" in err
+
+    HALF_IDENTITY = {"dim": 2, "kraus": [[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]]}
+
+    def test_bad_tolerance_flag_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps(self.HALF_IDENTITY))
+        valid = write_catalog(capsys, tmp_path, "proj.json", "projective", "--d", "2")
+        for device, flag in ((path, "nan"), (valid, "inf"), (valid, "-1e-3")):
+            code, out, err = run(capsys, "validate", str(device), f"--tolerance={flag}", "--json")
+            assert code == 2 and out == "", flag
+            assert "tolerance" in err
+
+    def test_bad_tolerance_env_var_exits_2(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps(self.HALF_IDENTITY))
+        monkeypatch.setenv("QMETER_DEFAULT_TOLERANCE", "nan")
+        code, out, err = run(capsys, "fidelities", str(path))
+        assert code == 2 and out == ""
+        assert "tolerance" in err
+
+    def test_negative_tolerance_field_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "negative.json"
+        identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        path.write_text(json.dumps({"dim": 2, "kraus": [identity], "tolerance": -1e-3}))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert "tolerance" in err
 
     def _simulate_with_state(self, capsys, tmp_path, state):
         dev = write_catalog(capsys, tmp_path, "id1.json", "identity", "--d", "1")

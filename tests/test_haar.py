@@ -318,3 +318,12 @@ class TestBlockDriver:
             haar.mc_fidelities(m, post[:2], pre, samples=1000, seed=46)
         with pytest.raises(DimensionMismatch):
             haar.mc_fidelities(m, post, pre[:3], samples=1000, seed=46)
+
+    def test_integrands_reject_wrong_guess_count(self):
+        m = catalog.random_device(3, 4, seed=1)
+        states = haar.haar_states(3, 10, seed=47)
+        cases = [(haar.g_post_integrand, optimal_post(m)), (haar.g_pre_integrand, optimal_pre(m))]
+        for integrand, guesses in cases:
+            for wrong in (guesses[:3], guesses + guesses[:1]):
+                with pytest.raises(ValueError):
+                    integrand(m, wrong, states)

@@ -41,6 +41,9 @@ class TestValidate:
             validate([np.eye(2)], dim=3)
         with pytest.raises(ShapeMismatch):
             validate([])
+        for stack in (np.eye(2), np.zeros((1, 1, 2, 2)), np.zeros((0, 2, 2))):
+            with pytest.raises(ShapeMismatch):
+                Measurement(stack)
 
     def test_labels(self):
         m = Measurement([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=["up", "down"])
@@ -55,11 +58,53 @@ class TestValidate:
         m = validate(ops, tolerance=1e-2)
         assert m.completeness_defect == pytest.approx(0.001, abs=1e-12)
 
+    def test_tolerance_must_be_finite_and_nonnegative(self):
+        for tol in (float("nan"), float("inf"), -1e-12):
+            with pytest.raises(OutOfDomain):
+                Measurement([np.eye(2)], tolerance=tol)
+        assert Measurement([np.eye(2)], tolerance=0.0).tolerance == 0.0
+
     def test_accepted_device_passes_later_checks_at_its_tolerance(self):
         m = Measurement([np.diag([1.0 + 1e-7, 0.0]), np.diag([0.0, 1.0])], tolerance=1e-5)
         assert m.effect(1).a_max > 1.0 + 1e-10
         assert est.check_bound(m).g_post == pytest.approx(1.0, abs=1e-6)
         assert m.outcome_distribution([1.0, 0.0]) == pytest.approx([1.0, 0.0], abs=1e-6)
+
+
+class TestStackedStorage:
+    def test_list_and_stacked_array_agree(self):
+        ops = [np.array(k) for k in catalog.random_device(3, 9, seed=60).kraus]
+        a = Measurement(ops)
+        for b in (Measurement(np.stack(ops)), Measurement(iter(ops))):
+            assert np.array_equal(a.kraus, b.kraus)
+            assert np.array_equal(a.effects, b.effects)
+            assert a.completeness_defect == b.completeness_defect
+
+    def test_effects_defect_and_probabilities_match_per_operator_loop(self):
+        for d, n in [(2, 3), (5, 12), (16, 4)]:
+            m = catalog.random_device(d, n, seed=61)
+            psi = haar.haar_state(d, haar.RngStream(62))
+            total = np.zeros((d, d), dtype=np.complex128)
+            probabilities = []
+            for k, e in zip(m.kraus, m.effects):
+                ref = k.conj().T @ k
+                ref = 0.5 * (ref + ref.conj().T)
+                assert np.array_equal(e, ref)
+                total += ref
+                probabilities.append(np.vdot(psi, ref @ psi).real)
+            assert m.completeness_defect == frobenius_distance(total, np.eye(d))
+            assert np.array_equal(m.outcome_distribution(psi), np.clip(probabilities, 0.0, None))
+
+    def test_arrays_are_read_only_and_not_aliased(self):
+        ops = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        m = Measurement(ops)
+        ops[0] = 0.0
+        assert m.kraus.shape == m.effects.shape == (2, 2, 2)
+        assert m.kraus[0, 0, 0] == 1.0
+        for a in (m.kraus, m.effects, m.kraus_op(2), m.effect_matrix(2)):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
 
 
 class TestEffects:

@@ -203,23 +203,22 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _outcome_record(m: Measurement, s: int) -> dict:
-    pair = estimator.estimate_pair(m, s)
+def _outcome_record(m: Measurement, pair: estimator.EstimatePair) -> dict:
     rec = {
-        "outcome": s,
+        "outcome": pair.outcome,
         "a_max": pair.a_max,
         "degenerate": pair.degenerate,
         "chi_pre": _pairs(pair.chi_pre),
         "chi_post": _pairs(pair.chi_post),
     }
     if m.labels is not None:
-        rec["label"] = m.labels[s - 1]
+        rec["label"] = m.labels[pair.outcome - 1]
     return rec
 
 
 def cmd_estimate(args) -> int:
     m = load_device(args.device)
-    rec = _outcome_record(m, args.outcome)
+    rec = _outcome_record(m, estimator.estimate_pair(m, args.outcome))
     rec["command"] = "estimate"
     lines = [
         f"outcome {args.outcome}" + (f" ({rec['label']})" if "label" in rec else ""),
@@ -232,10 +231,9 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _mc_block(m: Measurement, samples: int, seed: int, report) -> dict:
-    post_guesses = [estimator.best_post_estimate(m, s) for s in range(1, m.n_outcomes + 1)]
-    pre_guesses = [estimator.best_pre_estimate(m, s) for s in range(1, m.n_outcomes + 1)]
-    mc_post, mc_pre, mc_f = haar.mc_fidelities(m, post_guesses, pre_guesses, samples, seed)
+def _mc_block(m: Measurement, pairs, samples: int, seed: int, report) -> dict:
+    post, pre = [p.chi_post for p in pairs], [p.chi_pre for p in pairs]
+    mc_post, mc_pre, mc_f = haar.mc_fidelities(m, post, pre, samples, seed)
     results = {
         "g_post": (mc_post, report.g_post),
         "g_pre": (mc_pre, report.g_pre),
@@ -260,6 +258,7 @@ def _mc_block(m: Measurement, samples: int, seed: int, report) -> dict:
 def cmd_fidelities(args) -> int:
     m = load_device(args.device)
     report = estimator.check_bound(m)
+    pairs = [estimator.estimate_pair(m, s) for s in range(1, m.n_outcomes + 1)]
     rec = {
         "command": "fidelities",
         "dim": m.dim,
@@ -271,7 +270,7 @@ def cmd_fidelities(args) -> int:
         "bound_lhs": report.bound_lhs,
         "bound_rhs": report.bound_rhs,
         "bound_satisfied": report.bound_satisfied,
-        "outcomes": [_outcome_record(m, s) for s in range(1, m.n_outcomes + 1)],
+        "outcomes": [_outcome_record(m, p) for p in pairs],
     }
     lines = [
         f"G_post = {report.g_post:.17g}",
@@ -282,7 +281,7 @@ def cmd_fidelities(args) -> int:
         "a_max per outcome: " + " ".join(f"{x:.17g}" for x in report.per_outcome_a_max),
     ]
     if args.montecarlo is not None:
-        block = _mc_block(m, args.montecarlo, args.seed, report)
+        block = _mc_block(m, pairs, args.montecarlo, args.seed, report)
         rec["montecarlo"] = block
         for name in ("g_post", "g_pre", "f"):
             b = block[name]

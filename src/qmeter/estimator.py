@@ -141,7 +141,7 @@ def g_post_of_guess(m: Measurement, guesses) -> float:
 
 def g_post(m: Measurement) -> float:
     """Maximal mean post-measurement estimation fidelity, ``(1/d) sum_s a_max``."""
-    return float(sum(m.effect(s).a_max for s in range(1, m.n_outcomes + 1))) / m.dim
+    return check_bound(m).g_post
 
 
 def g_pre_of_guess(m: Measurement, guesses) -> float:
@@ -209,12 +209,11 @@ def pure_part(m: Measurement) -> Measurement:
 
 def is_pure_measurement(m: Measurement) -> bool:
     """True iff every Kraus operator is Hermitian positive semidefinite."""
-    for k in m.kraus:
-        if frobenius_distance(k, k.conj().T) > PURITY_TOL * max(1.0, fro_norm(k)):
-            return False
-        if hermitian_eig(0.5 * (k + k.conj().T)).eigenvalues[-1] < -PURITY_TOL:
-            return False
-    return True
+    k = m.kraus
+    if any(frobenius_distance(op, op.conj().T) > PURITY_TOL * max(1.0, fro_norm(op)) for op in k):
+        return False
+    lowest = hermitian_eig(0.5 * (k + k.conj().swapaxes(1, 2))).eigenvalues[:, -1]
+    return bool(np.all(lowest >= -PURITY_TOL))
 
 
 def verify_estimate_relations(m: Measurement, s: int) -> RelationCheck:
@@ -250,6 +249,8 @@ def make_rank_one_device(pre_states, post_states, weights, tolerance=None) -> Me
     resulting device always attains ``g_post = 1``.
     """
     pres = np.array([as_state(x) for x in pre_states])
+    if pres.ndim != 2:
+        raise DimensionMismatch("a rank-one device needs at least one pre-state")
     d = pres.shape[1]
     posts = np.array([as_state(x, d) for x in post_states])
     w = np.asarray(weights, dtype=np.float64)

@@ -3,7 +3,7 @@
 Everything downstream (effects, spectral data, polar factors) is built on the
 routines here. They are thin layers over LAPACK:
 
-* ``hermitian_eig`` calls ``numpy.linalg.eigh`` on the Hermitized input,
+* ``hermitian_eig`` makes one ``numpy.linalg.eigh`` call on a matrix or a stack,
 * ``polar_decompose`` assembles both factors from ``numpy.linalg.svd``.
 
 What this module adds is a fixed output convention: eigenvalues descending,
@@ -58,8 +58,7 @@ def frobenius_distance(a, b) -> float:
     """sqrt(sum |a_ij - b_ij|^2); zero iff the matrices are equal."""
     a = as_cmatrix(a)
     b = as_cmatrix(b, rows=a.shape[0], cols=a.shape[1])
-    diff = a - b
-    return float(np.sqrt(np.sum(diff.real**2 + diff.imag**2)))
+    return fro_norm(a - b)
 
 
 def fro_norm(m) -> float:
@@ -82,11 +81,12 @@ def canonicalize_phase(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Spectral data of a Hermitian matrix.
+    """Spectral data of a Hermitian matrix, or of a stack of them.
 
     ``eigenvalues`` are real and sorted descending; column ``eigenvectors[:, i]``
-    belongs to ``eigenvalues[i]``. Vectors are orthonormal, phase-canonicalized,
-    and degenerate groups are ordered by a deterministic lexicographic rule.
+    belongs to ``eigenvalues[i]`` (a stack adds a leading matrix axis to both).
+    Vectors are orthonormal, phase-canonicalized, and degenerate groups are
+    ordered by a deterministic lexicographic rule.
     """
 
     eigenvalues: np.ndarray
@@ -94,10 +94,10 @@ class EigenSystem:
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
     def top_gap(self) -> float:
-        """Gap between the two largest eigenvalues (inf for dimension 1)."""
+        """Gap between the two largest eigenvalues of one matrix (inf for dimension 1)."""
         if self.dim < 2:
             return float("inf")
         return float(self.eigenvalues[0] - self.eigenvalues[1])
@@ -139,30 +139,31 @@ def _order_basis(values: np.ndarray, vectors: np.ndarray):
 
 
 def hermitian_eig(m) -> EigenSystem:
-    """Diagonalize a Hermitian matrix with LAPACK ``eigh``.
+    """Diagonalize a Hermitian matrix, or an ``(n, d, d)`` stack, with LAPACK ``eigh``.
 
-    Raises :class:`NotHermitian` when ``||m - m^dag||_F > HERMITICITY_TOL *
-    ||m||_F`` and :class:`NoConvergence` when LAPACK reports failure.
+    A stack is solved by one ``eigh`` call; slice ``i`` of the result is
+    bit-identical to ``hermitian_eig(m[i])``. Raises :class:`NotHermitian` when
+    a matrix has ``||m - m^dag||_F > HERMITICITY_TOL * ||m||_F`` and
+    :class:`NoConvergence` when LAPACK reports failure.
     """
-    a = as_cmatrix(m)
-    d = a.shape[0]
-    if a.shape[1] != d:
-        raise ShapeMismatch("hermitian_eig requires a square matrix")
-    scale = fro_norm(a)
-    if scale > 0.0:
-        defect = frobenius_distance(a, a.conj().T)
-        if defect > HERMITICITY_TOL * scale:
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ShapeMismatch(f"hermitian_eig requires a (d, d) or (n, d, d) array, got {a.shape}")
+    stack = a if a.ndim == 3 else a[None]
+    for x in stack:  # frobenius_distance also rejects non-finite entries
+        defect = frobenius_distance(x, x.conj().T)
+        if defect > HERMITICITY_TOL * fro_norm(x):
             raise NotHermitian(f"symmetry defect {defect:.3e} exceeds {HERMITICITY_TOL:.1e} * ||m||_F")
 
-    work = 0.5 * (a + a.conj().T)
-    if d == 1:
-        return EigenSystem(frozen(work.real.diagonal()), frozen(np.ones((1, 1), np.complex128)))
     try:
-        values, vecs = np.linalg.eigh(work)
+        values, vecs = np.linalg.eigh(0.5 * (stack + stack.conj().swapaxes(1, 2)))
     except np.linalg.LinAlgError as e:
         raise NoConvergence(f"LAPACK eigh failed: {e}") from e
-    vals_sorted, vecs_sorted = _order_basis(values, vecs)
-    return EigenSystem(frozen(vals_sorted), frozen(vecs_sorted))
+    for i in range(stack.shape[0]):
+        values[i], vecs[i] = _order_basis(values[i], vecs[i])
+    values.setflags(write=False)
+    vecs.setflags(write=False)
+    return EigenSystem(values.reshape(a.shape[:-1]), vecs.reshape(a.shape))
 
 
 def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:

@@ -6,14 +6,16 @@ completeness relation ``sum_s M_s^dag M_s = 1``. Reading outcome ``s``
 collapses a pure state to ``M_s |psi> / sqrt(<psi|E_s|psi>)`` where
 ``E_s = M_s^dag M_s`` is the effect (POVM element) of the outcome.
 
-Outcome indices are 1-based throughout. Devices and all derived data are
-immutable after validation; sampling takes a caller-owned RNG stream.
+Outcome indices are 1-based throughout. Devices are immutable after validation;
+all effect spectra come from one eigensolve on first use. Sampling takes a
+caller-owned RNG stream.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -149,8 +151,6 @@ class Measurement:
         # its tolerance; never hold them to less slack than the default.
         self._slack = max(tolerance, DEFAULT_COMPLETENESS_TOL)
         self._defect = defect
-        self._spectra: list[EigenSystem | None] = [None] * n
-        self._factors: list[BiOrthogonalFactors | None] = [None] * n
 
     def __repr__(self):
         return f"Measurement(dim={self.dim}, n_outcomes={self.n_outcomes})"
@@ -198,19 +198,21 @@ class Measurement:
         """Effect matrix ``E_s`` without spectral data, a read-only view."""
         return self._effects[self._index(s)]
 
+    @cached_property
+    def _eigensystems(self) -> tuple[EigenSystem, ...]:
+        """Per-outcome spectra of the effects, from one stacked eigensolve on first use."""
+        stacked = hermitian_eig(self._effects)
+        lo, hi = stacked.eigenvalues[:, -1], stacked.eigenvalues[:, 0]
+        bad = np.flatnonzero((lo < -NEGATIVITY_TOL) | (hi > 1.0 + self._slack))
+        if bad.size:
+            i = bad[0]
+            raise InternalConsistencyError(f"effect {i + 1} spectrum [{lo[i]:.3e}, {hi[i]:.3e}] outside [0, 1]")
+        return tuple(map(EigenSystem, stacked.eigenvalues, stacked.eigenvectors))
+
     def effect(self, s: int) -> Effect:
-        """Effect of outcome ``s`` with cached spectral decomposition."""
+        """Effect of outcome ``s`` with its spectral decomposition."""
         i = self._index(s)
-        if self._spectra[i] is None:
-            spectrum = hermitian_eig(self._effects[i])
-            lo = float(spectrum.eigenvalues[-1])
-            hi = float(spectrum.eigenvalues[0])
-            if lo < -NEGATIVITY_TOL or hi > 1.0 + self._slack:
-                raise InternalConsistencyError(
-                    f"effect {s} spectrum [{lo:.3e}, {hi:.3e}] outside [0, 1]"
-                )
-            self._spectra[i] = spectrum
-        return Effect(self._effects[i], self._spectra[i])
+        return Effect(self._effects[i], self._eigensystems[i])
 
     def outcome_distribution(self, psi) -> np.ndarray:
         """Outcome probabilities ``p_s = <psi|E_s|psi>`` for a normalized state."""
@@ -279,18 +281,14 @@ class Measurement:
     def bi_orthogonal_factors(self, s: int) -> BiOrthogonalFactors:
         """Polar-split outcome ``s``: right/left eigenbases joined by ``U_s``."""
         i = self._index(s)
-        if self._factors[i] is None:
-            unitary, _ = polar_decompose(self._kraus[i])
-            spectrum = self.effect(s).spectrum
-            right = spectrum.eigenvectors
-            left = unitary @ right
-            self._factors[i] = BiOrthogonalFactors(
-                eigenvalues=frozen(floored_psd_eigenvalues(spectrum.eigenvalues)),
-                right_basis=frozen(right),
-                left_basis=frozen(left),
-                unitary=frozen(unitary),
-            )
-        return self._factors[i]
+        unitary, _ = polar_decompose(self._kraus[i])
+        spectrum = self._eigensystems[i]
+        return BiOrthogonalFactors(
+            eigenvalues=frozen(floored_psd_eigenvalues(spectrum.eigenvalues)),
+            right_basis=spectrum.eigenvectors,
+            left_basis=frozen(unitary @ spectrum.eigenvectors),
+            unitary=frozen(unitary),
+        )
 
 
 def validate(kraus_ops, dim: int | None = None, tolerance: float | None = None) -> Measurement:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import overlap2
-from qmeter import catalog, cli, haar
+from qmeter import catalog, cli, estimator, haar
 from qmeter.matkernel import frobenius_distance
 
 
@@ -143,6 +143,27 @@ class TestFidelities:
             assert mc[name]["agrees"]
             window = max(5 * mc[name]["std_error"], 1e-3)
             assert abs(mc[name]["mean"] - mc[name]["analytic"]) <= window
+
+    def test_montecarlo_reuses_the_estimate_pairs(self, capsys, tmp_path, monkeypatch):
+        # Each outcome's estimates are built once and serve both the report and the MC guesses.
+        path = write_catalog(capsys, tmp_path, "kid.json", "identity", "--d", "3", "--kick-seed", "2")
+        m = cli.load_device(path)
+        post = [estimator.best_post_estimate(m, s) for s in range(1, m.n_outcomes + 1)]
+        pre = [estimator.best_pre_estimate(m, s) for s in range(1, m.n_outcomes + 1)]
+        expected = haar.mc_fidelities(m, post, pre, 500, 4)
+        calls = {"post": 0, "pre": 0}
+        for name, original in (("post", estimator.best_post_estimate), ("pre", estimator.best_pre_estimate)):
+            def counting(m, s, name=name, original=original):
+                calls[name] += 1
+                return original(m, s)
+
+            monkeypatch.setattr(estimator, f"best_{name}_estimate", counting)
+        code, out, _ = run(capsys, "fidelities", path, "--montecarlo", "500", "--seed", "4", "--json")
+        assert code == 0
+        assert calls == {"post": m.n_outcomes, "pre": 0}
+        mc = json.loads(out)["montecarlo"]
+        for name, result in zip(("g_post", "g_pre", "f"), expected):
+            assert (mc[name]["mean"], mc[name]["std_error"]) == (result.mean, result.std_error)
 
     def test_roundtrip_at_full_precision(self, capsys, tmp_path):
         path = write_catalog(capsys, tmp_path, "rand.json", "random", "--d", "3", "--n", "4", "--seed", "11")

@@ -223,6 +223,15 @@ class TestCheckBound:
         assert report.per_outcome_a_max.shape == (5,)
         assert report.g_post == pytest.approx(report.per_outcome_a_max.sum() / m.dim, abs=1e-14)
 
+    @pytest.mark.parametrize("n", [8, 12, 40])
+    def test_closed_forms_agree_with_report_exactly(self, n):
+        # One summation for g_post: a Python sum and numpy's pairwise sum differ in the last bit for n >= 8.
+        for seed in range(25):
+            m = catalog.random_device(2 + seed % 4, n, seed=3000 + seed)
+            report = est.check_bound(m)
+            assert est.g_post(m) == report.g_post == float(report.per_outcome_a_max.sum()) / m.dim
+            assert est.g_pre(m) == report.g_pre
+
     def test_bound_holds_on_random_and_kicked_devices(self):
         for i in range(100):
             m = catalog.random_device(2 + i % 3, 2 + i % 4, seed=7000 + i)
@@ -246,6 +255,23 @@ class TestPureMeasurements:
 
     def test_kicked_device_is_not_pure(self):
         assert not est.is_pure_measurement(bit_flip_unsharp())
+
+    def test_one_stacked_eigensolve(self, monkeypatch):
+        calls = []
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return hermitian_eig(a)
+
+        monkeypatch.setattr(est, "hermitian_eig", counting)
+        m = est.pure_part(catalog.random_device(3, 5, seed=92))
+        assert est.is_pure_measurement(m)
+        assert calls == [(5, 3, 3)]
+
+    def test_hermitian_but_not_positive_is_not_pure(self):
+        z = np.diag([1.0, -1.0]).astype(complex)
+        assert not est.is_pure_measurement(validate([z]))
+        assert not est.is_pure_measurement(validate([np.eye(2) / np.sqrt(2), z / np.sqrt(2)]))
 
     def test_pure_part_strips_the_kick(self):
         m = bit_flip_unsharp()
@@ -330,6 +356,10 @@ class TestRankOneDevices:
         basis = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         with pytest.raises(IncompleteDevice):
             est.make_rank_one_device(basis, basis, weights=[0.5, 0.5])
+
+    def test_empty_device_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            est.make_rank_one_device([], [], [])
 
     def test_nonpositive_weight_rejected(self):
         basis = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]

@@ -112,6 +112,69 @@ class TestHermitianEig:
             mk.hermitian_eig([[np.nan, 0.0], [0.0, 1.0]])
 
 
+class TestStackedEig:
+    """A stack is diagonalized by one eigh call, each slice bit-identical to a single solve."""
+
+    @staticmethod
+    def stacks(d):
+        rng = np.random.default_rng(40 + d)
+        eye = np.eye(d, dtype=complex)
+        kicks = [np.linalg.qr(rand_complex(rng, d, d))[0] for _ in range(3)]
+        yield "random", np.array([rand_hermitian(rng, d) for _ in range(5)])
+        yield "identity", np.array([eye, 2.0 * eye])
+        yield "kicked identity", np.array([k.conj().T @ k for k in kicks])
+        yield "projective", eye[:, :, None] * eye[:, None, :]
+        v = rand_complex(rng, d, 1)[:, 0]
+        v /= np.linalg.norm(v)
+        yield "mixed", np.array([rand_hermitian(rng, d), eye, 0.0 * eye, np.outer(v, v.conj())])
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 16])
+    def test_slices_match_single_solves(self, d):
+        for name, stack in self.stacks(d):
+            es = mk.hermitian_eig(stack)
+            assert es.eigenvalues.shape == stack.shape[:2] and es.eigenvectors.shape == stack.shape, name
+            assert es.dim == d
+            for i, matrix in enumerate(stack):
+                single = mk.hermitian_eig(matrix)
+                assert np.array_equal(es.eigenvalues[i], single.eigenvalues), (name, i)
+                assert np.array_equal(es.eigenvectors[i], single.eigenvectors), (name, i)
+
+    def test_stack_is_read_only(self):
+        es = mk.hermitian_eig(np.array([np.eye(2), np.diag([0.3, 0.7])]))
+        assert not es.eigenvalues.flags.writeable and not es.eigenvectors.flags.writeable
+
+    def test_dimension_one_matches_the_entry(self):
+        es = mk.hermitian_eig(np.array([[[2.5]], [[-1.0]], [[0.0]]]))
+        assert es.eigenvalues.tolist() == [[2.5], [-1.0], [0.0]]
+        assert es.eigenvectors.tolist() == [[[1.0]]] * 3
+
+    def test_one_non_hermitian_slice_rejected(self):
+        stack = np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]], np.eye(2)])
+        with pytest.raises(NotHermitian):
+            mk.hermitian_eig(stack)
+
+    def test_non_finite_slice_rejected(self):
+        with pytest.raises(ValueError):
+            mk.hermitian_eig(np.array([np.eye(2), [[np.inf, 0.0], [0.0, 1.0]]]))
+
+    def test_one_eigh_call_per_stack(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(mk.np.linalg, "eigh", counting)
+        mk.hermitian_eig(np.array([np.eye(3)] * 4))
+        assert calls == [(4, 3, 3)]
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 3), (1, 2, 2, 2)])
+    def test_bad_shapes_rejected(self, shape):
+        with pytest.raises(ShapeMismatch):
+            mk.hermitian_eig(np.zeros(shape))
+
+
 class TestPhaseCanonicalization:
     def test_idempotent(self):
         rng = np.random.default_rng(31)

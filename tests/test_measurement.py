@@ -6,12 +6,13 @@ from qmeter import catalog, estimator as est, haar, measurement
 from qmeter.errors import (
     DimensionMismatch,
     IncompleteDevice,
+    InternalConsistencyError,
     OutcomeOutOfRange,
     OutOfDomain,
     ShapeMismatch,
     ZeroProbabilityOutcome,
 )
-from qmeter.matkernel import frobenius_distance, hermitian_eig
+from qmeter.matkernel import EigenSystem, frobenius_distance, hermitian_eig
 from qmeter.measurement import Measurement, validate
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -456,6 +457,77 @@ class TestBiOrthogonalFactors:
                 assert np.max(np.abs(left - right)) <= 1e-10
 
 
+class TestOneEigensolvePerDevice:
+    DEVICES = {
+        "random_d16": lambda: catalog.random_device(16, 4, seed=1000),
+        "random_n12": lambda: catalog.random_device(5, 12, seed=1),
+        "kicked_identity": lambda: catalog.with_kicks(
+            catalog.identity_device(3), [haar.haar_isometry(3, 3, haar.RngStream(2, 0))]
+        ),
+        "tetrahedron": lambda: catalog.tetrahedron_rank_one(),
+        "degenerate_unsharp": lambda: catalog.unsharp_qubit(0.0),
+        "dimension_one": lambda: validate([[[0.6]], [[0.8]]]),
+    }
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        original = measurement.hermitian_eig
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return original(a)
+
+        monkeypatch.setattr(measurement, "hermitian_eig", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", list(DEVICES))
+    def test_once_per_device(self, monkeypatch, name):
+        m = self.DEVICES[name]()
+        calls = self.counted(monkeypatch)
+        est.check_bound(m)
+        for s in range(1, m.n_outcomes + 1):
+            est.estimate_pair(m, s)
+            est.verify_estimate_relations(m, s)
+            m.bi_orthogonal_factors(s)
+        est.g_pre(m)
+        est.pure_part(m)
+        assert calls == [m.effects.shape]
+
+    @pytest.mark.parametrize("name", list(DEVICES))
+    def test_spectra_match_per_outcome_solves(self, name):
+        m = self.DEVICES[name]()
+        for s in range(1, m.n_outcomes + 1):
+            single = hermitian_eig(m.effect_matrix(s))
+            spectrum = m.effect(s).spectrum
+            assert np.array_equal(spectrum.eigenvalues, single.eigenvalues)
+            assert np.array_equal(spectrum.eigenvectors, single.eigenvectors)
+            assert not spectrum.eigenvectors.flags.writeable
+
+    def test_not_needed_for_validation_or_sampling(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        m = validate(catalog.random_device(4, 4, seed=3).kraus)
+        psi = haar.haar_state(4, haar.RngStream(5))
+        m.outcome_distribution(psi)
+        m.sample_outcomes(psi, np.random.default_rng(6), 100)
+        m.sample_outcome(psi, np.random.default_rng(7))
+        m.collapse(psi, 1)
+        assert calls == []
+
+    def test_spectrum_range_checked_over_the_stack(self, monkeypatch):
+        def shifted(a):
+            es = hermitian_eig(a)
+            values = es.eigenvalues.copy()
+            values[2] += 1.0
+            return EigenSystem(values, es.eigenvectors)
+
+        monkeypatch.setattr(measurement, "hermitian_eig", shifted)
+        m = catalog.projective(3)
+        for s in (1, 3):
+            with pytest.raises(InternalConsistencyError, match="effect 3 spectrum"):
+                m.effect(s)
+
+
 class TestConcurrentSharing:
     def test_device_shared_across_threads(self):
         # Lazy spectrum caching must stay benign under concurrent first access.
@@ -469,6 +541,33 @@ class TestConcurrentSharing:
         assert len(set(results)) == 1
         assert not m.kraus_op(1).flags.writeable
         assert not m.effect(1).spectrum.eigenvalues.flags.writeable
+
+    def test_concurrent_first_use_of_the_spectra(self):
+        # Without the cached_property lock (Python >= 3.12) racing threads may each
+        # solve; every one of them must still see the sequential spectra.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        seeds = range(60, 80)
+        reference = {}
+        for seed in seeds:
+            m = catalog.random_device(4, 6, seed=seed)
+            reference[seed] = [m.effect(s).spectrum for s in range(1, 7)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for seed in seeds:
+                    m = catalog.random_device(4, 6, seed=seed)
+                    futures = [pool.submit(m.effect, 1 + k % 6) for k in range(24)]
+                    for k, future in enumerate(futures):
+                        got = future.result(timeout=30).spectrum
+                        want = reference[seed][k % 6]
+                        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+                        assert np.array_equal(got.eigenvectors, want.eigenvectors)
+                    assert m.effect(1).spectrum is m.effect(1).spectrum
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestTraceIdentity:

@@ -24,6 +24,7 @@ file wins over it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -308,25 +309,34 @@ def cmd_simulate(args) -> int:
     outcomes, posts = m.sample_outcomes(psi, gen, args.shots)
     log = outcomes.tolist()
     counts = np.bincount(outcomes - 1, minlength=m.n_outcomes)
-    pairs = {s: _pairs(canonicalize_phase(post)) for s, post in posts.items()}
-    shots = [{"shot": shot, "outcome": s, "post_state": pairs[s]} for shot, s in enumerate(log, 1)]
-    lines = []
-    if not args.json:
-        texts = {s: json.dumps(v) for s, v in pairs.items()}
-        lines = [f"{shot},{s},{texts[s]}" for shot, s in enumerate(log, 1)]
     freqs = counts / args.shots
-    rec = {
-        "command": "simulate",
-        "shots": shots,
-        "counts": [int(c) for c in counts],
-        "frequencies": [float(f) for f in freqs],
-        "state": _pairs(canonicalize_phase(psi)),
-        **source,
+    # Each distinct post-state is encoded once; every shot reuses its text.
+    texts = {
+        s: json.dumps(_pairs(canonicalize_phase(post)), allow_nan=False) for s, post in posts.items()
     }
+    if args.json:
+        # Byte-identical to json.dumps of {"command", "shots": [shot dicts], **rest}
+        # without building one dict per shot: the log is spliced into the rest.
+        rest = json.dumps(
+            {
+                "counts": [int(c) for c in counts],
+                "frequencies": [float(f) for f in freqs],
+                "state": _pairs(canonicalize_phase(psi)),
+                **source,
+            },
+            allow_nan=False,
+        )
+        shots = ", ".join(
+            f'{{"shot": {shot}, "outcome": {s}, "post_state": {texts[s]}}}'
+            for shot, s in enumerate(log, 1)
+        )
+        print(f'{{"command": "simulate", "shots": [{shots}], {rest[1:]}')
+        return 0
+    lines = [f"{shot},{s},{texts[s]}" for shot, s in enumerate(log, 1)]
     for s in range(1, m.n_outcomes + 1):
         label = f" ({m.labels[s - 1]})" if m.labels is not None else ""
         lines.append(f"# outcome {s}{label}: {counts[s - 1]} shots, frequency {freqs[s - 1]:.6f}")
-    _emit(rec, lines, args.json)
+    print("\n".join(lines))
     return 0
 
 
@@ -397,7 +407,9 @@ def cmd_catalog(args) -> int:
 # parser
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each parse returns a fresh Namespace."""
     p = argparse.ArgumentParser(prog="qmeter", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 

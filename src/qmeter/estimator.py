@@ -248,10 +248,14 @@ def make_rank_one_device(pre_states, post_states, weights, tolerance=None) -> Me
     form an overcomplete basis); the post-states are unconstrained, and the
     resulting device always attains ``g_post = 1``.
     """
-    pres = np.array([as_state(x) for x in pre_states])
-    if pres.ndim != 2:
+    states = [as_state(x) for x in pre_states]
+    if not states:
         raise DimensionMismatch("a rank-one device needs at least one pre-state")
-    d = pres.shape[1]
+    d = len(states[0])
+    for i, x in enumerate(states, 1):
+        if len(x) != d:
+            raise DimensionMismatch(f"pre-state {i} has dimension {len(x)}, expected {d}")
+    pres = np.array(states)
     posts = np.array([as_state(x, d) for x in post_states])
     w = np.asarray(weights, dtype=np.float64)
     if len(pres) != len(posts) or w.shape != (len(pres),):

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import overlap2
 from qmeter import catalog, cli, estimator, haar
-from qmeter.matkernel import frobenius_distance
+from qmeter.matkernel import canonicalize_phase, frobenius_distance
+from qmeter.measurement import as_state
 
 
 def run(capsys, *argv):
@@ -245,6 +246,106 @@ class TestSimulate:
         code, out, err = run(capsys, "simulate", *argv, *(["--json"] if as_json else []))
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_DIGESTS[case, as_json]
+
+
+def reference_simulate_record(device, seed, shots, state=None) -> dict:
+    """The ``simulate --json`` record built as one dict, with one dict per shot."""
+    m = cli.load_device(device)
+    if state is not None:
+        psi = as_state(cli.load_state(state, m.dim), m.dim)
+        source = {"source": "file", "path": state}
+    else:
+        psi = haar.haar_state(m.dim, haar.RngStream(seed, 0))
+        source = {"source": "haar", "seed": seed}
+    outcomes, posts = m.sample_outcomes(psi, haar.RngStream(seed, 1).generator(), shots)
+    counts = np.bincount(outcomes - 1, minlength=m.n_outcomes)
+    return {
+        "command": "simulate",
+        "shots": [
+            {"shot": shot, "outcome": s, "post_state": cli._pairs(canonicalize_phase(posts[s]))}
+            for shot, s in enumerate(outcomes.tolist(), 1)
+        ],
+        "counts": [int(c) for c in counts],
+        "frequencies": [float(f) for f in counts / shots],
+        "state": cli._pairs(canonicalize_phase(psi)),
+        **source,
+    }
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """String equality that reports the first difference: pytest's diff of a 100 KB line takes minutes."""
+    if got != want:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        lo = max(i - 30, 0)
+        pytest.fail(f"differs at char {i}: {got[lo:i + 30]!r} != {want[lo:i + 30]!r}")
+
+
+class TestSimulateEncoding:
+    """``simulate`` output against ``json.dumps`` of the whole record."""
+
+    CASES = {
+        "labelled": (["projective", "--d", "3"], None, 3, 400),
+        "unlabelled": (["random", "--d", "5", "--n", "12", "--seed", "2"], None, 4, 500),
+        "one_shot": (["random", "--d", "4", "--n", "4", "--seed", "1"], None, 1, 1),
+        "one_distinct_outcome": (["projective", "--d", "3"], [1, 0, 0], 6, 30),
+        "escaped_path": (["projective", "--d", "2"], [0.6, 0.8], 8, 25),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_reference_encoder(self, capsys, tmp_path, monkeypatch, case):
+        family, amplitudes, seed, shots = self.CASES[case]
+        monkeypatch.chdir(tmp_path)  # the record names the state file as given
+        dev = write_catalog(capsys, tmp_path, "dev.json", *family)
+        state = None
+        argv = ["simulate", dev, "--seed", str(seed), "--shots", str(shots)]
+        if amplitudes is None:
+            argv.append("--haar")
+        else:
+            state = 'st"até-ψ.json' if case == "escaped_path" else "zero.json"
+            (tmp_path / state).write_text(
+                json.dumps({"dim": len(amplitudes), "amplitudes": [[a, 0.0] for a in amplitudes]})
+            )
+            argv += ["--state", state]
+        ref = reference_simulate_record(dev, seed, shots, state)
+        if case == "one_distinct_outcome":
+            assert {shot["outcome"] for shot in ref["shots"]} == {1}
+
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 0, err
+        assert_same_text(out, json.dumps(ref, allow_nan=False) + "\n")
+        assert json.loads(out) == ref
+
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        log = out.splitlines()[:shots]
+        assert log == [
+            f"{shot['shot']},{shot['outcome']},{json.dumps(shot['post_state'])}"
+            for shot in ref["shots"]
+        ]
+
+
+class TestSharedParser:
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_failed_parse_leaves_no_state(self, capsys, tmp_path):
+        dev = write_catalog(capsys, tmp_path, "u.json", "unsharp", "--lambda", "0.4")
+        good = ["simulate", dev, "--haar", "--seed", "3", "--shots", "20"]
+        _, alone, _ = run(capsys, *good)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", dev])  # neither --state nor --haar
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, after, _ = run(capsys, *good)
+        assert code == 0 and after == alone
+
+    def test_defaults_do_not_leak_between_calls(self, capsys, tmp_path):
+        dev = write_catalog(capsys, tmp_path, "u.json", "unsharp", "--lambda", "0.4")
+        _, explicit, _ = run(capsys, "simulate", dev, "--haar", "--seed", "0", "--shots", "20")
+        code, out, _ = run(capsys, "simulate", dev, "--haar", "--seed", "5", "--shots", "20", "--json")
+        assert code == 0 and out.startswith("{")
+        code, out, _ = run(capsys, "simulate", dev, "--haar", "--shots", "20")
+        assert code == 0 and out == explicit and not out.startswith("{")
 
 
 class TestPinnedOutputs:

@@ -361,6 +361,11 @@ class TestRankOneDevices:
         with pytest.raises(DimensionMismatch):
             est.make_rank_one_device([], [], [])
 
+    def test_pre_states_of_different_dimensions_rejected(self):
+        pres = [[1.0, 0.0], [0.0, 1.0, 0.0]]
+        with pytest.raises(DimensionMismatch, match="pre-state 2 has dimension 3, expected 2"):
+            est.make_rank_one_device(pres, pres, weights=[1.0, 1.0])
+
     def test_nonpositive_weight_rejected(self):
         basis = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         with pytest.raises(OutOfDomain):

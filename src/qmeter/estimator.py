@@ -260,8 +260,8 @@ def make_rank_one_device(pre_states, post_states, weights, tolerance=None) -> Me
     w = np.asarray(weights, dtype=np.float64)
     if len(pres) != len(posts) or w.shape != (len(pres),):
         raise DimensionMismatch("pre_states, post_states and weights must have equal length")
-    if np.any(w <= 0.0):
-        raise OutOfDomain("rank-one weights must be positive")
+    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+        raise OutOfDomain("rank-one weights must be positive and finite")
     bras = pres.conj()[:, None, :]
     total = (w[:, None, None] * (pres[:, :, None] * bras)).sum(axis=0)
     if tolerance is None:

@@ -19,13 +19,17 @@ result, and reductions use numpy's deterministic pairwise summation.
 
 Monte Carlo evaluation
 ----------------------
-One Monte Carlo call draws its Haar ensemble once, in blocks of ``MC_CHUNK``
-samples, and evaluates every integrand it was asked for on each block before
-drawing the next. :func:`mc_fidelities` therefore checks ``g_post``, ``g_pre``
-and ``F`` on one set of states. Each block's values are written into one
-preallocated row per integrand, and each row is summarized as a whole, so the
-results do not depend on the block size. Memory is O(samples) floats plus
-O(``MC_CHUNK`` * d) complex amplitudes.
+One Monte Carlo call draws its Haar ensemble once and evaluates every
+integrand it was asked for on each block of states before drawing the next,
+so :func:`mc_fidelities` checks ``g_post``, ``g_pre`` and ``F`` on one set of
+states. The ``samples`` are split into ``ceil(samples / MC_CHUNK)`` blocks of
+near-equal size (``MC_CHUNK`` = 4096), so no block has a single row. The
+integrands are whole-block array passes: one stacked collapse product
+``states @ K.reshape(n*d, d).T`` per block, shared by ``g_pre`` and ``F``, one
+product per guess set, and row-wise ``einsum`` reductions. Each sample's
+value depends only on its own row, so per-sample values, not only the
+summaries, do not depend on the block size. Memory is O(samples) floats plus
+O(``MC_CHUNK`` * n * d) complex amplitudes.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ from .estimator import _check_guesses
 from .measurement import PROBABILITY_FLOOR, Measurement, as_state
 
 DEFAULT_SAMPLES = 100_000
-# Haar samples drawn and integrated at a time by one Monte Carlo call.
+# Most Haar samples drawn and integrated at a time by one Monte Carlo call.
+# The block's stacked collapse product is MC_CHUNK * n * d complex numbers.
 MC_CHUNK = 4096
 
 
@@ -96,6 +101,8 @@ def haar_states(d: int, count: int, seed: int, start: int = 0) -> np.ndarray:
     """
     if d < 1:
         raise OutOfDomain(f"dimension must be positive, got {d}")
+    if count < 0:
+        raise OutOfDomain(f"sample count must be non-negative, got {count}")
     gen = RngStream(seed, 0).generator(word_offset=2 * d * start)
     amps = _gaussian_amplitudes(gen.random((count, d, 2)))
     norms = np.sqrt(np.sum(amps.real**2 + amps.imag**2, axis=1))
@@ -115,12 +122,13 @@ def haar_isometry(rows: int, cols: int, stream: RngStream) -> np.ndarray:
 
 def mc_estimation_fidelity(m: Measurement, s: int, guess, psi) -> float:
     """Fidelity ``|<guess|M_s|psi>|^2 / p_s`` of one guess for one collapse."""
+    k = m.kraus_op(s)
     guess = as_state(guess, m.dim)
     psi = as_state(psi, m.dim)
     p = float(m.outcome_distribution(psi)[s - 1])
     if p <= PROBABILITY_FLOOR:
         raise ZeroProbabilityOutcome(f"outcome {s} has probability {p:.3e}")
-    return float(abs(np.vdot(guess, m.kraus_op(s) @ psi)) ** 2 / p)
+    return float(abs(np.vdot(guess, k @ psi)) ** 2 / p)
 
 
 def _summarize(values: np.ndarray) -> MonteCarloResult:
@@ -137,6 +145,60 @@ def _check_samples(samples: int) -> None:
         raise OutOfDomain(f"need at least 100 samples for a standard error, got {samples}")
 
 
+def _blocks(samples: int):
+    """``(start, count)`` of ``ceil(samples / MC_CHUNK)`` near-equal blocks.
+
+    With at least 100 samples, equal splitting never leaves a one-row block:
+    numpy routes a one-row matmul through a matrix-vector product that rounds
+    differently, so that row's values would depend on the block size.
+    """
+    n_blocks = -(-samples // MC_CHUNK)
+    size, extra = divmod(samples, n_blocks)
+    start = 0
+    for i in range(n_blocks):
+        count = size + (i < extra)
+        yield start, count
+        start += count
+
+
+def _guess_array(m: Measurement, guesses) -> np.ndarray:
+    guesses = np.asarray(guesses)
+    if guesses.shape[0] != m.n_outcomes:
+        raise ValueError(f"{guesses.shape[0]} guesses for {m.n_outcomes} outcomes")
+    return guesses
+
+
+def _row_norms_squared(amp: np.ndarray) -> np.ndarray:
+    """``sum_s |amp[i, s]|^2`` for each row of a C-contiguous complex (N, n) array."""
+    flat = amp.view(np.float64)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
+def _collapse_product(m: Measurement, states: np.ndarray) -> np.ndarray:
+    """Unnormalized collapses ``M_s psi`` of every state, as one (N, n, d) array.
+
+    One stacked product ``states @ K.reshape(n*d, d).T`` for all outcomes.
+    """
+    n, d = m.n_outcomes, m.dim
+    return (states @ m.kraus.reshape(n * d, d).T).reshape(states.shape[0], n, d)
+
+
+def _shared_collapse_product():
+    """A :func:`_collapse_product` that reuses its last product for the same states.
+
+    The Monte Carlo driver makes one per block: whichever integrand first asks
+    for the block's product pays for it, and later ones get the same array.
+    """
+    last = [None, None]
+
+    def collapsed(m: Measurement, states: np.ndarray) -> np.ndarray:
+        if last[0] is not states:
+            last[:] = states, _collapse_product(m, states)
+        return last[1]
+
+    return collapsed
+
+
 def g_post_integrand(m: Measurement, guesses, states: np.ndarray) -> np.ndarray:
     """Per-state values of ``sum_s |<chi_s|M_s|psi>|^2``.
 
@@ -146,46 +208,50 @@ def g_post_integrand(m: Measurement, guesses, states: np.ndarray) -> np.ndarray:
     This product form is the same integral as the fidelity-times-probability
     sum but never divides by a near-zero outcome probability.
     """
-    values = np.zeros(states.shape[0])
-    for k, chi in zip(m.kraus, guesses, strict=True):
-        weight = k.conj().T @ chi
-        amp = states @ weight.conj()
-        values += amp.real**2 + amp.imag**2
-    return values
+    guesses = _guess_array(m, guesses)
+    # Column s is M_s^T conj(chi_s), so column s of the product is <chi_s|M_s|psi>.
+    weights = (m.kraus.transpose(0, 2, 1) @ guesses.conj()[:, :, None])[:, :, 0].T
+    return _row_norms_squared(states @ weights)
 
 
-def g_pre_integrand(m: Measurement, guesses, states: np.ndarray) -> np.ndarray:
+def g_pre_integrand(m: Measurement, guesses, states: np.ndarray, *, collapsed=_collapse_product) -> np.ndarray:
     """Per-state values of ``sum_s p_s(psi) |<chi_s|psi>|^2``.
 
     ``guesses`` is used as given, as in :func:`g_post_integrand`.
+    ``collapsed(m, states)`` returns the (N, n, d) collapses ``M_s psi``; the
+    Monte Carlo driver passes one that shares each block's product with
+    :func:`operation_integrand`.
     """
-    values = np.zeros(states.shape[0])
-    for k, chi in zip(m.kraus, guesses, strict=True):
-        collapsed = states @ k.T
-        p = np.sum(collapsed.real**2 + collapsed.imag**2, axis=1)
-        amp = states @ np.conj(chi)
-        values += p * (amp.real**2 + amp.imag**2)
-    return values
+    guesses = _guess_array(m, guesses)
+    flat = collapsed(m, states).view(np.float64)
+    p = np.einsum("isk,isk->is", flat, flat)
+    amp = states @ guesses.conj().T
+    return np.einsum("is,is->i", p, amp.real**2 + amp.imag**2)
 
 
-def operation_integrand(m: Measurement, states: np.ndarray) -> np.ndarray:
-    """Per-state values of ``sum_s |<psi|M_s|psi>|^2``."""
-    values = np.zeros(states.shape[0])
-    conj = states.conj()
-    for k in m.kraus:
-        amp = np.einsum("ij,ij->i", conj, states @ k.T)
-        values += amp.real**2 + amp.imag**2
-    return values
+def operation_integrand(m: Measurement, states: np.ndarray, *, collapsed=_collapse_product) -> np.ndarray:
+    """Per-state values of ``sum_s |<psi|M_s|psi>|^2``.
+
+    ``collapsed`` is as in :func:`g_pre_integrand`.
+    """
+    return _row_norms_squared(np.einsum("ik,isk->is", states.conj(), collapsed(m, states)))
 
 
 def _monte_carlo(m: Measurement, samples: int, seed: int, integrands) -> list[MonteCarloResult]:
-    """Average each ``integrand(states)`` over one Haar ensemble drawn in blocks."""
+    """Average each ``integrand(states, collapsed)`` over one Haar ensemble drawn in blocks.
+
+    ``collapsed`` is a :func:`_shared_collapse_product` made for the block.
+    """
     _check_samples(samples)
     values = np.empty((len(integrands), samples))
-    for start in range(0, samples, MC_CHUNK):
-        states = haar_states(m.dim, min(MC_CHUNK, samples - start), seed, start)
+    for start, count in _blocks(samples):
+        states = haar_states(m.dim, count, seed, start)
+        collapsed = _shared_collapse_product()
         for row, integrand in zip(values, integrands):
-            row[start : start + states.shape[0]] = integrand(states)
+            row[start : start + count] = integrand(states, collapsed)
+        # Holding this block's arrays while the next one is drawn would raise
+        # peak memory by the size of the collapse product.
+        del states, collapsed
     return [_summarize(row) for row in values]
 
 
@@ -204,9 +270,9 @@ def mc_fidelities(
         samples,
         seed,
         [
-            lambda states: g_post_integrand(m, post, states),
-            lambda states: g_pre_integrand(m, pre, states),
-            lambda states: operation_integrand(m, states),
+            lambda states, _: g_post_integrand(m, post, states),
+            lambda states, collapsed: g_pre_integrand(m, pre, states, collapsed=collapsed),
+            lambda states, collapsed: operation_integrand(m, states, collapsed=collapsed),
         ],
     )
     return g_post, g_pre, f
@@ -215,15 +281,15 @@ def mc_fidelities(
 def mc_g_post(m: Measurement, guesses, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> MonteCarloResult:
     """Monte Carlo estimate of the mean post-measurement estimation fidelity."""
     guesses = _check_guesses(m, guesses)
-    return _monte_carlo(m, samples, seed, [lambda states: g_post_integrand(m, guesses, states)])[0]
+    return _monte_carlo(m, samples, seed, [lambda states, _: g_post_integrand(m, guesses, states)])[0]
 
 
 def mc_g_pre(m: Measurement, guesses, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> MonteCarloResult:
     """Monte Carlo estimate of the mean pre-measurement estimation fidelity."""
     guesses = _check_guesses(m, guesses)
-    return _monte_carlo(m, samples, seed, [lambda states: g_pre_integrand(m, guesses, states)])[0]
+    return _monte_carlo(m, samples, seed, [lambda states, _: g_pre_integrand(m, guesses, states)])[0]
 
 
 def mc_operation_fidelity(m: Measurement, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> MonteCarloResult:
     """Monte Carlo estimate of the mean operation fidelity."""
-    return _monte_carlo(m, samples, seed, [lambda states: operation_integrand(m, states)])[0]
+    return _monte_carlo(m, samples, seed, [lambda states, _: operation_integrand(m, states)])[0]

@@ -371,6 +371,12 @@ class TestRankOneDevices:
         with pytest.raises(OutOfDomain):
             est.make_rank_one_device(basis, basis, weights=[2.0, 0.0])
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        basis = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+        with pytest.raises(OutOfDomain):
+            est.make_rank_one_device(basis, basis, weights=[weight, 1.0])
+
 
 class TestDomainBoundary:
     def test_three_step_qubit_table(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qmeter import catalog, estimator as est, haar
-from qmeter.errors import DimensionMismatch, OutOfDomain, ZeroProbabilityOutcome
+from qmeter.errors import DimensionMismatch, OutcomeOutOfRange, OutOfDomain, ZeroProbabilityOutcome
 from qmeter.measurement import Measurement
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -85,6 +85,10 @@ class TestHaarStates:
         with pytest.raises(OutOfDomain):
             haar.haar_state(0, haar.RngStream(1))
 
+    def test_negative_count(self):
+        with pytest.raises(OutOfDomain):
+            haar.haar_states(3, -1, seed=1)
+
 
 class TestHaarIsometry:
     def test_columns_orthonormal(self):
@@ -121,6 +125,11 @@ class TestEstimationFidelity:
         m = catalog.projective(2)
         with pytest.raises(ZeroProbabilityOutcome):
             haar.mc_estimation_fidelity(m, 2, [0.0, 1.0], [1.0, 0.0])
+
+    @pytest.mark.parametrize("s", [0, 3])
+    def test_outcome_out_of_range(self, s):
+        with pytest.raises(OutcomeOutOfRange):
+            haar.mc_estimation_fidelity(catalog.projective(2), s, [1.0, 0.0], PLUS)
 
 
 class TestMonteCarloIntegrals:
@@ -327,3 +336,77 @@ class TestBlockDriver:
             for wrong in (guesses[:3], guesses + guesses[:1]):
                 with pytest.raises(ValueError):
                     integrand(m, wrong, states)
+
+    @pytest.mark.parametrize("blocks, extra", [(1, 1), (1, 2), (1, 3), (2, 1)])
+    def test_per_sample_values_do_not_depend_on_block_size(self, monkeypatch, blocks, extra):
+        m = catalog.random_device(5, 4, seed=48)
+        post, pre = optimal_post(m), optimal_pre(m)
+        samples = blocks * haar.MC_CHUNK + extra
+        rows = []
+        summarize = haar._summarize
+
+        def recording_summarize(values):
+            rows.append(values.copy())
+            return summarize(values)
+
+        monkeypatch.setattr(haar, "_summarize", recording_summarize)
+        haar.mc_fidelities(m, post, pre, samples=samples, seed=49)
+        states = haar.haar_states(m.dim, samples, seed=49)
+        whole = [
+            haar.g_post_integrand(m, post, states),
+            haar.g_pre_integrand(m, pre, states),
+            haar.operation_integrand(m, states),
+        ]
+        assert len(rows) == 3
+        for row, expected in zip(rows, whole):
+            assert np.array_equal(row, expected)
+
+
+def isometry_device(d, n, seed):
+    """n Kraus blocks of a Haar isometry from dimension d into n*d."""
+    return Measurement(haar.haar_isometry(n * d, d, haar.RngStream(seed)).reshape(n, d, d))
+
+
+def einsum_integrands(m, post, pre, states):
+    """The three integrands written out as triple einsums, one term per outcome."""
+    k = m.kraus
+    effects = k.conj().swapaxes(1, 2) @ k
+    post_amp = np.einsum("sj,sjk,ik->is", post.conj(), k, states)
+    p = np.einsum("ij,sjk,ik->is", states.conj(), effects, states).real
+    pre_amp = np.einsum("sj,ij->is", pre.conj(), states)
+    f_amp = np.einsum("ij,sjk,ik->is", states.conj(), k, states)
+    return (
+        np.sum(np.abs(post_amp) ** 2, axis=1),
+        np.sum(p * np.abs(pre_amp) ** 2, axis=1),
+        np.sum(np.abs(f_amp) ** 2, axis=1),
+    )
+
+
+class TestFusedKernel:
+    """The stacked block kernel against written-out oracles, with no estimator code."""
+
+    def check(self, m, seed):
+        states = haar.haar_states(m.dim, 300, seed=seed)
+        post = haar.haar_states(m.dim, m.n_outcomes, seed=seed + 1)
+        pre = haar.haar_states(m.dim, m.n_outcomes, seed=seed + 2)
+        values = (
+            haar.g_post_integrand(m, post, states),
+            haar.g_pre_integrand(m, pre, states),
+            haar.operation_integrand(m, states),
+        )
+        for got, oracle in zip(values, einsum_integrands(m, post, pre, states)):
+            assert got.shape == (300,)
+            assert np.max(np.abs(got - oracle)) <= 1e-14
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 64])
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_isometry_devices(self, d, n):
+        self.check(isometry_device(d, n, seed=50 + d + n), seed=51)
+
+    def test_kicked_identity(self):
+        kick = haar.haar_isometry(4, 4, haar.RngStream(52))
+        self.check(catalog.with_kicks(catalog.identity_device(4), [kick]), seed=53)
+
+    def test_zero_kraus_operator(self):
+        kraus = np.concatenate([isometry_device(3, 2, seed=54).kraus, np.zeros((1, 3, 3))])
+        self.check(Measurement(kraus), seed=55)

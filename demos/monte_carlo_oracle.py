@@ -30,12 +30,14 @@ for i, (name, device) in enumerate(devices):
         ("F", haar.mc_operation_fidelity(device, SAMPLES, seed=100 + i), report.f_op),
     ]
     for quantity, mc, analytic in rows:
-        if mc.std_error > 1e-12:
-            sigmas = f"{abs(mc.mean - analytic) / mc.std_error:>8.2f}"
+        std_error = mc.std_error
+        if std_error > 1e-12:
+            sigmas = f"{abs(mc.mean - analytic) / std_error:>8.2f}"
         else:
-            sigmas = "   exact"  # integrand is constant for this device
+            std_error = 0.0  # integrand is constant for this device; drop the rounding noise
+            sigmas = "   exact"
         print(f"{name:<20}{quantity:<8}{analytic:>12.6f}{mc.mean:>12.6f}"
-              f"{mc.std_error:>11.2e}{sigmas}")
+              f"{std_error:>11.2e}{sigmas}")
 
 print("\nwhy the sampler is trustworthy:")
 states = haar.haar_states(2, SAMPLES, seed=0)

@@ -6,7 +6,9 @@ states in closed form, check the information-disturbance tradeoff, and verify
 everything against a Haar Monte Carlo oracle.
 """
 
-from . import catalog, cli, estimator, haar, matkernel, measurement
+# ``cli`` is left out so that ``python -m qmeter.cli`` does not find it already imported;
+# ``from qmeter import cli`` still loads it.
+from . import catalog, estimator, haar, matkernel, measurement
 from .errors import (
     DeviceSpecError,
     DimensionMismatch,

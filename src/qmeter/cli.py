@@ -87,13 +87,36 @@ def _matrix_from_pairs(raw, d: int, where: str) -> np.ndarray:
     return np.array([_vector_from_pairs(row, d, f"{where}, row {i + 1}") for i, row in enumerate(raw)])
 
 
+def _decode_pairs(raw, shape: tuple, parse) -> np.ndarray:
+    """``raw`` as a complex128 array of ``shape``, each entry a finite ``[re, im]`` pair.
+
+    Well-formed input is decoded by one numpy conversion. Anything that
+    conversion rejects goes to ``parse()``, the element-by-element parser, which
+    raises the error naming the first bad entry.
+    """
+    obj = np.array(raw, dtype=object)
+    if obj.shape == shape + (2,) and set(map(type, obj.ravel().tolist())) <= {int, float}:
+        try:
+            pairs = obj.astype(np.float64)
+        except OverflowError:  # integers beyond the float range
+            return parse()
+        if np.isfinite(pairs).all():
+            return pairs.view(np.complex128).reshape(shape)
+    return parse()
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise DeviceSpecError(f"{path}: not UTF-8 text ({e.reason})") from e
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise DeviceSpecError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except RecursionError as e:
+        raise DeviceSpecError(f"{path}: JSON nested too deeply") from e
 
 
 def default_tolerance() -> float:
@@ -127,10 +150,14 @@ def load_device(path: str, tolerance: float | None = None) -> Measurement:
     raw_kraus = obj["kraus"]
     if not isinstance(raw_kraus, list) or not raw_kraus:
         raise DeviceSpecError(f"{path}: 'kraus' must be a non-empty list of matrices")
-    ops = [
-        _matrix_from_pairs(k, dim, f"{path}: kraus operator {s + 1}")
-        for s, k in enumerate(raw_kraus)
-    ]
+    ops = _decode_pairs(
+        raw_kraus,
+        (len(raw_kraus), dim, dim),
+        lambda: [
+            _matrix_from_pairs(k, dim, f"{path}: kraus operator {s + 1}")
+            for s, k in enumerate(raw_kraus)
+        ],
+    )
     labels = obj.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != len(ops):
@@ -153,7 +180,8 @@ def load_state(path: str, dim: int) -> np.ndarray:
         raise DimensionMismatch(
             f"{path}: state dimension {declared} does not match device dimension {dim}"
         )
-    return _vector_from_pairs(obj["amplitudes"], dim, f"{path}: amplitudes")
+    raw = obj["amplitudes"]
+    return _decode_pairs(raw, (dim,), lambda: _vector_from_pairs(raw, dim, f"{path}: amplitudes"))
 
 
 def device_record(m: Measurement) -> dict:

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -588,3 +591,136 @@ class TestInputOutputHardening:
             code, out, err = self._simulate_with_state(capsys, tmp_path, state)
             assert code == 1 and out == "", dim
             assert "dim" in err
+
+
+class TestRejectionCorpus:
+    """A malformed ``[re, im]`` block exits 1 with the message naming its first bad entry.
+
+    Each case breaks one entry of an otherwise valid block: the real part of
+    entry (2, 2) of a device's Kraus operator, or of a state's second amplitude.
+    """
+
+    HUGE = "1" + "0" * 400
+    NUMBER_SLOTS = {
+        "bool": ("true", "expected a number, got True"),
+        "string": ('"1.0"', "expected a number, got '1.0'"),
+        "null": ("null", "expected a number, got None"),
+        "list": ("[1.0]", "expected a number, got [1.0]"),
+        "object": ('{"re": 1.0}', "expected a number, got {'re': 1.0}"),
+        "huge_int": (HUGE, f"expected a finite number, got {HUGE}"),
+        "nan": ("NaN", "expected a finite number, got nan"),
+    }
+    DEVICE_CASES = {
+        **{name: ("[[0.0, 0.0], [" + slot + ", 0.0]]", tail) for name, (slot, tail) in NUMBER_SLOTS.items()},
+        "ragged_row": ("[[0.0, 0.0]]", "expected 2 [re, im] pairs"),
+        "triple": ("[[0.0, 0.0], [1.0, 0.0, 0.0]]", "expected an [re, im] pair, got [1.0, 0.0, 0.0]"),
+    }
+    STATE_CASES = {
+        **{name: ("[" + slot + ", 0.0]", tail) for name, (slot, tail) in NUMBER_SLOTS.items()},
+        "ragged_row": ("[0.0]", "expected an [re, im] pair, got [0.0]"),
+        "triple": ("[0.0, 0.0, 0.0]", "expected an [re, im] pair, got [0.0, 0.0, 0.0]"),
+    }
+
+    @staticmethod
+    def device_text(row2):
+        return '{"dim": 2, "kraus": [[[[1.0, 0.0], [0.0, 0.0]], ' + row2 + "]]}"
+
+    @pytest.mark.parametrize("case", list(DEVICE_CASES))
+    def test_kraus_block(self, capsys, tmp_path, case):
+        row2, tail = self.DEVICE_CASES[case]
+        path = tmp_path / "bad.json"
+        path.write_text(self.device_text(row2))
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: kraus operator 1, row 2: {tail}\n"
+
+    @pytest.mark.parametrize("case", list(STATE_CASES))
+    def test_amplitudes_block(self, capsys, tmp_path, case):
+        amplitude2, tail = self.STATE_CASES[case]
+        device = tmp_path / "identity.json"
+        device.write_text(self.device_text("[[0.0, 0.0], [1.0, 0.0]]"))
+        path = tmp_path / "bad_state.json"
+        path.write_text('{"dim": 2, "amplitudes": [[1.0, 0.0], ' + amplitude2 + "]}")
+        code, out, err = run(capsys, "simulate", str(device), "--state", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: amplitudes: {tail}\n"
+
+    def test_not_utf8_is_malformed(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"dim": 1, "kraus": [[[[1.0, 0.0]]]], "labels": ["\xe9"]}')
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert "UTF-8" in err
+
+    def test_over_deep_nesting_is_malformed(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert "nested too deeply" in err
+
+
+class TestDecodePairs:
+    """The one-conversion decode returns the element parser's bits and never falls back on valid input."""
+
+    @staticmethod
+    def bits(a):
+        return np.asarray(a, dtype=np.complex128).view(np.uint64)
+
+    @staticmethod
+    def no_fallback():
+        pytest.fail("well-formed input reached the element parser")
+
+    def check_kraus(self, raw, d):
+        decoded = cli._decode_pairs(raw, (len(raw), d, d), self.no_fallback)
+        parsed = [cli._matrix_from_pairs(k, d, "kraus") for k in raw]
+        assert decoded.dtype == np.complex128 and decoded.shape == (len(raw), d, d)
+        assert np.array_equal(self.bits(decoded), self.bits(parsed))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["random", "--d", "16", "--n", "4", "--seed", "3"],
+            ["random", "--d", "5", "--n", "12", "--seed", "1"],
+            ["identity", "--d", "3", "--kick-seed", "2"],
+            ["tetrahedron", "--post-seed", "4"],
+            ["unsharp", "--lambda", "0.3"],
+            ["identity", "--d", "1"],
+        ],
+    )
+    def test_catalog_devices(self, capsys, tmp_path, argv):
+        path = write_catalog(capsys, tmp_path, "dev.json", *argv)
+        with open(path) as fh:
+            spec = json.load(fh)
+        self.check_kraus(spec["kraus"], spec["dim"])
+
+    def test_hand_written_numbers(self):
+        big = 2**53 + 1  # rounds to 2**53 as a float
+        raw = json.loads(json.dumps([[[[1, 0], [-0.0, 5e-324]], [[big, -3], [0.5, -0.0]]]]))
+        assert raw[0][1][0][0] == big and isinstance(raw[0][0][0][0], int)
+        self.check_kraus(raw, 2)
+        amplitudes = raw[0][0] + raw[0][1]
+        decoded = cli._decode_pairs(amplitudes, (4,), self.no_fallback)
+        parsed = cli._vector_from_pairs(amplitudes, 4, "amplitudes")
+        assert np.array_equal(self.bits(decoded), self.bits(parsed))
+        assert np.signbit(decoded[1].real) and decoded[1].imag == 5e-324 and decoded[2].real == 2.0**53
+
+
+class TestModuleEntryPoints:
+    """``python -m qmeter`` and ``python -m qmeter.cli`` run the CLI with no runpy warning."""
+
+    @pytest.mark.parametrize("module", ["qmeter", "qmeter.cli"])
+    def test_runs_without_warning(self, capsys, tmp_path, module):
+        path = write_catalog(capsys, tmp_path, "dev.json", "random", "--d", "4", "--n", "3", "--seed", "2")
+        _, expected, _ = run(capsys, "fidelities", path)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "fidelities", path],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == expected

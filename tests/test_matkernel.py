@@ -148,14 +148,37 @@ class TestStackedEig:
         assert es.eigenvalues.tolist() == [[2.5], [-1.0], [0.0]]
         assert es.eigenvectors.tolist() == [[[1.0]]] * 3
 
+    # The first failing slice decides the error: a skew slice before a non-finite one is NotHermitian.
+    SKEW = [[0.0, 1.0], [0.0, 0.0]]
+    INF = [[np.inf, 0.0], [0.0, 1.0]]
+
     def test_one_non_hermitian_slice_rejected(self):
-        stack = np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]], np.eye(2)])
-        with pytest.raises(NotHermitian):
-            mk.hermitian_eig(stack)
+        for stack in ([np.eye(2), self.SKEW, np.eye(2)], [np.eye(2), self.SKEW, self.INF]):
+            with pytest.raises(NotHermitian):
+                mk.hermitian_eig(np.array(stack))
 
     def test_non_finite_slice_rejected(self):
-        with pytest.raises(ValueError):
-            mk.hermitian_eig(np.array([np.eye(2), [[np.inf, 0.0], [0.0, 1.0]]]))
+        for stack in ([np.eye(2), self.INF], [np.eye(2), self.INF, self.SKEW], [self.INF, self.SKEW], self.INF):
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                mk.hermitian_eig(np.array(stack))
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 16, 64])
+    def test_stacked_norms_match_per_slice(self, d):
+        rng = np.random.default_rng(d)
+        stack = np.array([rand_complex(rng, d, d) * 10.0**k for k in range(-6, 7, 3)])
+        defects = mk._fro_norms(stack - stack.conj().swapaxes(1, 2))
+        norms = mk._fro_norms(stack)
+        for i, x in enumerate(stack):
+            assert defects[i] == mk.frobenius_distance(x, x.conj().T)
+            assert norms[i] == mk.fro_norm(x)
+
+    def test_defect_is_reported_for_the_first_failing_slice(self):
+        rng = np.random.default_rng(7)
+        h = rand_hermitian(rng, 3)
+        skewed = [h + 1e-3 * rand_complex(rng, 3, 3) for _ in range(2)]
+        defect = mk.frobenius_distance(skewed[0], skewed[0].conj().T)
+        with pytest.raises(NotHermitian, match=f"symmetry defect {defect:.3e} "):
+            mk.hermitian_eig(np.array([h, *skewed]))
 
     def test_one_eigh_call_per_stack(self, monkeypatch):
         calls = []

@@ -370,28 +370,34 @@ class TestPinnedOutputs:
         "validate": ["validate", "--json"],
         "fidelities": ["fidelities", "--json"],
         "estimate": ["estimate", "--outcome", "1", "--json"],
+        "montecarlo": ["fidelities", "--montecarlo", "2000", "--seed", "7", "--json"],
     }
     PINNED_DIGESTS = {
         ("random_d16", "spec"): "7abe4f936a83a5680a333bd356b2172657e38ac8e3e8cecd85f8d19ec0211ea5",
         ("random_d16", "validate"): "1823c04f32e8859243f04662e0066466fdd819649a37c7e9177197c9b56aec93",
         ("random_d16", "fidelities"): "881d5fc02b32a86223b8b63f1ba92af3723f9a42b91312a6a91f6dfcbd0645b6",
         ("random_d16", "estimate"): "6d0671ec10b236be95c3c724e45eb97f708474ecefa6b89236ae68bc89a2ba52",
+        ("random_d16", "montecarlo"): "031aeb7d17a3bc42bcea4fb1a39a105b348f5fd6cc011cf9ee6daf8aa1880bc3",
         ("random_n12", "spec"): "04ec60964bfdf446026f92f3f8de34c3fe83ee3e647a2933894b7ea0a38d685f",
         ("random_n12", "validate"): "6052989cf3870a7f5e4c92250b138f96296a27fed43dda7736a2c5eeaf03a340",
         ("random_n12", "fidelities"): "e11e2acf8df93baae1607640d047104eb1a896083340d68ffca6a14a4e05a753",
         ("random_n12", "estimate"): "366e8e870f2d87ff1702b4506231d55cef38e803e8bc1e68e3013248c9325664",
+        ("random_n12", "montecarlo"): "a95abddb0aaabfd07ef004477736ed47f93f97b1e9efe93fc0881a6c6ac0ef21",
         ("kicked_identity", "spec"): "d538b30cb8423a5ce9a07460ca2170f9e092c3989038737d04e17af8aa41fd4b",
         ("kicked_identity", "validate"): "92878231374792db8e4cc72ff7f56b0d69b100004bca1122c581a4848027ebe1",
         ("kicked_identity", "fidelities"): "0be676f02ef34ad49336a795b4e845e06323c90983bff1f4538932a9b4bf904a",
         ("kicked_identity", "estimate"): "dda2a32ec80e4fd0ef97c1bd7f37c4bfc930878def7e0abb08a2a0d84c49f208",
+        ("kicked_identity", "montecarlo"): "d5dfd4bc09cb48f4e63d6db7ec7fa2dc95bc9a88599f3749c179f8f9f305b416",
         ("tetrahedron", "spec"): "10eba3d589217d812227eadee945ebd5284462fef0c2fcc7b739a95bdeda5c79",
         ("tetrahedron", "validate"): "08de8f46a98a802f1b9edb8fa92021eb6a15ff746114a517f0799cfc838f4e81",
         ("tetrahedron", "fidelities"): "9090960c146c713d3ccaa8f7e6b48cbedc9fc513772a197fc7082e9bebc43ffe",
         ("tetrahedron", "estimate"): "a403b0596b0fc6585fcd671f5ecbfcd7610edd96634ac243aa918f01400e1b54",
+        ("tetrahedron", "montecarlo"): "504b7fc095663055b1a353ae866a97c7872314aeb0cd15e56cf682b4f2d00c93",
         ("kicked_unsharp", "spec"): "9105f818ed9ecc0291a161a5ce11ec45fa87ed370bf9e2c4693bfce7972a4887",
         ("kicked_unsharp", "validate"): "a04de58f73a287d97249bc61d7d3234bc46c32e3ab4e01b0ae54ee5772481c76",
         ("kicked_unsharp", "fidelities"): "debfc971770d8dfa06b7c05a1a9669a40c6e78c0337f778a9e78196d12213dd3",
         ("kicked_unsharp", "estimate"): "8a97f2e6701f0dacee760c8927fda3f7200c8d273a73ca5da4e9d4dc0b9ab978",
+        ("kicked_unsharp", "montecarlo"): "7342444ea81ae1576ea094a7a52a3e26e42333234e033c61999085aca5b465c5",
     }
 
     @pytest.mark.parametrize("device", list(DEVICES))

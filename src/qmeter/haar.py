@@ -19,16 +19,15 @@ result, and reductions use numpy's deterministic pairwise summation.
 
 Monte Carlo evaluation
 ----------------------
-One Monte Carlo call draws its Haar ensemble once and evaluates every
-integrand it was asked for on each block of states before drawing the next,
-so :func:`mc_fidelities` checks ``g_post``, ``g_pre`` and ``F`` on one set of
-states. The ``samples`` are split into ``ceil(samples / MC_CHUNK)`` blocks of
-near-equal size (``MC_CHUNK`` = 4096), so no block has a single row. The
-integrands are whole-block array passes: one stacked collapse product
-``states @ K.reshape(n*d, d).T`` per block, shared by ``g_pre`` and ``F``, one
-product per guess set, and row-wise ``einsum`` reductions. Each sample's
-value depends only on its own row, so per-sample values, not only the
-summaries, do not depend on the block size. Memory is O(samples) floats plus
+One private kernel, ``_block_values``, evaluates the integrands on a block of
+states: one product per guess set for ``g_post``, one stacked collapse product
+``states @ K.reshape(n*d, d).T`` shared by ``g_pre`` and ``F`` (made only when
+one of them is asked for), and row-wise ``einsum`` reductions. The public
+integrands and every ``mc_*`` function call it. A Monte Carlo call draws its
+Haar ensemble once, in ``ceil(samples / MC_CHUNK)`` near-equal blocks
+(``MC_CHUNK`` = 4096; no block has a single row), so :func:`mc_fidelities`
+checks all three on one set of states. Per-sample values depend only on their
+own row, not on the block size. Memory is O(samples) floats plus
 O(``MC_CHUNK`` * n * d) complex amplitudes.
 """
 
@@ -103,6 +102,8 @@ def haar_states(d: int, count: int, seed: int, start: int = 0) -> np.ndarray:
         raise OutOfDomain(f"dimension must be positive, got {d}")
     if count < 0:
         raise OutOfDomain(f"sample count must be non-negative, got {count}")
+    if start < 0:
+        raise OutOfDomain(f"first sample index must be non-negative, got {start}")
     gen = RngStream(seed, 0).generator(word_offset=2 * d * start)
     amps = _gaussian_amplitudes(gen.random((count, d, 2)))
     norms = np.sqrt(np.sum(amps.real**2 + amps.imag**2, axis=1))
@@ -174,84 +175,61 @@ def _row_norms_squared(amp: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", flat, flat)
 
 
-def _collapse_product(m: Measurement, states: np.ndarray) -> np.ndarray:
-    """Unnormalized collapses ``M_s psi`` of every state, as one (N, n, d) array.
+def _block_values(m: Measurement, states: np.ndarray, post=None, pre=None, operation=False) -> list[np.ndarray]:
+    """Per-state integrand values on one block of states, one row per integrand asked for.
 
-    One stacked product ``states @ K.reshape(n*d, d).T`` for all outcomes.
+    The rows come in the order ``g_post`` (if ``post`` guesses are given),
+    ``g_pre`` (if ``pre`` guesses are given), ``F`` (if ``operation``). The
+    guesses are used as given; the public callers validate them. The stacked
+    collapse product ``M_s psi`` is made once, and only for ``g_pre`` or ``F``.
     """
-    n, d = m.n_outcomes, m.dim
-    return (states @ m.kraus.reshape(n * d, d).T).reshape(states.shape[0], n, d)
-
-
-def _shared_collapse_product():
-    """A :func:`_collapse_product` that reuses its last product for the same states.
-
-    The Monte Carlo driver makes one per block: whichever integrand first asks
-    for the block's product pays for it, and later ones get the same array.
-    """
-    last = [None, None]
-
-    def collapsed(m: Measurement, states: np.ndarray) -> np.ndarray:
-        if last[0] is not states:
-            last[:] = states, _collapse_product(m, states)
-        return last[1]
-
-    return collapsed
+    rows = []
+    if post is not None:
+        # Column s is M_s^T conj(chi_s), so column s of the product is <chi_s|M_s|psi>.
+        weights = (m.kraus.transpose(0, 2, 1) @ post.conj()[:, :, None])[:, :, 0].T
+        rows.append(_row_norms_squared(states @ weights))
+    if pre is not None or operation:
+        n, d = m.n_outcomes, m.dim
+        collapsed = (states @ m.kraus.reshape(n * d, d).T).reshape(states.shape[0], n, d)
+    if pre is not None:
+        flat = collapsed.view(np.float64)
+        p = np.einsum("isk,isk->is", flat, flat)
+        amp = states @ pre.conj().T
+        rows.append(np.einsum("is,is->i", p, amp.real**2 + amp.imag**2))
+    if operation:
+        rows.append(_row_norms_squared(np.einsum("ik,isk->is", states.conj(), collapsed)))
+    return rows
 
 
 def g_post_integrand(m: Measurement, guesses, states: np.ndarray) -> np.ndarray:
-    """Per-state values of ``sum_s |<chi_s|M_s|psi>|^2``.
-
-    ``guesses`` holds one normalized state per outcome and is used as given;
-    the ``mc_*`` functions validate it once per call.
+    """Per-state values of ``sum_s |<chi_s|M_s|psi>|^2``, one normalized guess per outcome, used as given.
 
     This product form is the same integral as the fidelity-times-probability
     sum but never divides by a near-zero outcome probability.
     """
-    guesses = _guess_array(m, guesses)
-    # Column s is M_s^T conj(chi_s), so column s of the product is <chi_s|M_s|psi>.
-    weights = (m.kraus.transpose(0, 2, 1) @ guesses.conj()[:, :, None])[:, :, 0].T
-    return _row_norms_squared(states @ weights)
+    return _block_values(m, states, post=_guess_array(m, guesses))[0]
 
 
-def g_pre_integrand(m: Measurement, guesses, states: np.ndarray, *, collapsed=_collapse_product) -> np.ndarray:
-    """Per-state values of ``sum_s p_s(psi) |<chi_s|psi>|^2``.
-
-    ``guesses`` is used as given, as in :func:`g_post_integrand`.
-    ``collapsed(m, states)`` returns the (N, n, d) collapses ``M_s psi``; the
-    Monte Carlo driver passes one that shares each block's product with
-    :func:`operation_integrand`.
-    """
-    guesses = _guess_array(m, guesses)
-    flat = collapsed(m, states).view(np.float64)
-    p = np.einsum("isk,isk->is", flat, flat)
-    amp = states @ guesses.conj().T
-    return np.einsum("is,is->i", p, amp.real**2 + amp.imag**2)
+def g_pre_integrand(m: Measurement, guesses, states: np.ndarray) -> np.ndarray:
+    """Per-state values of ``sum_s p_s(psi) |<chi_s|psi>|^2``; ``guesses`` as in :func:`g_post_integrand`."""
+    return _block_values(m, states, pre=_guess_array(m, guesses))[0]
 
 
-def operation_integrand(m: Measurement, states: np.ndarray, *, collapsed=_collapse_product) -> np.ndarray:
-    """Per-state values of ``sum_s |<psi|M_s|psi>|^2``.
-
-    ``collapsed`` is as in :func:`g_pre_integrand`.
-    """
-    return _row_norms_squared(np.einsum("ik,isk->is", states.conj(), collapsed(m, states)))
+def operation_integrand(m: Measurement, states: np.ndarray) -> np.ndarray:
+    """Per-state values of ``sum_s |<psi|M_s|psi>|^2``."""
+    return _block_values(m, states, operation=True)[0]
 
 
-def _monte_carlo(m: Measurement, samples: int, seed: int, integrands) -> list[MonteCarloResult]:
-    """Average each ``integrand(states, collapsed)`` over one Haar ensemble drawn in blocks.
-
-    ``collapsed`` is a :func:`_shared_collapse_product` made for the block.
-    """
+def _monte_carlo(
+    m: Measurement, samples: int, seed: int, post=None, pre=None, operation=False
+) -> list[MonteCarloResult]:
+    """Average the :func:`_block_values` rows over one Haar ensemble drawn in blocks."""
     _check_samples(samples)
-    values = np.empty((len(integrands), samples))
+    values = np.empty(((post is not None) + (pre is not None) + operation, samples))
     for start, count in _blocks(samples):
         states = haar_states(m.dim, count, seed, start)
-        collapsed = _shared_collapse_product()
-        for row, integrand in zip(values, integrands):
-            row[start : start + count] = integrand(states, collapsed)
-        # Holding this block's arrays while the next one is drawn would raise
-        # peak memory by the size of the collapse product.
-        del states, collapsed
+        values[:, start : start + count] = _block_values(m, states, post, pre, operation)
+        del states  # holding it while the next block is drawn would raise peak memory
     return [_summarize(row) for row in values]
 
 
@@ -263,33 +241,20 @@ def mc_fidelities(
     Bit-identical to :func:`mc_g_post`, :func:`mc_g_pre` and
     :func:`mc_operation_fidelity` at the same ``samples`` and ``seed``.
     """
-    post = _check_guesses(m, post_guesses)
-    pre = _check_guesses(m, pre_guesses)
-    g_post, g_pre, f = _monte_carlo(
-        m,
-        samples,
-        seed,
-        [
-            lambda states, _: g_post_integrand(m, post, states),
-            lambda states, collapsed: g_pre_integrand(m, pre, states, collapsed=collapsed),
-            lambda states, collapsed: operation_integrand(m, states, collapsed=collapsed),
-        ],
-    )
-    return g_post, g_pre, f
+    post, pre = _check_guesses(m, post_guesses), _check_guesses(m, pre_guesses)
+    return tuple(_monte_carlo(m, samples, seed, post, pre, operation=True))
 
 
 def mc_g_post(m: Measurement, guesses, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> MonteCarloResult:
     """Monte Carlo estimate of the mean post-measurement estimation fidelity."""
-    guesses = _check_guesses(m, guesses)
-    return _monte_carlo(m, samples, seed, [lambda states, _: g_post_integrand(m, guesses, states)])[0]
+    return _monte_carlo(m, samples, seed, post=_check_guesses(m, guesses))[0]
 
 
 def mc_g_pre(m: Measurement, guesses, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> MonteCarloResult:
     """Monte Carlo estimate of the mean pre-measurement estimation fidelity."""
-    guesses = _check_guesses(m, guesses)
-    return _monte_carlo(m, samples, seed, [lambda states, _: g_pre_integrand(m, guesses, states)])[0]
+    return _monte_carlo(m, samples, seed, pre=_check_guesses(m, guesses))[0]
 
 
 def mc_operation_fidelity(m: Measurement, samples: int = DEFAULT_SAMPLES, seed: int = 0) -> MonteCarloResult:
     """Monte Carlo estimate of the mean operation fidelity."""
-    return _monte_carlo(m, samples, seed, [lambda states, _: operation_integrand(m, states)])[0]
+    return _monte_carlo(m, samples, seed, operation=True)[0]

@@ -130,9 +130,16 @@ class Measurement:
         if not np.isfinite(kraus).all():
             raise ValueError("Kraus operator entries must be finite")
         n, d, _ = kraus.shape
-        effects = kraus.conj().swapaxes(1, 2) @ kraus
-        effects = 0.5 * (effects + effects.conj().swapaxes(1, 2))
-        defect = frobenius_distance(effects.sum(axis=0), np.eye(d))
+        # Finite but huge entries overflow M^dag M, or the squares in its defect.
+        with np.errstate(over="ignore", invalid="ignore"):
+            effects = kraus.conj().swapaxes(1, 2) @ kraus
+            effects = 0.5 * (effects + effects.conj().swapaxes(1, 2))
+            total = effects.sum(axis=0)
+            defect = frobenius_distance(total, np.eye(d)) if np.isfinite(total).all() else math.inf
+        if math.isinf(defect):
+            raise OutOfDomain(
+                "effects M_s^dag M_s or their defect overflow float64: the Kraus entries are too large"
+            )
         if defect > tolerance:
             raise IncompleteDevice(defect)
 

@@ -1,9 +1,25 @@
 """Shared helpers: random inputs, independent oracles, and the device corpus."""
 
+import platform
+
 import numpy as np
 import pytest
 
 from qmeter import catalog
+
+# The build the byte-for-byte digests in the tests were recorded on.
+PINNED_BUILD = "numpy 2.4.6, OpenBLAS 0.3.31, x86-64"
+
+
+def build_note():
+    """This run's numpy/BLAS build next to ``PINNED_BUILD``, so a digest failure can be traced to the build."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    build = f"numpy {np.__version__}, {blas.get('name', '?')} {blas.get('version', '?')}, {platform.machine()}"
+    return f"qmeter digests recorded on: {PINNED_BUILD}; this run: {build}"
+
+
+def pytest_report_header(config):
+    return build_note()
 
 
 def rand_complex(rng, rows, cols):

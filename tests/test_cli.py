@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import overlap2
+from conftest import build_note, overlap2
 from qmeter import catalog, cli, estimator, haar
 from qmeter.matkernel import canonicalize_phase, frobenius_distance
 from qmeter.measurement import as_state
@@ -17,6 +17,13 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """Run ``python *argv`` with this checkout's ``qmeter`` on the path."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60)
 
 
 def write_catalog(capsys, tmp_path, name, *argv):
@@ -248,7 +255,7 @@ class TestSimulate:
             argv = [dev, "--haar", "--seed", "11", "--shots", "300"]
         code, out, err = run(capsys, "simulate", *argv, *(["--json"] if as_json else []))
         assert code == 0, err
-        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_DIGESTS[case, as_json]
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_DIGESTS[case, as_json], build_note()
 
 
 def reference_simulate_record(device, seed, shots, state=None) -> dict:
@@ -410,7 +417,7 @@ class TestPinnedOutputs:
             assert code == 0, err
             outputs[name] = out.encode()
         for name, data in outputs.items():
-            assert hashlib.sha256(data).hexdigest() == self.PINNED_DIGESTS[device, name], name
+            assert hashlib.sha256(data).hexdigest() == self.PINNED_DIGESTS[device, name], f"{name}; {build_note()}"
 
 
 class TestDomain:
@@ -719,14 +726,20 @@ class TestModuleEntryPoints:
     def test_runs_without_warning(self, capsys, tmp_path, module):
         path = write_catalog(capsys, tmp_path, "dev.json", "random", "--d", "4", "--n", "3", "--seed", "2")
         _, expected, _ = run(capsys, "fidelities", path)
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "fidelities", path],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        proc = run_module("-W", "error::RuntimeWarning", "-m", module, "fidelities", path)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == expected
+
+
+class TestHugeEntries:
+    """A finite Kraus entry so large that ``M^dag M`` overflows is a domain error, reported once."""
+
+    @pytest.mark.parametrize("command", ["validate", "fidelities"])
+    def test_exit_2_with_one_error_line(self, tmp_path, command):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dim": 2, "kraus": [[[[1e200, 0], [0, 0]], [[0, 0], [1, 0]]]]}))
+        proc = run_module("-m", "qmeter", command, str(path))
+        assert proc.returncode == 2
+        assert "RuntimeWarning" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error:") and "overflow" in line

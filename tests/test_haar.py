@@ -89,6 +89,11 @@ class TestHaarStates:
         with pytest.raises(OutOfDomain):
             haar.haar_states(3, -1, seed=1)
 
+    def test_negative_start(self):
+        # A negative start would wrap the Philox counter instead of naming a sample.
+        with pytest.raises(OutOfDomain):
+            haar.haar_states(2, 3, seed=1, start=-1)
+
 
 class TestHaarIsometry:
     def test_columns_orthonormal(self):
@@ -410,3 +415,56 @@ class TestFusedKernel:
     def test_zero_kraus_operator(self):
         kraus = np.concatenate([isometry_device(3, 2, seed=54).kraus, np.zeros((1, 3, 3))])
         self.check(Measurement(kraus), seed=55)
+
+
+def mub_states(d):
+    """A complete set of d + 1 mutually unbiased bases, d(d + 1) states: a 2-design.
+
+    Pauli eigenstates for d = 2; for an odd prime d, the computational basis
+    and the bases ``w^(k j^2 + l j) / sqrt(d)`` with ``w = exp(2 pi i / d)``
+    (Wootters & Fields 1989).
+    """
+    if d == 2:
+        s = np.sqrt(0.5)
+        return np.array([[1, 0], [0, 1], [s, s], [s, -s], [s, 1j * s], [s, -1j * s]], dtype=np.complex128)
+    j = np.arange(d)
+    phases = [(k * j * j + l * j) % d for k in range(d) for l in range(d)]
+    return np.vstack([np.eye(d), np.exp(2j * np.pi * np.array(phases) / d) / np.sqrt(d)])
+
+
+class TestDesignOracle:
+    """A complete MUB set averages every integrand of degree (2, 2) exactly (Klappenecker & Roetteler 2005).
+
+    So the kernel's rows, averaged over it, must equal the closed forms to
+    rounding, not only within Monte Carlo error.
+    """
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_frame_potential(self, d):
+        states = mub_states(d)
+        n = d * (d + 1)
+        assert states.shape == (n, d)
+        assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) <= 1e-15
+        overlaps = np.abs(states.conj() @ states.T) ** 4
+        assert abs(overlaps.sum() / n**2 - 2.0 / (d * (d + 1))) <= 1e-15
+
+    @staticmethod
+    def residuals(m, block_values):
+        """``|design mean - closed form|`` of the ``g_post``, ``g_pre`` and ``F`` rows, for Haar guesses."""
+        post = haar.haar_states(m.dim, m.n_outcomes, seed=71)
+        pre = haar.haar_states(m.dim, m.n_outcomes, seed=72)
+        rows = block_values(m, mub_states(m.dim), post, pre, operation=True)
+        exact = (est.g_post_of_guess(m, post), est.g_pre_of_guess(m, pre), est.operation_fidelity(m))
+        return [abs(float(np.mean(row)) - value) for row, value in zip(rows, exact)]
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_block_values_average_to_closed_forms(self, d):
+        assert max(self.residuals(catalog.random_device(d, 3, seed=70 + d), haar._block_values)) <= 1e-12
+
+    def test_gate_catches_a_perturbed_g_pre_row(self):
+        def mutant(*args, **kwargs):
+            post, pre, f = haar._block_values(*args, **kwargs)
+            return [post, pre * (1.0 + 1e-9), f]
+
+        post, pre, f = self.residuals(catalog.random_device(5, 3, seed=75), mutant)
+        assert pre > 1e-12 and max(post, f) <= 1e-12

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,14 @@ class TestValidate:
             with pytest.raises(OutOfDomain):
                 Measurement([np.eye(2)], tolerance=tol)
         assert Measurement([np.eye(2)], tolerance=0.0).tolerance == 0.0
+
+    # 1e200 overflows M^dag M, 1.2e154 its Hermitian part and 1e100 the squares in the defect.
+    @pytest.mark.parametrize("entry", [1e200, 1.2e154, 1e100])
+    def test_huge_finite_entries_raise_a_typed_error_without_warning(self, entry):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfDomain, match="overflow"):
+                Measurement([np.diag([entry, 0.0]), np.diag([0.0, 1.0])])
 
     def test_accepted_device_passes_later_checks_at_its_tolerance(self):
         m = Measurement([np.diag([1.0 + 1e-7, 0.0]), np.diag([0.0, 1.0])], tolerance=1e-5)

@@ -162,13 +162,18 @@ def load_device(path: str, tolerance: float | None = None) -> Measurement:
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != len(ops):
             raise DeviceSpecError(f"{path}: 'labels' must list one name per operator")
+    source = "--tolerance"
     if tolerance is None:
         tolerance = obj.get("tolerance")
         if tolerance is not None:
-            tolerance = _number(tolerance, f"{path}: tolerance")
+            tolerance, source = _number(tolerance, f"{path}: tolerance"), "the spec file"
         else:
             tolerance = default_tolerance()
-    return Measurement(ops, labels=labels, tolerance=tolerance)
+            source = "QMETER_DEFAULT_TOLERANCE" if "QMETER_DEFAULT_TOLERANCE" in os.environ else "the default"
+    try:
+        return Measurement(ops, labels=labels, tolerance=tolerance)
+    except IncompleteDevice as e:
+        raise IncompleteDevice(e.defect, tolerance=e.tolerance, source=source) from None
 
 
 def load_state(path: str, dim: int) -> np.ndarray:
@@ -184,17 +189,37 @@ def load_state(path: str, dim: int) -> np.ndarray:
     return _decode_pairs(raw, (dim,), lambda: _vector_from_pairs(raw, dim, f"{path}: amplitudes"))
 
 
-def device_record(m: Measurement) -> dict:
-    record = {"dim": m.dim, "kraus": _pairs(m.kraus)}
-    if m.labels is not None:
-        record["labels"] = list(m.labels)
-    return record
+def _indented(texts, level: int) -> str:
+    """Encoded ``texts`` as one JSON list at nesting ``level``, laid out as by ``indent=1``."""
+    pad = "\n" + " " * level
+    return f"[{pad}{(',' + pad).join(texts)}{pad[:-1]}]"
+
+
+def _pair_texts(a: np.ndarray) -> list:
+    """Every entry of ``a``, flattened, as the ``[re, im]`` list ``indent=1`` lays out at level 5."""
+    return [
+        f"[\n     {re!r},\n     {im!r}\n    ]"
+        for re, im in zip(a.real.ravel().tolist(), a.imag.ravel().tolist())
+    ]
 
 
 def write_device(m: Measurement, path: str) -> None:
+    """Write ``m`` as a spec file: the bytes of ``json.dumps(record, indent=1)`` and a newline.
+
+    The text is built entry by entry (``repr`` is what ``json`` emits for a
+    finite float) and in full before ``path`` is opened, so a failure never
+    truncates an existing file.
+    """
+    n, d, _ = m.kraus.shape
+    texts = _pair_texts(m.kraus)
+    for level, size in ((4, d), (3, d), (2, n)):
+        texts = [_indented(texts[i : i + size], level) for i in range(0, len(texts), size)]
+    items = [f'"dim": {d}', f'"kraus": {texts[0]}']
+    if m.labels is not None:
+        items.append(f'"labels": {_indented(map(json.dumps, m.labels), 2)}')
+    text = "{\n " + ",\n ".join(items) + "\n}\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(device_record(m), fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _emit(record: dict, human_lines, as_json: bool) -> None:

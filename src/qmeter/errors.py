@@ -30,11 +30,20 @@ class IncompleteDevice(QmeterError):
 
     Attributes:
         defect: Frobenius norm of (sum of effects - identity).
+        tolerance: the bound it exceeded, or None when not given.
+
+    ``source`` names where the tolerance came from, for the message.
     """
 
-    def __init__(self, defect, message=None):
+    def __init__(self, defect, message=None, tolerance=None, source=None):
         self.defect = float(defect)
-        super().__init__(message or f"effects do not sum to identity (defect {self.defect:.6g})")
+        self.tolerance = None if tolerance is None else float(tolerance)
+        if message is None:
+            limit = ""
+            if self.tolerance is not None:
+                limit = f" exceeds tolerance {self.tolerance:g}" + (f" from {source}" if source else "")
+            message = f"effects do not sum to identity (defect {self.defect:.6g}{limit})"
+        super().__init__(message)
 
 
 class OutcomeOutOfRange(QmeterError):

@@ -268,7 +268,7 @@ def make_rank_one_device(pre_states, post_states, weights, tolerance=None) -> Me
         tolerance = DEFAULT_COMPLETENESS_TOL
     defect = frobenius_distance(total, np.eye(d))
     if defect > tolerance:
-        raise IncompleteDevice(defect, f"pre-state projectors sum off identity by {defect:.6g}")
+        raise IncompleteDevice(defect, f"pre-state projectors sum off identity by {defect:.6g}", tolerance)
     kraus = np.sqrt(w)[:, None, None] * (posts[:, :, None] * bras)
     return Measurement(kraus, tolerance=tolerance)
 

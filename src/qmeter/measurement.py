@@ -141,7 +141,7 @@ class Measurement:
                 "effects M_s^dag M_s or their defect overflow float64: the Kraus entries are too large"
             )
         if defect > tolerance:
-            raise IncompleteDevice(defect)
+            raise IncompleteDevice(defect, tolerance=tolerance)
 
         if labels is not None:
             labels = tuple(str(x) for x in labels)
@@ -279,6 +279,8 @@ class Measurement:
         # Rounding can leave the total mass below a uniform: clamp to outcome n.
         drawn = np.minimum(np.searchsorted(np.cumsum(p), gen.random(shots), side="right"), n - 1)
         viable = np.flatnonzero(p > PROBABILITY_FLOOR)
+        if not viable.size:  # only a device accepted under a loose tolerance gets here
+            raise ZeroProbabilityOutcome(f"every outcome has probability <= {PROBABILITY_FLOOR:.0e}")
         # nearest[i]: the first viable index >= i, else the last viable one.
         nearest = viable[np.minimum(np.searchsorted(viable, np.arange(n)), viable.size - 1)]
         outcomes = nearest[drawn] + 1

@@ -3,14 +3,16 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import build_note, overlap2
 from qmeter import catalog, cli, estimator, haar
+from qmeter.errors import IncompleteDevice
 from qmeter.matkernel import canonicalize_phase, frobenius_distance
-from qmeter.measurement import as_state
+from qmeter.measurement import Measurement, as_state
 
 
 def run(capsys, *argv):
@@ -518,6 +520,112 @@ class TestCatalogCommand:
     def test_unknown_family_rejected(self, capsys, tmp_path):
         with pytest.raises(SystemExit):
             cli.main(["catalog", "nonsense", "--out", str(tmp_path / "x.json")])
+
+
+def extreme_floats():
+    """Not a valid device (1e300 overflows M^dag M): the writer formats any (n, d, d) stack."""
+    kraus = np.zeros((1, 2, 2), dtype=np.complex128)
+    kraus.real = [[1.0, -0.0], [5e-324, 1e300]]
+    kraus.imag = [[-0.0, 5e-324], [3.0, -2.0]]
+    assert np.signbit(kraus.real[0, 0, 1]) and np.signbit(kraus.imag[0, 0, 0])
+    return SimpleNamespace(kraus=kraus, labels=None)
+
+
+class TestWriteDevice:
+    """``write_device`` writes the bytes of ``json.dumps(record, indent=1)`` and a newline."""
+
+    @staticmethod
+    def oracle(m) -> str:
+        kraus = np.asarray(m.kraus)
+        record = {"dim": kraus.shape[1], "kraus": np.stack([kraus.real, kraus.imag], -1).tolist()}
+        if m.labels is not None:
+            record["labels"] = list(m.labels)
+        return json.dumps(record, indent=1) + "\n"
+
+    CORPUS = {
+        "projective_3": lambda: catalog.projective(3),
+        "identity_1": lambda: catalog.identity_device(1),
+        "identity_4": lambda: catalog.identity_device(4),
+        "unsharp": lambda: catalog.unsharp_qubit(0.37),
+        "tetrahedron": lambda: catalog.tetrahedron_rank_one(),
+        "tetrahedron_posts": lambda: catalog.tetrahedron_rank_one(list(haar.haar_states(2, 4, 4))),
+        "kicked_unsharp": lambda: catalog.with_kicks(
+            catalog.unsharp_qubit(0.5), [haar.haar_isometry(2, 2, haar.RngStream(77, s)) for s in range(2)]
+        ),
+        **{
+            f"random_d{d}_n{n}": (lambda d=d, n=n: catalog.random_device(d, n, seed=d + n))
+            for d in (2, 3, 16, 64)
+            for n in (1, 4, 12)
+        },
+        "extreme_floats": extreme_floats,
+        "escaped_labels": lambda: Measurement(
+            np.eye(4)[:, :, None] * np.eye(4)[:, None, :], labels=['"q"', "back\\slash", "new\nline", "Grüße ☃"]
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CORPUS))
+    def test_matches_stdlib_encoder(self, tmp_path, name):
+        m = self.CORPUS[name]()
+        path = tmp_path / "dev.json"
+        cli.write_device(m, str(path))
+        assert path.read_bytes() == self.oracle(m).encode()
+
+    def test_failed_build_leaves_existing_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "dev.json"
+        cli.write_device(catalog.random_device(3, 4, seed=1), str(path))
+        before = path.read_bytes()
+
+        def broken(a):
+            raise RuntimeError("formatter failed")
+
+        monkeypatch.setattr(cli, "_pair_texts", broken)
+        with pytest.raises(RuntimeError):
+            cli.write_device(catalog.projective(2), str(path))
+        assert path.read_bytes() == before
+
+
+class TestToleranceSource:
+    """A device that fails completeness names the tolerance it exceeded and where that came from."""
+
+    # One operator diag(0.999, 1): defect |0.999**2 - 1| ~ 2.0e-3.
+    OFF = {"dim": 2, "kraus": [[[[0.999, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}
+
+    def write(self, tmp_path, **extra):
+        path = tmp_path / "off.json"
+        path.write_text(json.dumps({**self.OFF, **extra}))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "tolerance_field, env, tail",
+        [
+            (1e-3, None, "exceeds tolerance 0.001 from the spec file)"),
+            (None, "1e-3", "exceeds tolerance 0.001 from QMETER_DEFAULT_TOLERANCE)"),
+            (None, None, "exceeds tolerance 1e-10 from the default)"),
+        ],
+    )
+    def test_fidelities_names_the_source(self, capsys, tmp_path, monkeypatch, tolerance_field, env, tail):
+        monkeypatch.delenv("QMETER_DEFAULT_TOLERANCE", raising=False)
+        if env is not None:
+            monkeypatch.setenv("QMETER_DEFAULT_TOLERANCE", env)
+        path = self.write(tmp_path, **({} if tolerance_field is None else {"tolerance": tolerance_field}))
+        code, out, err = run(capsys, "fidelities", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: effects do not sum to identity (defect 0.001999 ") and err.endswith(tail + "\n")
+
+    def test_load_device_argument(self, tmp_path):
+        with pytest.raises(IncompleteDevice) as err:
+            cli.load_device(self.write(tmp_path, tolerance=1.0), 1e-3)
+        assert err.value.tolerance == 1e-3
+        assert str(err.value).endswith("exceeds tolerance 0.001 from --tolerance)")
+
+    def test_validate_stdout_unchanged(self, capsys, tmp_path):
+        path = self.write(tmp_path, tolerance=0)
+        defect = abs(0.999**2 - 1.0)
+        code, out, err = run(capsys, "validate", path)
+        assert (code, err) == (2, "")
+        assert out == f"INCOMPLETE: completeness defect {defect:.17g}\n"
+        code, out, _ = run(capsys, "validate", path, "--json")
+        assert json.loads(out) == {"command": "validate", "ok": False, "defect": defect}
 
 
 class TestInputOutputHardening:

@@ -35,6 +35,14 @@ class TestValidate:
             validate([0.9 * np.eye(2)])
         assert err.value.defect == pytest.approx(0.19 * np.sqrt(2), abs=1e-12)
 
+    def test_incomplete_device_names_tolerance(self):
+        ops = [np.sqrt(0.999) * np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        with pytest.raises(IncompleteDevice) as err:
+            Measurement(ops, tolerance=0)
+        assert err.value.tolerance == 0.0
+        assert err.value.defect == pytest.approx(0.001, abs=1e-12)
+        assert str(err.value) == "effects do not sum to identity (defect 0.001 exceeds tolerance 0)"
+
     def test_shape_errors(self):
         with pytest.raises(ShapeMismatch):
             validate([np.zeros((2, 3))])
@@ -401,6 +409,13 @@ class TestSampleOutcomes:
         assert outcomes.tolist() == [scalar_rule(p, u) for u in uniforms] == [2] * len(uniforms)
         assert list(posts) == [2]
         assert overlap2(posts[2], [0.0, 1.0, 0.0]) == pytest.approx(1.0, abs=1e-14)
+
+    def test_no_viable_outcome_is_typed(self):
+        # A loose tolerance admits effects far below the identity: p = 1e-16 <= floor.
+        m = Measurement([1e-8 * np.eye(2)], tolerance=10.0)
+        for shots in (1, 5):
+            with pytest.raises(ZeroProbabilityOutcome):
+                m.sample_outcomes(PLUS, haar.RngStream(4), shots)
 
 
 class TestBiOrthogonalFactors:

@@ -14,7 +14,7 @@ device = catalog.unsharp_qubit(0.6)
 print("device:", device)
 for s in (1, 2):
     print(f"  M_{s} =\n{np.round(device.kraus_op(s).real, 6)}")
-    diag = [round(float(x), 6) for x in np.diag(device.effect_matrix(s)).real]
+    diag = [round(float(x), 6) for x in np.diag(device.effects[s - 1]).real]
     print(f"  E_{s} = diag{tuple(diag)}")
 
 # Outcome statistics for the balanced superposition.

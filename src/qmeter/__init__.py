@@ -54,7 +54,7 @@ from .haar import (
     mc_g_pre,
     mc_operation_fidelity,
 )
-from .matkernel import EigenSystem, adjoint, frobenius_distance, hermitian_eig, polar_decompose
-from .measurement import BiOrthogonalFactors, Effect, Measurement, as_state, validate
+from .matkernel import EigenSystem, frobenius_distance, hermitian_eig, polar_decompose
+from .measurement import BiOrthogonalFactors, Measurement, as_state, validate
 
 __version__ = "0.1.0"

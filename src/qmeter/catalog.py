@@ -14,7 +14,7 @@ import numpy as np
 from .errors import NotUnitary, OutOfDomain, ShapeMismatch
 from .estimator import make_rank_one_device
 from .haar import RngStream, haar_isometry
-from .measurement import Measurement
+from .measurement import Measurement, _numbers
 
 # Bloch vectors of a regular tetrahedron (pairwise overlap -1/3, summing to 0).
 TETRAHEDRON_DIRECTIONS = np.array(
@@ -67,12 +67,13 @@ def with_kicks(m: Measurement, unitaries) -> Measurement:
     Effects (hence outcome statistics and both estimation fidelities) are
     unchanged; the operation fidelity generally is not.
     """
-    kicks = np.asarray(unitaries, dtype=np.complex128)
+    kicks = _numbers(unitaries, np.complex128, ShapeMismatch, "kicks must be an (n, d, d) array of unitaries")
     if kicks.shape != m.kraus.shape:
         raise ShapeMismatch(f"kicks of shape {kicks.shape} for Kraus operators of shape {m.kraus.shape}")
-    gram = kicks.conj().swapaxes(1, 2) @ kicks
-    defect = float(np.linalg.norm(gram - np.eye(m.dim), axis=(1, 2)).max())
-    if defect > 1e-10:
+    with np.errstate(over="ignore", invalid="ignore"):  # huge or non-finite kicks give a defect of inf or nan
+        gram = kicks.conj().swapaxes(1, 2) @ kicks
+        defect = float(np.linalg.norm(gram - np.eye(m.dim), axis=(1, 2)).max())
+    if not defect <= 1e-10:
         raise NotUnitary(f"kick unitarity defect {defect:.3e} exceeds 1e-10")
     return Measurement(kicks @ m.kraus, labels=m.labels, tolerance=m.tolerance)
 

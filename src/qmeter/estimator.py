@@ -27,13 +27,14 @@ import numpy as np
 from .errors import DimensionMismatch, IncompleteDevice, OutOfDomain
 from .matkernel import (
     EIG_GAP_TOL,
+    _fro_norms,
     canonicalize_phase,
     fro_norm,
     frobenius_distance,
     frozen,
     hermitian_eig,
 )
-from .measurement import DEFAULT_COMPLETENESS_TOL, Measurement, as_state
+from .measurement import Measurement, _numbers, _tolerance, as_state, floored_psd_eigenvalues
 
 # Phase-insensitive overlap criteria count as satisfied above 1 - OVERLAP_TOL.
 OVERLAP_TOL = 1e-9
@@ -87,6 +88,19 @@ class RelationCheck:
     kraus_link_ok: bool | None = None
 
 
+def _top(m: Measurement, s: int) -> tuple[float, np.ndarray, bool, bool]:
+    """``(a_max, chi_pre, degenerate, vanishing)`` of outcome ``s``: the top of ``E_s`` in ``m.spectrum``.
+
+    ``a_max`` is clipped at zero. Degenerate (top gap below ``EIG_GAP_TOL``, never for d = 1) or
+    vanishing (``a_max <= A_MAX_FLOOR``) tops make the optimal estimates non-unique.
+    """
+    i = m._index(s)
+    values = m.spectrum.eigenvalues[i]
+    a_max = max(float(values[0]), 0.0)
+    degenerate = values.shape[0] > 1 and float(values[0] - values[1]) < EIG_GAP_TOL
+    return a_max, m.spectrum.eigenvectors[i, :, 0], degenerate, a_max <= A_MAX_FLOOR
+
+
 def best_post_estimate(m: Measurement, s: int) -> np.ndarray:
     """Top eigenvector of ``M_s M_s^dag``: the optimal post-measurement guess.
 
@@ -95,10 +109,10 @@ def best_post_estimate(m: Measurement, s: int) -> np.ndarray:
     ``M_s chi_pre = sqrt(a_max) chi_post``. Otherwise ``M_s M_s^dag`` is
     diagonalized so that the deterministic tie-break picks the vector.
     """
-    effect = m.effect(s)
+    _, chi_pre, degenerate, vanishing = _top(m, s)
     k = m.kraus_op(s)
-    if effect.a_max > A_MAX_FLOOR and effect.spectrum.top_gap() >= EIG_GAP_TOL:
-        v = k @ effect.spectrum.eigenvectors[:, 0]
+    if not (degenerate or vanishing):
+        v = k @ chi_pre
         return canonicalize_phase(v / fro_norm(v))
     left = k @ k.conj().T
     return hermitian_eig(0.5 * (left + left.conj().T)).eigenvectors[:, 0].copy()
@@ -106,18 +120,18 @@ def best_post_estimate(m: Measurement, s: int) -> np.ndarray:
 
 def best_pre_estimate(m: Measurement, s: int) -> np.ndarray:
     """Top eigenvector of ``E_s``: the optimal pre-measurement guess."""
-    return m.effect(s).spectrum.eigenvectors[:, 0].copy()
+    return _top(m, s)[1].copy()
 
 
 def estimate_pair(m: Measurement, s: int) -> EstimatePair:
     """Both optimal estimates for outcome ``s`` with shared spectral data."""
-    spectrum = m.effect(s).spectrum
+    a_max, chi_pre, degenerate, _ = _top(m, s)
     return EstimatePair(
         outcome=s,
-        a_max=m.effect(s).a_max,
-        chi_pre=frozen(spectrum.eigenvectors[:, 0]),
+        a_max=a_max,
+        chi_pre=frozen(chi_pre),
         chi_post=frozen(best_post_estimate(m, s)),
-        degenerate=spectrum.top_gap() < EIG_GAP_TOL,
+        degenerate=degenerate,
     )
 
 
@@ -181,7 +195,7 @@ def tradeoff_bound(d: int, g_post_value: float) -> tuple[float, float]:
 def check_bound(m: Measurement) -> FidelityReport:
     """Assemble all mean fidelities and check the information-disturbance bound."""
     d = m.dim
-    a_maxes = np.array([m.effect(s).a_max for s in range(1, m.n_outcomes + 1)])
+    a_maxes = np.maximum(m.spectrum.eigenvalues[:, 0], 0.0)
     gp = float(a_maxes.sum()) / d
     f = operation_fidelity(m)
     lhs = math.sqrt(max((d + 1) * f - 1.0, 0.0))
@@ -203,14 +217,16 @@ def pure_part(m: Measurement) -> Measurement:
     Effects, outcome statistics and both estimation fidelities are unchanged;
     only the unitary kicks (and with them the operation fidelity) are stripped.
     """
-    roots = [m.effect(s).sqrt_matrix() for s in range(1, m.n_outcomes + 1)]
-    return Measurement(roots, labels=m.labels, tolerance=m.tolerance)
+    v = m.spectrum.eigenvectors
+    roots = np.sqrt(floored_psd_eigenvalues(m.spectrum.eigenvalues))
+    sqrt_e = (v * roots[:, None, :]) @ v.conj().swapaxes(1, 2)
+    return Measurement(0.5 * (sqrt_e + sqrt_e.conj().swapaxes(1, 2)), labels=m.labels, tolerance=m.tolerance)
 
 
 def is_pure_measurement(m: Measurement) -> bool:
     """True iff every Kraus operator is Hermitian positive semidefinite."""
     k = m.kraus
-    if any(frobenius_distance(op, op.conj().T) > PURITY_TOL * max(1.0, fro_norm(op)) for op in k):
+    if np.any(_fro_norms(k - k.conj().swapaxes(1, 2)) > PURITY_TOL * np.maximum(1.0, _fro_norms(k))):
         return False
     lowest = hermitian_eig(0.5 * (k + k.conj().swapaxes(1, 2))).eigenvalues[:, -1]
     return bool(np.all(lowest >= -PURITY_TOL))
@@ -223,13 +239,11 @@ def verify_estimate_relations(m: Measurement, s: int) -> RelationCheck:
     states are physical rays. Degenerate or vanishing top eigenvalues make the
     estimates non-unique, so those outcomes are reported as skipped.
     """
-    spectrum = m.effect(s).spectrum
-    a_max = m.effect(s).a_max
-    if a_max <= A_MAX_FLOOR:
+    a_max, chi_pre, degenerate, vanishing = _top(m, s)
+    if vanishing:
         return RelationCheck(skipped=True, reason="a_max is numerically zero")
-    if spectrum.top_gap() < EIG_GAP_TOL:
+    if degenerate:
         return RelationCheck(skipped=True, reason="top eigenvalue is degenerate")
-    chi_pre = spectrum.eigenvectors[:, 0]
     chi_post = best_post_estimate(m, s)
     u = m.bi_orthogonal_factors(s).unitary
     unitary_overlap = abs(np.vdot(chi_post, u @ chi_pre)) ** 2
@@ -248,6 +262,8 @@ def make_rank_one_device(pre_states, post_states, weights, tolerance=None) -> Me
     form an overcomplete basis); the post-states are unconstrained, and the
     resulting device always attains ``g_post = 1``.
     """
+    if not (np.iterable(pre_states) and np.iterable(post_states)):
+        raise DimensionMismatch("pre- and post-states must be iterables of state vectors")
     states = [as_state(x) for x in pre_states]
     if not states:
         raise DimensionMismatch("a rank-one device needs at least one pre-state")
@@ -257,16 +273,16 @@ def make_rank_one_device(pre_states, post_states, weights, tolerance=None) -> Me
             raise DimensionMismatch(f"pre-state {i} has dimension {len(x)}, expected {d}")
     pres = np.array(states)
     posts = np.array([as_state(x, d) for x in post_states])
-    w = np.asarray(weights, dtype=np.float64)
+    w = _numbers(weights, np.float64, OutOfDomain, "rank-one weights must be positive and finite")
     if len(pres) != len(posts) or w.shape != (len(pres),):
         raise DimensionMismatch("pre_states, post_states and weights must have equal length")
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
         raise OutOfDomain("rank-one weights must be positive and finite")
     bras = pres.conj()[:, None, :]
-    total = (w[:, None, None] * (pres[:, :, None] * bras)).sum(axis=0)
-    if tolerance is None:
-        tolerance = DEFAULT_COMPLETENESS_TOL
-    defect = frobenius_distance(total, np.eye(d))
+    tolerance = _tolerance(tolerance)
+    with np.errstate(over="ignore"):  # huge finite weights give an infinite defect
+        total = (w[:, None, None] * (pres[:, :, None] * bras)).sum(axis=0)
+        defect = frobenius_distance(total, np.eye(d)) if np.isfinite(total).all() else math.inf
     if defect > tolerance:
         raise IncompleteDevice(defect, f"pre-state projectors sum off identity by {defect:.6g}", tolerance)
     kraus = np.sqrt(w)[:, None, None] * (posts[:, :, None] * bras)

@@ -49,11 +49,6 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose. Involutive: ``adjoint(adjoint(m)) == m`` exactly."""
-    return np.ascontiguousarray(as_cmatrix(m).conj().T)
-
-
 def frobenius_distance(a, b) -> float:
     """sqrt(sum |a_ij - b_ij|^2); zero iff the matrices are equal."""
     a = as_cmatrix(a)
@@ -98,16 +93,6 @@ class EigenSystem:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[-1]
-
-    def top_gap(self) -> float:
-        """Gap between the two largest eigenvalues of one matrix (inf for dimension 1)."""
-        if self.dim < 2:
-            return float("inf")
-        return float(self.eigenvalues[0] - self.eigenvalues[1])
 
 
 def _lex_key(v: np.ndarray) -> tuple:

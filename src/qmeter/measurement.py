@@ -7,8 +7,8 @@ collapses a pure state to ``M_s |psi> / sqrt(<psi|E_s|psi>)`` where
 ``E_s = M_s^dag M_s`` is the effect (POVM element) of the outcome.
 
 Outcome indices are 1-based throughout. Devices are immutable after validation;
-all effect spectra come from one eigensolve on first use. Sampling takes a
-caller-owned RNG stream.
+the spectra of all effects are one stacked eigensystem, ``Measurement.spectrum``,
+solved on first use. Sampling takes a caller-owned RNG stream.
 """
 
 from __future__ import annotations
@@ -49,47 +49,46 @@ EIGENVALUE_FLOOR_FACTOR = 1e-14
 STATE_NORM_TOL = 1e-10
 
 
+def _numbers(x, dtype, error, what: str) -> np.ndarray:
+    """``np.asarray(x, dtype)``; ragged or non-numeric input raises ``error``, an int beyond float64 OutOfDomain."""
+    try:
+        return np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise (OutOfDomain if isinstance(e, OverflowError) else error)(f"{what}: {e}") from e
+
+
+def _tolerance(tolerance) -> float:
+    """A completeness tolerance as a float: the default for None, else a finite number >= 0."""
+    try:
+        value = DEFAULT_COMPLETENESS_TOL if tolerance is None else float(tolerance)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise OutOfDomain(f"completeness tolerance must be a real number: {e}") from e
+    if not (math.isfinite(value) and value >= 0.0):
+        raise OutOfDomain(f"completeness tolerance must be finite and >= 0, got {value}")
+    return value
+
+
 def as_state(vec, dim: int | None = None) -> np.ndarray:
     """Coerce ``vec`` to a normalized complex amplitude vector."""
-    v = np.asarray(vec, dtype=np.complex128)
+    v = _numbers(vec, np.complex128, DimensionMismatch, "state must be a 1-D amplitude vector")
     if v.ndim != 1:
         raise DimensionMismatch(f"state must be a 1-D amplitude vector, got ndim={v.ndim}")
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatch(f"state has dimension {v.shape[0]}, expected {dim}")
     if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
         raise ValueError("state amplitudes must be finite")
-    norm = float(np.sqrt(np.sum(v.real**2 + v.imag**2)))
+    with np.errstate(over="ignore"):  # huge finite amplitudes give norm inf, rejected below
+        norm = float(np.sqrt(np.sum(v.real**2 + v.imag**2)))
     if abs(norm - 1.0) > STATE_NORM_TOL:
         raise ValueError(f"state norm is {norm:.12g}, not 1 within {STATE_NORM_TOL:.1e}")
     return v.copy()
 
 
 def floored_psd_eigenvalues(values: np.ndarray) -> np.ndarray:
-    """Clip a positive-semidefinite spectrum: negatives and relative noise -> 0."""
+    """Clip descending positive-semidefinite spectra along the last axis: negatives and relative noise -> 0."""
     a = np.clip(np.asarray(values, dtype=np.float64), 0.0, None)
-    if a.size:
-        a[a < EIGENVALUE_FLOOR_FACTOR * a[0]] = 0.0
+    a[a < EIGENVALUE_FLOOR_FACTOR * a[..., :1]] = 0.0
     return a
-
-
-@dataclass(frozen=True)
-class Effect:
-    """A POVM element ``E_s = M_s^dag M_s`` with its spectral decomposition."""
-
-    matrix: np.ndarray
-    spectrum: EigenSystem
-
-    @property
-    def a_max(self) -> float:
-        """Largest eigenvalue, clipped to be nonnegative."""
-        return max(float(self.spectrum.eigenvalues[0]), 0.0)
-
-    def sqrt_matrix(self) -> np.ndarray:
-        """Principal square root, with rounding-noise eigenvalues floored to zero."""
-        roots = np.sqrt(floored_psd_eigenvalues(self.spectrum.eigenvalues))
-        v = self.spectrum.eigenvectors
-        out = (v * roots) @ v.conj().T
-        return 0.5 * (out + out.conj().T)
 
 
 @dataclass(frozen=True)
@@ -113,18 +112,14 @@ class Measurement:
 
     ``kraus_ops`` is an iterable of ``d x d`` matrices or one ``(n, d, d)`` array;
     ``tolerance`` (finite, >= 0) bounds the Frobenius completeness defect. The
-    operators and their effects are held as read-only ``(n, d, d)`` arrays (row
-    ``s - 1`` is outcome ``s``), so instances are safe to share across threads.
+    operators, their effects and the effects' ``spectrum`` are read-only stacks
+    (row ``s - 1`` is outcome ``s``), so instances are safe to share across threads.
     """
 
     def __init__(self, kraus_ops, labels=None, tolerance: float | None = None):
-        tolerance = DEFAULT_COMPLETENESS_TOL if tolerance is None else float(tolerance)
-        if not (math.isfinite(tolerance) and tolerance >= 0.0):
-            raise OutOfDomain(f"completeness tolerance must be finite and >= 0, got {tolerance}")
-        try:
-            kraus = np.array(list(kraus_ops), dtype=np.complex128)
-        except ValueError as e:  # ragged nesting or non-numeric entries
-            raise ShapeMismatch(f"Kraus operators do not form one (n, d, d) array: {e}") from e
+        tolerance = _tolerance(tolerance)
+        ops = list(kraus_ops) if np.iterable(kraus_ops) else kraus_ops
+        kraus = _numbers(ops, np.complex128, ShapeMismatch, "Kraus operators must form one (n, d, d) array of numbers")
         if kraus.ndim != 3 or 0 in kraus.shape or kraus.shape[1] != kraus.shape[2]:
             raise ShapeMismatch(f"need a non-empty (n, d, d) array of Kraus operators, got {kraus.shape}")
         if not np.isfinite(kraus).all():
@@ -144,6 +139,8 @@ class Measurement:
             raise IncompleteDevice(defect, tolerance=tolerance)
 
         if labels is not None:
+            if not np.iterable(labels):
+                raise ShapeMismatch(f"labels must be an iterable of {n} names, got {type(labels).__name__}")
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:
                 raise ShapeMismatch(f"{len(labels)} labels for {n} outcomes")
@@ -201,25 +198,19 @@ class Measurement:
         """Kraus operator of outcome ``s`` (1-based), a read-only view."""
         return self._kraus[self._index(s)]
 
-    def effect_matrix(self, s: int) -> np.ndarray:
-        """Effect matrix ``E_s`` without spectral data, a read-only view."""
-        return self._effects[self._index(s)]
-
     @cached_property
-    def _eigensystems(self) -> tuple[EigenSystem, ...]:
-        """Per-outcome spectra of the effects, from one stacked eigensolve on first use."""
-        stacked = hermitian_eig(self._effects)
-        lo, hi = stacked.eigenvalues[:, -1], stacked.eigenvalues[:, 0]
+    def spectrum(self) -> EigenSystem:
+        """All effect spectra from one stacked eigensolve on first use, range-checked against [0, 1].
+
+        Read-only ``(n, d)`` eigenvalues and ``(n, d, d)`` eigenvectors; row ``s - 1`` is outcome ``s``.
+        """
+        spectrum = hermitian_eig(self._effects)
+        lo, hi = spectrum.eigenvalues[:, -1], spectrum.eigenvalues[:, 0]
         bad = np.flatnonzero((lo < -NEGATIVITY_TOL) | (hi > 1.0 + self._slack))
         if bad.size:
             i = bad[0]
             raise InternalConsistencyError(f"effect {i + 1} spectrum [{lo[i]:.3e}, {hi[i]:.3e}] outside [0, 1]")
-        return tuple(map(EigenSystem, stacked.eigenvalues, stacked.eigenvectors))
-
-    def effect(self, s: int) -> Effect:
-        """Effect of outcome ``s`` with its spectral decomposition."""
-        i = self._index(s)
-        return Effect(self._effects[i], self._eigensystems[i])
+        return spectrum
 
     def outcome_distribution(self, psi) -> np.ndarray:
         """Outcome probabilities ``p_s = <psi|E_s|psi>`` for a normalized state."""
@@ -291,11 +282,11 @@ class Measurement:
         """Polar-split outcome ``s``: right/left eigenbases joined by ``U_s``."""
         i = self._index(s)
         unitary, _ = polar_decompose(self._kraus[i])
-        spectrum = self._eigensystems[i]
+        right = self.spectrum.eigenvectors[i]
         return BiOrthogonalFactors(
-            eigenvalues=frozen(floored_psd_eigenvalues(spectrum.eigenvalues)),
-            right_basis=spectrum.eigenvectors,
-            left_basis=frozen(unitary @ spectrum.eigenvectors),
+            eigenvalues=frozen(floored_psd_eigenvalues(self.spectrum.eigenvalues[i])),
+            right_basis=right,
+            left_basis=frozen(unitary @ right),
             unitary=frozen(unitary),
         )
 

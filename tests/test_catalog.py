@@ -118,7 +118,7 @@ class TestWithKicks:
             ]
             kicked = catalog.with_kicks(m, kicks)
             for s in range(1, m.n_outcomes + 1):
-                assert frobenius_distance(kicked.effect_matrix(s), m.effect_matrix(s)) <= 1e-12
+                assert frobenius_distance(kicked.effects[s - 1], m.effects[s - 1]) <= 1e-12
 
     def test_kicked_devices_respect_bound(self):
         for i in range(30):
@@ -138,7 +138,7 @@ class TestWithKicks:
 class TestTetrahedron:
     def test_effects_resolve_identity(self):
         m = catalog.tetrahedron_rank_one()
-        total = sum(m.effect_matrix(s) for s in range(1, 5))
+        total = m.effects.sum(axis=0)
         assert frobenius_distance(total, np.eye(2)) <= 1e-10
 
     def test_more_outcomes_than_dimensions(self):

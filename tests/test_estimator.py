@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import corpus_params, overlap2, rand_complex
-from qmeter import catalog, estimator as est, haar
+from qmeter import catalog, estimator as est, haar, measurement
 from qmeter.errors import DimensionMismatch, IncompleteDevice, OutOfDomain
-from qmeter.matkernel import EIG_GAP_TOL, PHASE_TOL, frobenius_distance, hermitian_eig
+from qmeter.matkernel import EIG_GAP_TOL, PHASE_TOL, fro_norm, frobenius_distance, hermitian_eig
 from qmeter.measurement import validate
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -53,16 +53,25 @@ class TestBestEstimates:
         pair = est.estimate_pair(m, 1)
         assert pair.degenerate
         # any unit vector is optimal here; the returned one must be in the eigenspace
-        e = m.effect_matrix(1)
+        e = m.effects[0]
         residual = e @ pair.chi_pre - pair.a_max * pair.chi_pre
         assert np.linalg.norm(residual) <= 1e-9
+
+    def test_dimension_one_is_never_degenerate(self):
+        m = validate([[[0.6]], [[0.8]]])
+        for s, a_max in ((1, 0.36), (2, 0.64)):
+            pair = est.estimate_pair(m, s)
+            assert not pair.degenerate
+            assert pair.a_max == pytest.approx(a_max, abs=1e-15)
+            assert not est.verify_estimate_relations(m, s).skipped
 
     def test_link_relation_matches_eigh_oracle(self):
         checked = 0
         for i in range(48):
             m = catalog.random_device((2, 4, 16)[i % 3], 2 + i % 4, seed=7000 + i)
             for s in range(1, m.n_outcomes + 1):
-                if m.effect(s).spectrum.top_gap() < EIG_GAP_TOL:
+                values = m.spectrum.eigenvalues[s - 1]
+                if values[0] - values[1] < EIG_GAP_TOL:
                     continue
                 k = m.kraus_op(s)
                 left = k @ k.conj().T
@@ -72,7 +81,7 @@ class TestBestEstimates:
                 lead = post[np.argmax(np.abs(post) > PHASE_TOL)]
                 assert lead.real > 0.0 and lead.imag == pytest.approx(0.0, abs=1e-15)
                 rayleigh = np.vdot(post, left @ post).real
-                assert rayleigh == pytest.approx(m.effect(s).a_max, abs=1e-12)
+                assert rayleigh == pytest.approx(values[0], abs=1e-12)
                 checked += 1
         assert checked > 100
 
@@ -86,8 +95,8 @@ class TestBestEstimates:
         ]
         for m in devices:
             for s in range(1, m.n_outcomes + 1):
-                effect = m.effect(s)
-                assert effect.a_max <= est.A_MAX_FLOOR or effect.spectrum.top_gap() < EIG_GAP_TOL
+                values = m.spectrum.eigenvalues[s - 1]
+                assert values[0] <= est.A_MAX_FLOOR or values[0] - values[1] < EIG_GAP_TOL
                 k = m.kraus_op(s)
                 expected = hermitian_eig(k @ k.conj().T).eigenvectors[:, 0]
                 assert np.array_equal(est.best_post_estimate(m, s), expected)
@@ -267,6 +276,25 @@ class TestPureMeasurements:
         m = est.pure_part(catalog.random_device(3, 5, seed=92))
         assert est.is_pure_measurement(m)
         assert calls == [(5, 3, 3)]
+
+    def test_stacked_forms_match_per_outcome_loops(self):
+        # The per-outcome loops these forms replaced, kept as the reference: results must be bit-equal.
+        kicked = catalog.with_kicks(catalog.identity_device(3), [haar.haar_isometry(3, 3, haar.RngStream(5, 0))])
+        devices = [catalog.random_device(d, n, seed=93) for d, n in [(2, 3), (4, 9), (16, 4)]]
+        devices += [kicked, catalog.tetrahedron_rank_one(), validate([[[0.6]], [[0.8]]]), est.pure_part(kicked)]
+        for m in devices:
+            roots, a_maxes, pure = [], [], True
+            for values, v, k in zip(m.spectrum.eigenvalues, m.spectrum.eigenvectors, m.kraus):
+                root = (v * np.sqrt(measurement.floored_psd_eigenvalues(values))) @ v.conj().T
+                roots.append(0.5 * (root + root.conj().T))
+                a_maxes.append(max(float(values[0]), 0.0))
+                if frobenius_distance(k, k.conj().T) > est.PURITY_TOL * max(1.0, fro_norm(k)):
+                    pure = False
+                elif hermitian_eig(0.5 * (k + k.conj().T)).eigenvalues[-1] < -est.PURITY_TOL:
+                    pure = False
+            assert np.array_equal(est.pure_part(m).kraus, np.array(roots))
+            assert np.array_equal(est.check_bound(m).per_outcome_a_max, a_maxes)
+            assert est.is_pure_measurement(m) == pure
 
     def test_hermitian_but_not_positive_is_not_pure(self):
         z = np.diag([1.0, -1.0]).astype(complex)

@@ -1,35 +1,55 @@
-"""Seeded input fuzzer: every mutated spec file ends in exit 0, 1 or 2, never an uncaught exception.
+"""Seeded input fuzzers: malformed input ends in a typed error, never an uncaught exception.
 
-Valid specs come from ``cli.write_device``; each mutant applies one to three
-random edits (deleted keys, duplicated or dropped operators, non-numeric or
+Spec files: valid device specs come from ``cli.write_device`` and valid state
+files hold a Haar state. Each mutant applies one to three random edits
+(deleted keys, duplicated or dropped operators or amplitudes, non-numeric or
 non-finite entries, extra nesting, ragged rows, a wrong ``dim``, bad
-``labels`` or ``tolerance``) and is run in-process through five commands.
+``labels`` or ``tolerance``) and is run in-process: a device spec through five
+commands, a state file through ``simulate --state``. Every run exits 0, 1 or 2.
+
+Library constructors: ``Measurement``, ``make_rank_one_device`` and
+``catalog.with_kicks`` on mutated arguments either return a device or raise a
+``QmeterError``, apart from the deliberate ``ValueError``s matched by
+``DELIBERATE``. A ``RuntimeWarning`` fails either fuzzer (see pyproject.toml).
 """
 
 import copy
 import io
 import json
 import random
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
-from qmeter import catalog, cli
+import numpy as np
+
+from qmeter import catalog, cli, haar
+from qmeter.errors import QmeterError
+from qmeter.estimator import make_rank_one_device
 from qmeter.measurement import Measurement
 
 MUTANTS = 600
+# ``MUTANT`` stands for the mutated file's path in each command line.
+MUTANT = "__mutant__"
 COMMANDS = (
-    ["validate"],
-    ["fidelities"],
-    ["estimate", "--outcome", "1"],
-    ["simulate", "--haar", "--shots", "5"],
-    ["fidelities", "--montecarlo", "100"],
+    ["validate", MUTANT],
+    ["fidelities", MUTANT],
+    ["estimate", MUTANT, "--outcome", "1"],
+    ["simulate", MUTANT, "--haar", "--shots", "5"],
+    ["fidelities", MUTANT, "--montecarlo", "100"],
 )
 # Written as the bare JSON token 1e400, which json.loads reads as inf.
 OVERFLOW = "__1e400__"
 JUNK = [True, False, None, "1.0", "x", 10**400, OVERFLOW, [], {}, -1, 0, 2.5]
 
 
-def base_specs(tmp_path, rng):
-    specs = []
+def base_cases(tmp_path, rng, target):
+    """``(spec, key, commands)``: a valid file, the key whose array is mutated, and the runs of each mutant.
+
+    Each of six written random devices gives one case: its own spec for the
+    ``device`` target, or a Haar state of its dimension, run through
+    ``simulate --state`` against it, for the ``state`` target.
+    """
+    cases = []
     for k in range(6):
         d, n = rng.choice((2, 3)), rng.choice((1, 2, 4))
         m = catalog.random_device(d, n, seed=k)
@@ -37,8 +57,14 @@ def base_specs(tmp_path, rng):
             m = Measurement(m.kraus, labels=[f"o{s}" for s in range(n)])
         path = tmp_path / f"base{k}.json"
         cli.write_device(m, str(path))
-        specs.append(json.loads(path.read_text()))
-    return specs
+        if target == "device":
+            cases.append((json.loads(path.read_text()), "kraus", COMMANDS))
+        else:
+            psi = haar.haar_state(d, haar.RngStream(k))
+            state = {"dim": d, "amplitudes": np.stack([psi.real, psi.imag], axis=-1).tolist()}
+            runs = [["simulate", str(path), "--state", MUTANT, "--shots", "5", *flag] for flag in ([], ["--json"])]
+            cases.append((state, "amplitudes", runs))
+    return cases
 
 
 def entries(node, depth=0):
@@ -49,20 +75,20 @@ def entries(node, depth=0):
             yield from entries(child, depth + 1)
 
 
-def mutate(spec, rng):
-    """Apply one random edit to ``spec`` in place."""
+def mutate(spec, rng, key):
+    """Apply one random edit to ``spec`` in place; ``key`` names its array of operators or amplitudes."""
     kind = rng.randrange(10)
-    kraus = spec.get("kraus")
-    slots = list(entries(kraus)) if isinstance(kraus, list) else []
+    array = spec.get(key)
+    slots = list(entries(array)) if isinstance(array, list) else []
     if kind == 0 and spec:
         del spec[rng.choice(sorted(spec))]
-    elif kind in (1, 2) and isinstance(kraus, list) and kraus:
+    elif kind in (1, 2) and isinstance(array, list) and array:
         if kind == 1:
-            kraus.insert(rng.randrange(len(kraus) + 1), copy.deepcopy(rng.choice(kraus)))
+            array.insert(rng.randrange(len(array) + 1), copy.deepcopy(rng.choice(array)))
         else:
-            kraus.pop(rng.randrange(len(kraus)))
+            array.pop(rng.randrange(len(array)))
         if isinstance(spec.get("labels"), list) and rng.random() < 0.5:
-            spec["labels"] = [f"o{s}" for s in range(len(kraus))]
+            spec["labels"] = [f"o{s}" for s in range(len(array))]
     elif kind == 3 and slots:
         parent, i, _ = rng.choice(slots)
         parent[i] = rng.choice(JUNK)
@@ -79,7 +105,7 @@ def mutate(spec, rng):
         dim = spec["dim"] if type(spec.get("dim")) is int else 2
         spec["dim"] = rng.choice([dim + 1, dim - 1, 0, -1, "2", 2.0, True, None, 10**400, [dim]])
     elif kind == 7:
-        n = len(kraus) if isinstance(kraus, list) else 1
+        n = len(array) if isinstance(array, list) else 1
         spec["labels"] = rng.choice(
             ["ab", 5, None, {}, ["x"] * (n + 1), ["x"] * max(n - 1, 0), [None] * n, [[1]] * n, [{"a": 1}] * n]
         )
@@ -90,26 +116,99 @@ def mutate(spec, rng):
     elif slots:
         scale = rng.choice([0.0, 0.5, 2.0, 1e-200, 1e200, -1.0])
         for parent, i, _ in slots:
-            if isinstance(parent[i], float):
+            if isinstance(parent[i], (float, complex)):
                 parent[i] *= scale
 
 
-def test_mutated_specs_exit_cleanly(tmp_path):
+def run_mutants(tmp_path, target):
+    """Run ``MUTANTS`` seeded mutants of the ``target`` files (see ``base_cases``) and check every exit code."""
     rng = random.Random(0)
-    bases = base_specs(tmp_path, rng)
+    cases = base_cases(tmp_path, rng, target)
     path = tmp_path / "mutant.json"
     codes = set()
     for k in range(MUTANTS):
-        spec = copy.deepcopy(rng.choice(bases))
+        spec, key, commands = rng.choice(cases)
+        spec = copy.deepcopy(spec)
         for _ in range(rng.randint(1, 3)):
-            mutate(spec, rng)
+            mutate(spec, rng, key)
         if rng.random() < 0.3:  # let broken but finite devices through to the numerics
             spec["tolerance"] = rng.choice([0.5, 10.0, 1e300])
         text = json.dumps(spec).replace(f'"{OVERFLOW}"', "1e400")
         path.write_text(text)
-        for argv in COMMANDS:
+        for argv in commands:
+            argv = [str(path) if a == MUTANT else a for a in argv]
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
-                code = cli.main([argv[0], str(path), *argv[1:]])
+                code = cli.main(argv)
             assert code in (0, 1, 2), (k, argv, text, err.getvalue())
             codes.add(code)
     assert codes == {0, 1, 2}
+
+
+def test_mutated_specs_exit_cleanly(tmp_path):
+    run_mutants(tmp_path, "device")
+
+
+def test_mutated_state_files_exit_cleanly(tmp_path):
+    run_mutants(tmp_path, "state")
+
+
+CONSTRUCTOR_CALLS = 3000
+# Whole-argument junk, beside the entry-level edits of ``mutate``.
+ARGUMENT_JUNK = [5, None, "ab", {}, [], [[[{}]]], 10**400, 2.5, True, [1], ["x"], [[1, 2], [3]]]
+TOLERANCES = [None, 0, 1e-8, 0.5, -1.0, "x", "1e-3", [1], 10**400, float("nan"), float("inf"), True, {}]
+# The ValueErrors qmeter raises on purpose (other tests pin their type): non-finite
+# numbers, and a state whose norm is not 1.
+DELIBERATE = re.compile(r"must be finite$|^state norm is ")
+
+
+def junk_or_mutant(value, rng):
+    """``value`` as nested lists with one edit of ``mutate`` applied, or an argument from ``ARGUMENT_JUNK``."""
+    if rng.random() < 0.2:
+        return rng.choice(ARGUMENT_JUNK)
+    holder = {"x": np.asarray(value).tolist()}
+    mutate(holder, rng, "x")
+    return holder.get("x")
+
+
+def constructor_call(rng):
+    """A random library-constructor call with mutated arguments, as a thunk."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        m = catalog.random_device(rng.choice((2, 3)), rng.choice((1, 2, 4)), seed=rng.randrange(100))
+        kraus = junk_or_mutant(m.kraus, rng)
+        labels = rng.choice([None, ["a"] * m.n_outcomes, 5, "ab", [None], {}, [[1]] * m.n_outcomes])
+        tolerance = rng.choice(TOLERANCES)
+        return lambda: Measurement(kraus, labels=labels, tolerance=tolerance)
+    if kind == 1:
+        pres = [catalog.bloch_state(v) for v in catalog.TETRAHEDRON_DIRECTIONS]
+        posts = list(haar.haar_states(2, 4, rng.randrange(100)))
+        weights = [0.5] * 4
+        which = rng.randrange(4)
+        if which == 0:
+            pres = junk_or_mutant(pres, rng)
+        elif which == 1:
+            posts = junk_or_mutant(posts, rng)
+        elif which == 2:
+            weights = rng.choice(ARGUMENT_JUNK + [[0.5, 0.5, 0.5, "x"], [0.5, 0.5, 0.5, -1], [0.5j] * 4, [1e308] * 4])
+        tolerance = rng.choice(TOLERANCES)
+        return lambda: make_rank_one_device(pres, posts, weights, tolerance=tolerance)
+    m = catalog.random_device(2, rng.choice((1, 3)), seed=rng.randrange(100))
+    kicks = [haar.haar_isometry(2, 2, haar.RngStream(7, s)) for s in range(m.n_outcomes)]
+    kicks = junk_or_mutant(kicks, rng)
+    return lambda: catalog.with_kicks(m, kicks)
+
+
+def test_library_constructors_raise_typed_errors():
+    rng = random.Random(0)
+    outcomes = set()
+    for k in range(CONSTRUCTOR_CALLS):
+        call = constructor_call(rng)
+        try:
+            call()
+            outcomes.add("device")
+        except QmeterError as e:
+            outcomes.add(type(e).__name__)
+        except ValueError as e:
+            assert DELIBERATE.search(str(e)), (k, repr(e))
+            outcomes.add("ValueError")
+    assert {"device", "ShapeMismatch", "OutOfDomain", "ValueError"} <= outcomes, outcomes

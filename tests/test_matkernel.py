@@ -10,31 +10,6 @@ def _raise_linalg_error(*args, **kwargs):
     raise np.linalg.LinAlgError("did not converge")
 
 
-class TestAdjoint:
-    def test_identity(self):
-        assert np.array_equal(mk.adjoint(np.eye(2)), np.eye(2))
-
-    def test_forced_example(self):
-        m = np.array([[0, 1j], [0, 0]])
-        expected = np.array([[0, 0], [-1j, 0]])
-        assert np.array_equal(mk.adjoint(m), expected)
-
-    def test_inner_product_identity(self):
-        rng = np.random.default_rng(11)
-        m = rand_complex(rng, 3, 2)
-        for _ in range(20):
-            x = rand_complex(rng, 3, 1)[:, 0]
-            y = rand_complex(rng, 2, 1)[:, 0]
-            lhs = np.vdot(mk.adjoint(m) @ x, y)
-            rhs = np.vdot(x, m @ y)
-            assert abs(lhs - rhs) < 1e-12
-
-    def test_involution_exact(self):
-        rng = np.random.default_rng(12)
-        m = rand_complex(rng, 4, 3)
-        assert np.array_equal(mk.adjoint(mk.adjoint(m)), m)
-
-
 class TestHermitianEig:
     def test_already_diagonal(self):
         es = mk.hermitian_eig(np.diag([0.3, 0.7]))
@@ -100,7 +75,6 @@ class TestHermitianEig:
     def test_dimension_one(self):
         es = mk.hermitian_eig([[2.5]])
         assert es.eigenvalues[0] == 2.5
-        assert es.top_gap() == np.inf
 
     def test_lapack_failure_raises(self, monkeypatch):
         monkeypatch.setattr(mk.np.linalg, "eigh", _raise_linalg_error)
@@ -133,7 +107,6 @@ class TestStackedEig:
         for name, stack in self.stacks(d):
             es = mk.hermitian_eig(stack)
             assert es.eigenvalues.shape == stack.shape[:2] and es.eigenvectors.shape == stack.shape, name
-            assert es.dim == d
             for i, matrix in enumerate(stack):
                 single = mk.hermitian_eig(matrix)
                 assert np.array_equal(es.eigenvalues[i], single.eigenvalues), (name, i)

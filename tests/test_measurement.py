@@ -9,6 +9,7 @@ from qmeter.errors import (
     DimensionMismatch,
     IncompleteDevice,
     InternalConsistencyError,
+    NotUnitary,
     OutcomeOutOfRange,
     OutOfDomain,
     ShapeMismatch,
@@ -18,6 +19,7 @@ from qmeter.matkernel import EigenSystem, frobenius_distance, hermitian_eig
 from qmeter.measurement import Measurement, validate
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
+BASIS = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
 
 
 class TestValidate:
@@ -75,6 +77,30 @@ class TestValidate:
                 Measurement([np.eye(2)], tolerance=tol)
         assert Measurement([np.eye(2)], tolerance=0.0).tolerance == 0.0
 
+    MALFORMED = {
+        "not_iterable": (lambda: Measurement(5), ShapeMismatch),
+        "none": (lambda: Measurement(None), ShapeMismatch),
+        "dict_entry": (lambda: Measurement([[[{}]]]), ShapeMismatch),
+        "huge_int_entry": (lambda: Measurement([[[10**400]]]), OutOfDomain),
+        "labels_not_iterable": (lambda: Measurement([np.eye(2)], labels=5), ShapeMismatch),
+        "tolerance_string": (lambda: Measurement([np.eye(2)], tolerance="x"), OutOfDomain),
+        "tolerance_list": (lambda: Measurement([np.eye(2)], tolerance=[1]), OutOfDomain),
+        "tolerance_huge_int": (lambda: Measurement([np.eye(2)], tolerance=10**400), OutOfDomain),
+        "rank_one_weights": (lambda: est.make_rank_one_device(BASIS, BASIS, "ab"), OutOfDomain),
+        "rank_one_tolerance": (lambda: est.make_rank_one_device(BASIS, BASIS, [1, 1], tolerance="x"), OutOfDomain),
+        "rank_one_states": (lambda: est.make_rank_one_device(5, 5, [1, 1]), DimensionMismatch),
+        "kicks_string": (lambda: catalog.with_kicks(catalog.projective(2), "ab"), ShapeMismatch),
+        "kicks_huge": (lambda: catalog.with_kicks(catalog.projective(2), np.full((2, 2, 2), 1e200)), NotUnitary),
+    }
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_arguments_raise_typed_errors(self, case):
+        call, error = self.MALFORMED[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                call()
+
     # 1e200 overflows M^dag M, 1.2e154 its Hermitian part and 1e100 the squares in the defect.
     @pytest.mark.parametrize("entry", [1e200, 1.2e154, 1e100])
     def test_huge_finite_entries_raise_a_typed_error_without_warning(self, entry):
@@ -85,7 +111,7 @@ class TestValidate:
 
     def test_accepted_device_passes_later_checks_at_its_tolerance(self):
         m = Measurement([np.diag([1.0 + 1e-7, 0.0]), np.diag([0.0, 1.0])], tolerance=1e-5)
-        assert m.effect(1).a_max > 1.0 + 1e-10
+        assert m.spectrum.eigenvalues[0, 0] > 1.0 + 1e-10
         assert est.check_bound(m).g_post == pytest.approx(1.0, abs=1e-6)
         assert m.outcome_distribution([1.0, 0.0]) == pytest.approx([1.0, 0.0], abs=1e-6)
 
@@ -120,7 +146,7 @@ class TestStackedStorage:
         ops[0] = 0.0
         assert m.kraus.shape == m.effects.shape == (2, 2, 2)
         assert m.kraus[0, 0, 0] == 1.0
-        for a in (m.kraus, m.effects, m.kraus_op(2), m.effect_matrix(2)):
+        for a in (m.kraus, m.effects, m.kraus_op(2), m.spectrum.eigenvalues, m.spectrum.eigenvectors):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[...] = 0.0
@@ -130,30 +156,39 @@ class TestEffects:
     def test_projective_effect_is_projector(self):
         m = catalog.projective(3)
         for s in range(1, 4):
-            e = m.effect(s)
             expected = np.zeros((3, 3))
             expected[s - 1, s - 1] = 1.0
-            assert frobenius_distance(e.matrix, expected) < 1e-14
-            assert e.a_max == pytest.approx(1.0)
+            assert frobenius_distance(m.effects[s - 1], expected) < 1e-14
+            assert m.spectrum.eigenvalues[s - 1, 0] == pytest.approx(1.0)
 
     def test_unsharp_effect(self):
         m = catalog.unsharp_qubit(0.6)
-        assert frobenius_distance(m.effect_matrix(1), np.diag([0.8, 0.2])) < 1e-14
+        assert frobenius_distance(m.effects[0], np.diag([0.8, 0.2])) < 1e-14
 
     def test_unitary_kraus_effect_is_identity(self):
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         m = validate([x])
-        assert frobenius_distance(m.effect_matrix(1), np.eye(2)) < 1e-14
+        assert frobenius_distance(m.effects[0], np.eye(2)) < 1e-14
 
     def test_outcome_out_of_range(self):
         m = catalog.projective(2)
+        calls = [
+            m.kraus_op,
+            m.bi_orthogonal_factors,
+            lambda s: est.estimate_pair(m, s),
+            lambda s: est.best_pre_estimate(m, s),
+            lambda s: est.verify_estimate_relations(m, s),
+        ]
         for s in (0, 3, -1):
-            with pytest.raises(OutcomeOutOfRange):
-                m.effect(s)
+            for call in calls:
+                with pytest.raises(OutcomeOutOfRange):
+                    call(s)
 
     def test_effect_spectrum_cached(self):
         m = catalog.unsharp_qubit(0.3)
-        assert m.effect(1).spectrum is m.effect(1).spectrum
+        assert m.spectrum is m.spectrum
+        assert m.spectrum.eigenvalues.shape == (2, 2)
+        assert m.spectrum.eigenvectors.shape == (2, 2, 2)
 
 
 class TestOutcomeDistribution:
@@ -478,7 +513,7 @@ class TestBiOrthogonalFactors:
             for s in range(1, m.n_outcomes + 1):
                 k = m.kraus_op(s)
                 left = hermitian_eig(k @ k.conj().T).eigenvalues
-                right = m.effect(s).spectrum.eigenvalues
+                right = m.spectrum.eigenvalues[s - 1]
                 assert np.max(np.abs(left - right)) <= 1e-10
 
 
@@ -522,12 +557,15 @@ class TestOneEigensolvePerDevice:
     @pytest.mark.parametrize("name", list(DEVICES))
     def test_spectra_match_per_outcome_solves(self, name):
         m = self.DEVICES[name]()
+        spectrum = m.spectrum
+        assert spectrum.eigenvalues.shape == (m.n_outcomes, m.dim)
+        assert spectrum.eigenvectors.shape == m.effects.shape
+        assert not spectrum.eigenvalues.flags.writeable
+        assert not spectrum.eigenvectors.flags.writeable
         for s in range(1, m.n_outcomes + 1):
-            single = hermitian_eig(m.effect_matrix(s))
-            spectrum = m.effect(s).spectrum
-            assert np.array_equal(spectrum.eigenvalues, single.eigenvalues)
-            assert np.array_equal(spectrum.eigenvectors, single.eigenvectors)
-            assert not spectrum.eigenvectors.flags.writeable
+            single = hermitian_eig(m.effects[s - 1])
+            assert np.array_equal(spectrum.eigenvalues[s - 1], single.eigenvalues)
+            assert np.array_equal(spectrum.eigenvectors[s - 1], single.eigenvectors)
 
     def test_not_needed_for_validation_or_sampling(self, monkeypatch):
         calls = self.counted(monkeypatch)
@@ -548,9 +586,12 @@ class TestOneEigensolvePerDevice:
 
         monkeypatch.setattr(measurement, "hermitian_eig", shifted)
         m = catalog.projective(3)
+        with pytest.raises(InternalConsistencyError, match="effect 3 spectrum"):
+            m.spectrum
+        # Outcome 1's own spectrum is in range; the check still covers the whole stack.
         for s in (1, 3):
             with pytest.raises(InternalConsistencyError, match="effect 3 spectrum"):
-                m.effect(s)
+                est.estimate_pair(m, s)
 
 
 class TestConcurrentSharing:
@@ -565,7 +606,7 @@ class TestConcurrentSharing:
             results = list(pool.map(lambda _: est.g_post(m), range(32)))
         assert len(set(results)) == 1
         assert not m.kraus_op(1).flags.writeable
-        assert not m.effect(1).spectrum.eigenvalues.flags.writeable
+        assert not m.spectrum.eigenvalues.flags.writeable
 
     def test_concurrent_first_use_of_the_spectra(self):
         # Without the cached_property lock (Python >= 3.12) racing threads may each
@@ -577,20 +618,20 @@ class TestConcurrentSharing:
         reference = {}
         for seed in seeds:
             m = catalog.random_device(4, 6, seed=seed)
-            reference[seed] = [m.effect(s).spectrum for s in range(1, 7)]
+            reference[seed] = m.spectrum
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
                 for seed in seeds:
                     m = catalog.random_device(4, 6, seed=seed)
-                    futures = [pool.submit(m.effect, 1 + k % 6) for k in range(24)]
-                    for k, future in enumerate(futures):
-                        got = future.result(timeout=30).spectrum
-                        want = reference[seed][k % 6]
+                    futures = [pool.submit(getattr, m, "spectrum") for _ in range(24)]
+                    want = reference[seed]
+                    for future in futures:
+                        got = future.result(timeout=30)
                         assert np.array_equal(got.eigenvalues, want.eigenvalues)
                         assert np.array_equal(got.eigenvectors, want.eigenvectors)
-                    assert m.effect(1).spectrum is m.effect(1).spectrum
+                    assert m.spectrum is m.spectrum
         finally:
             sys.setswitchinterval(interval)
 
@@ -605,5 +646,5 @@ class TestTraceIdentity:
             catalog.random_device(4, 6, seed=77),
         ]
         for m in devices:
-            total = sum(np.trace(m.effect_matrix(s)).real for s in range(1, m.n_outcomes + 1))
+            total = np.trace(m.effects, axis1=1, axis2=2).real.sum()
             assert total == pytest.approx(m.dim, abs=1e-9)

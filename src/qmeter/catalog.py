@@ -14,7 +14,8 @@ import numpy as np
 from .errors import NotUnitary, OutOfDomain, ShapeMismatch
 from .estimator import make_rank_one_device
 from .haar import RngStream, haar_isometry
-from .measurement import Measurement, _numbers
+from .matkernel import finite_array
+from .measurement import Measurement
 
 # Bloch vectors of a regular tetrahedron (pairwise overlap -1/3, summing to 0).
 TETRAHEDRON_DIRECTIONS = np.array(
@@ -67,10 +68,10 @@ def with_kicks(m: Measurement, unitaries) -> Measurement:
     Effects (hence outcome statistics and both estimation fidelities) are
     unchanged; the operation fidelity generally is not.
     """
-    kicks = _numbers(unitaries, np.complex128, ShapeMismatch, "kicks must be an (n, d, d) array of unitaries")
+    kicks = finite_array(unitaries, np.complex128, ShapeMismatch, "kicks must be an (n, d, d) unitary array", ndim=3)
     if kicks.shape != m.kraus.shape:
         raise ShapeMismatch(f"kicks of shape {kicks.shape} for Kraus operators of shape {m.kraus.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):  # huge or non-finite kicks give a defect of inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):  # huge kicks give a defect of inf or nan
         gram = kicks.conj().swapaxes(1, 2) @ kicks
         defect = float(np.linalg.norm(gram - np.eye(m.dim), axis=(1, 2)).max())
     if not defect <= 1e-10:
@@ -79,8 +80,15 @@ def with_kicks(m: Measurement, unitaries) -> Measurement:
 
 
 def bloch_state(direction) -> np.ndarray:
-    """Qubit state with the given Bloch vector (normalized internally)."""
-    nx, ny, nz = np.asarray(direction, dtype=np.float64) / np.linalg.norm(direction)
+    """Qubit state with the given non-zero Bloch vector (normalized internally)."""
+    v = finite_array(direction, np.float64, ShapeMismatch, "a Bloch vector must be 3 real numbers", ndim=1)
+    if v.shape != (3,):
+        raise ShapeMismatch(f"a Bloch vector must be 3 real numbers, got {v.shape[0]}")
+    scale = np.abs(v).max()
+    if scale == 0.0:
+        raise OutOfDomain("the zero vector has no Bloch direction")
+    v = v / scale  # keeps the squares in the norm within the float range
+    nx, ny, nz = v / np.linalg.norm(v)
     theta = np.arccos(np.clip(nz, -1.0, 1.0))
     phi = np.arctan2(ny, nx)
     return np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])

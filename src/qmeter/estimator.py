@@ -24,17 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IncompleteDevice, OutOfDomain
+from .errors import DimensionMismatch, OutOfDomain
 from .matkernel import (
     EIG_GAP_TOL,
     _fro_norms,
     canonicalize_phase,
+    finite_array,
     fro_norm,
-    frobenius_distance,
     frozen,
     hermitian_eig,
 )
-from .measurement import Measurement, _numbers, _tolerance, as_state, floored_psd_eigenvalues
+from .measurement import Measurement, as_state, floored_psd_eigenvalues
 
 # Phase-insensitive overlap criteria count as satisfied above 1 - OVERLAP_TOL.
 OVERLAP_TOL = 1e-9
@@ -136,6 +136,9 @@ def estimate_pair(m: Measurement, s: int) -> EstimatePair:
 
 
 def _check_guesses(m: Measurement, guesses) -> np.ndarray:
+    """One normalized state of dimension ``m.dim`` per outcome, stacked; anything else raises a QmeterError."""
+    if not np.iterable(guesses):
+        raise DimensionMismatch(f"guesses must be an iterable of {m.n_outcomes} states")
     states = [as_state(g, m.dim) for g in guesses]
     if len(states) != m.n_outcomes:
         raise DimensionMismatch(f"{len(states)} guesses for {m.n_outcomes} outcomes")
@@ -258,9 +261,10 @@ def verify_estimate_relations(m: Measurement, s: int) -> RelationCheck:
 def make_rank_one_device(pre_states, post_states, weights, tolerance=None) -> Measurement:
     """Build ``M_s = sqrt(w_s) |post_s><pre_s|`` from rank-one data.
 
-    The weighted pre-state projectors must resolve the identity (the pre-states
-    form an overcomplete basis); the post-states are unconstrained, and the
-    resulting device always attains ``g_post = 1``.
+    The weighted projectors onto the pre-states must resolve the identity (they
+    form an overcomplete basis), which :class:`Measurement` checks as the
+    completeness of the effects ``w_s |pre_s><pre_s|``; the post-states are
+    unconstrained, and the resulting device always attains ``g_post = 1``.
     """
     if not (np.iterable(pre_states) and np.iterable(post_states)):
         raise DimensionMismatch("pre- and post-states must be iterables of state vectors")
@@ -273,19 +277,12 @@ def make_rank_one_device(pre_states, post_states, weights, tolerance=None) -> Me
             raise DimensionMismatch(f"pre-state {i} has dimension {len(x)}, expected {d}")
     pres = np.array(states)
     posts = np.array([as_state(x, d) for x in post_states])
-    w = _numbers(weights, np.float64, OutOfDomain, "rank-one weights must be positive and finite")
+    w = finite_array(weights, np.float64, OutOfDomain, "rank-one weights must be positive and finite", ndim=1)
     if len(pres) != len(posts) or w.shape != (len(pres),):
         raise DimensionMismatch("pre_states, post_states and weights must have equal length")
-    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+    if np.any(w <= 0.0):
         raise OutOfDomain("rank-one weights must be positive and finite")
-    bras = pres.conj()[:, None, :]
-    tolerance = _tolerance(tolerance)
-    with np.errstate(over="ignore"):  # huge finite weights give an infinite defect
-        total = (w[:, None, None] * (pres[:, :, None] * bras)).sum(axis=0)
-        defect = frobenius_distance(total, np.eye(d)) if np.isfinite(total).all() else math.inf
-    if defect > tolerance:
-        raise IncompleteDevice(defect, f"pre-state projectors sum off identity by {defect:.6g}", tolerance)
-    kraus = np.sqrt(w)[:, None, None] * (posts[:, :, None] * bras)
+    kraus = np.sqrt(w)[:, None, None] * (posts[:, :, None] * pres.conj()[:, None, :])
     return Measurement(kraus, tolerance=tolerance)
 
 

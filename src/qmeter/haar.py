@@ -23,7 +23,8 @@ One private kernel, ``_block_values``, evaluates the integrands on a block of
 states: one product per guess set for ``g_post``, one stacked collapse product
 ``states @ K.reshape(n*d, d).T`` shared by ``g_pre`` and ``F`` (made only when
 one of them is asked for), and row-wise ``einsum`` reductions. The public
-integrands and every ``mc_*`` function call it. A Monte Carlo call draws its
+integrands and every ``mc_*`` function call it, after checking that their
+guesses are one normalized state per outcome. A Monte Carlo call draws its
 Haar ensemble once, in ``ceil(samples / MC_CHUNK)`` near-equal blocks
 (``MC_CHUNK`` = 4096; no block has a single row), so :func:`mc_fidelities`
 checks all three on one set of states. Per-sample values depend only on their
@@ -162,13 +163,6 @@ def _blocks(samples: int):
         start += count
 
 
-def _guess_array(m: Measurement, guesses) -> np.ndarray:
-    guesses = np.asarray(guesses)
-    if guesses.shape[0] != m.n_outcomes:
-        raise ValueError(f"{guesses.shape[0]} guesses for {m.n_outcomes} outcomes")
-    return guesses
-
-
 def _row_norms_squared(amp: np.ndarray) -> np.ndarray:
     """``sum_s |amp[i, s]|^2`` for each row of a C-contiguous complex (N, n) array."""
     flat = amp.view(np.float64)
@@ -202,17 +196,17 @@ def _block_values(m: Measurement, states: np.ndarray, post=None, pre=None, opera
 
 
 def g_post_integrand(m: Measurement, guesses, states: np.ndarray) -> np.ndarray:
-    """Per-state values of ``sum_s |<chi_s|M_s|psi>|^2``, one normalized guess per outcome, used as given.
+    """Per-state values of ``sum_s |<chi_s|M_s|psi>|^2``, one normalized guess per outcome (checked).
 
     This product form is the same integral as the fidelity-times-probability
     sum but never divides by a near-zero outcome probability.
     """
-    return _block_values(m, states, post=_guess_array(m, guesses))[0]
+    return _block_values(m, states, post=_check_guesses(m, guesses))[0]
 
 
 def g_pre_integrand(m: Measurement, guesses, states: np.ndarray) -> np.ndarray:
     """Per-state values of ``sum_s p_s(psi) |<chi_s|psi>|^2``; ``guesses`` as in :func:`g_post_integrand`."""
-    return _block_values(m, states, pre=_guess_array(m, guesses))[0]
+    return _block_values(m, states, pre=_check_guesses(m, guesses))[0]
 
 
 def operation_integrand(m: Measurement, states: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Dense complex matrix primitives with deterministic, reproducible output.
 
 Everything downstream (effects, spectral data, polar factors) is built on the
-routines here. They are thin layers over LAPACK:
+routines here, and every array from outside qmeter enters through one gate,
+``finite_array``. The numerics are thin layers over LAPACK:
 
 * ``hermitian_eig`` makes one ``numpy.linalg.eigh`` call on a matrix or a stack,
 * ``polar_decompose`` assembles both factors from ``numpy.linalg.svd``.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotHermitian, ShapeMismatch
+from .errors import NoConvergence, NotHermitian, OutOfDomain, ShapeMismatch
 
 # Degenerate eigenvalues are grouped when consecutive gaps fall below this.
 EIG_GAP_TOL = 1e-10
@@ -28,17 +29,23 @@ PHASE_TOL = 1e-12
 HERMITICITY_TOL = 1e-10
 
 
-def as_cmatrix(m, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Coerce ``m`` to a finite complex128 2-D array, checking shape if given."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if rows is not None and a.shape[0] != rows:
-        raise ShapeMismatch(f"expected {rows} rows, got {a.shape[0]}")
-    if cols is not None and a.shape[1] != cols:
-        raise ShapeMismatch(f"expected {cols} columns, got {a.shape[1]}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-        raise ValueError("matrix entries must be finite")
+def finite_array(x, dtype, error, what: str, ndim: int | tuple[int, ...]) -> np.ndarray:
+    """The one gate from outside numbers to arrays: ``x`` as a finite ``dtype`` array with ``ndim`` axes.
+
+    Ragged, non-numeric or (for a real ``dtype``) complex input and an axis count not in ``ndim`` raise
+    ``error``, an int beyond float64 or a non-finite entry :class:`OutOfDomain`; ``what`` starts each message.
+    """
+    try:
+        a = np.asarray(x)
+        if a.dtype.kind == "c" and np.dtype(dtype).kind != "c":
+            raise TypeError("complex numbers where real ones are expected")
+        a = a.astype(dtype, copy=False)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise (OutOfDomain if isinstance(e, OverflowError) else error)(f"{what}: {e}") from e
+    if a.ndim not in (ndim if isinstance(ndim, tuple) else (ndim,)):
+        raise error(f"{what}, got ndim={a.ndim}")
+    if not np.isfinite(a).all():
+        raise OutOfDomain(f"{what}, got a non-finite entry")
     return a
 
 
@@ -51,14 +58,17 @@ def frozen(a: np.ndarray) -> np.ndarray:
 
 def frobenius_distance(a, b) -> float:
     """sqrt(sum |a_ij - b_ij|^2); zero iff the matrices are equal."""
-    a = as_cmatrix(a)
-    b = as_cmatrix(b, rows=a.shape[0], cols=a.shape[1])
+    a, b = (finite_array(x, np.complex128, ShapeMismatch, "expected a 2-D matrix", ndim=2) for x in (a, b))
+    if a.shape != b.shape:
+        raise ShapeMismatch(f"cannot compare a {a.shape} matrix with a {b.shape} one")
     return fro_norm(a - b)
 
 
 def fro_norm(m) -> float:
+    """sqrt(sum |m_ij|^2), or inf when the squares overflow float64."""
     m = np.asarray(m)
-    return float(np.sqrt(np.sum(m.real**2 + m.imag**2)))
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.sum(m.real**2 + m.imag**2)))
 
 
 def _fro_norms(stack: np.ndarray) -> np.ndarray:
@@ -134,25 +144,24 @@ def hermitian_eig(m) -> EigenSystem:
     """Diagonalize a Hermitian matrix, or an ``(n, d, d)`` stack, with LAPACK ``eigh``.
 
     A stack is solved by one ``eigh`` call; slice ``i`` of the result is
-    bit-identical to ``hermitian_eig(m[i])``. Raises :class:`NotHermitian` when
-    a matrix has ``||m - m^dag||_F > HERMITICITY_TOL * ||m||_F`` and
+    bit-identical to ``hermitian_eig(m[i])``. Raises :class:`OutOfDomain` for
+    non-finite entries or squares beyond float64, :class:`NotHermitian` when a
+    matrix has ``||m - m^dag||_F > HERMITICITY_TOL * ||m||_F`` and
     :class:`NoConvergence` when LAPACK reports failure.
     """
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise ShapeMismatch(f"hermitian_eig requires a (d, d) or (n, d, d) array, got {a.shape}")
+    what = "hermitian_eig requires a (d, d) or (n, d, d) array"
+    a = finite_array(m, np.complex128, ShapeMismatch, what, ndim=(2, 3))
+    if a.shape[-1] != a.shape[-2]:
+        raise ShapeMismatch(f"{what}, got {a.shape}")
     stack = a if a.ndim == 3 else a[None]
-    # Slices are checked in order: the first non-finite slice ends the check,
-    # after the symmetry of the slices before it.
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    checked = stack if finite.all() else stack[: np.argmin(finite)]
-    defects = _fro_norms(checked - checked.conj().swapaxes(1, 2))
-    bad = np.flatnonzero(defects > HERMITICITY_TOL * _fro_norms(checked))
+    with np.errstate(over="ignore"):
+        defects, norms = _fro_norms(stack - stack.conj().swapaxes(1, 2)), _fro_norms(stack)
+    if np.isinf(norms).any():
+        raise OutOfDomain(f"{what}, got entries whose squares overflow float64")
+    bad = np.flatnonzero(defects > HERMITICITY_TOL * norms)
     if bad.size:
         defect = defects[bad[0]]
         raise NotHermitian(f"symmetry defect {defect:.3e} exceeds {HERMITICITY_TOL:.1e} * ||m||_F")
-    if checked is not stack:
-        raise ValueError("matrix entries must be finite")
 
     try:
         values, vecs = np.linalg.eigh(0.5 * (stack + stack.conj().swapaxes(1, 2)))
@@ -173,9 +182,9 @@ def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:
     ``m^dag m``. On the kernel of a rank-deficient input the unitary factor is
     LAPACK's completion of the singular bases, fixed for a given build.
     """
-    a = as_cmatrix(m)
+    a = finite_array(m, np.complex128, ShapeMismatch, "polar_decompose requires a square matrix", ndim=2)
     if a.shape[0] != a.shape[1]:
-        raise ShapeMismatch("polar_decompose requires a square matrix")
+        raise ShapeMismatch(f"polar_decompose requires a square matrix, got {a.shape}")
     try:
         w, sigma, vh = np.linalg.svd(a)
     except np.linalg.LinAlgError as e:

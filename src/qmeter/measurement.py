@@ -30,6 +30,7 @@ from .errors import (
 )
 from .matkernel import (
     EigenSystem,
+    finite_array,
     frobenius_distance,
     frozen,
     hermitian_eig,
@@ -49,14 +50,6 @@ EIGENVALUE_FLOOR_FACTOR = 1e-14
 STATE_NORM_TOL = 1e-10
 
 
-def _numbers(x, dtype, error, what: str) -> np.ndarray:
-    """``np.asarray(x, dtype)``; ragged or non-numeric input raises ``error``, an int beyond float64 OutOfDomain."""
-    try:
-        return np.asarray(x, dtype=dtype)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise (OutOfDomain if isinstance(e, OverflowError) else error)(f"{what}: {e}") from e
-
-
 def _tolerance(tolerance) -> float:
     """A completeness tolerance as a float: the default for None, else a finite number >= 0."""
     try:
@@ -69,18 +62,14 @@ def _tolerance(tolerance) -> float:
 
 
 def as_state(vec, dim: int | None = None) -> np.ndarray:
-    """Coerce ``vec`` to a normalized complex amplitude vector."""
-    v = _numbers(vec, np.complex128, DimensionMismatch, "state must be a 1-D amplitude vector")
-    if v.ndim != 1:
-        raise DimensionMismatch(f"state must be a 1-D amplitude vector, got ndim={v.ndim}")
+    """Coerce ``vec`` to a normalized complex amplitude vector; a norm off 1 raises OutOfDomain."""
+    v = finite_array(vec, np.complex128, DimensionMismatch, "state must be a 1-D amplitude vector", ndim=1)
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatch(f"state has dimension {v.shape[0]}, expected {dim}")
-    if not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
-        raise ValueError("state amplitudes must be finite")
     with np.errstate(over="ignore"):  # huge finite amplitudes give norm inf, rejected below
         norm = float(np.sqrt(np.sum(v.real**2 + v.imag**2)))
     if abs(norm - 1.0) > STATE_NORM_TOL:
-        raise ValueError(f"state norm is {norm:.12g}, not 1 within {STATE_NORM_TOL:.1e}")
+        raise OutOfDomain(f"state norm is {norm:.12g}, not 1 within {STATE_NORM_TOL:.1e}")
     return v.copy()
 
 
@@ -119,11 +108,10 @@ class Measurement:
     def __init__(self, kraus_ops, labels=None, tolerance: float | None = None):
         tolerance = _tolerance(tolerance)
         ops = list(kraus_ops) if np.iterable(kraus_ops) else kraus_ops
-        kraus = _numbers(ops, np.complex128, ShapeMismatch, "Kraus operators must form one (n, d, d) array of numbers")
-        if kraus.ndim != 3 or 0 in kraus.shape or kraus.shape[1] != kraus.shape[2]:
-            raise ShapeMismatch(f"need a non-empty (n, d, d) array of Kraus operators, got {kraus.shape}")
-        if not np.isfinite(kraus).all():
-            raise ValueError("Kraus operator entries must be finite")
+        what = "Kraus operators must form one non-empty (n, d, d) array of numbers"
+        kraus = finite_array(ops, np.complex128, ShapeMismatch, what, ndim=3)
+        if 0 in kraus.shape or kraus.shape[1] != kraus.shape[2]:
+            raise ShapeMismatch(f"{what}, got {kraus.shape}")
         n, d, _ = kraus.shape
         # Finite but huge entries overflow M^dag M, or the squares in its defect.
         with np.errstate(over="ignore", invalid="ignore"):

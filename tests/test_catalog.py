@@ -168,6 +168,12 @@ class TestBlochState:
         plus = catalog.bloch_state([1, 0, 0])
         assert np.allclose(plus, np.array([1.0, 1.0]) / np.sqrt(2), atol=1e-15)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-300])
+    def test_length_does_not_matter_beyond_the_float_range_of_its_squares(self, scale):
+        for direction in ([0.0, 1.0, 0.0], [0.0, 0.0, -1.0], [0.3, -0.4, 0.5]):
+            expected = catalog.bloch_state(direction)
+            assert np.allclose(catalog.bloch_state(np.array(direction) * scale), expected, atol=1e-15)
+
     def test_every_catalog_device_validates(self):
         devices = [
             catalog.projective(5),

@@ -418,6 +418,15 @@ class TestPinnedOutputs:
             code, out, err = run(capsys, command, path, *flags)
             assert code == 0, err
             outputs[name] = out.encode()
+        # The values first, from the written spec alone: a digest that fails on another build then
+        # says whether the numbers moved or only their last bits.
+        spec, report = json.loads(outputs["spec"]), json.loads(outputs["fidelities"])
+        pairs = np.array(spec["kraus"], dtype=np.float64)
+        kraus, d = pairs[..., 0] + 1j * pairs[..., 1], spec["dim"]
+        g_post = np.linalg.eigvalsh(kraus.conj().swapaxes(1, 2) @ kraus)[:, -1].sum() / d
+        f = (d + np.sum(np.abs(np.trace(kraus, axis1=1, axis2=2)) ** 2)) / (d * (d + 1))
+        for key, value in (("g_post", g_post), ("g_pre", (1.0 + g_post) / (d + 1)), ("f", f)):
+            assert report[key] == pytest.approx(value, abs=1e-12), f"{key}; {build_note()}"
         for name, data in outputs.items():
             assert hashlib.sha256(data).hexdigest() == self.PINNED_DIGESTS[device, name], f"{name}; {build_note()}"
 

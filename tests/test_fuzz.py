@@ -7,25 +7,26 @@ non-finite entries, extra nesting, ragged rows, a wrong ``dim``, bad
 ``labels`` or ``tolerance``) and is run in-process: a device spec through five
 commands, a state file through ``simulate --state``. Every run exits 0, 1 or 2.
 
-Library constructors: ``Measurement``, ``make_rank_one_device`` and
-``catalog.with_kicks`` on mutated arguments either return a device or raise a
-``QmeterError``, apart from the deliberate ``ValueError``s matched by
-``DELIBERATE``. A ``RuntimeWarning`` fails either fuzzer (see pyproject.toml).
+Library entry points: ``Measurement``, ``make_rank_one_device``,
+``catalog.with_kicks``, ``catalog.bloch_state``, ``as_state``, the public
+``matkernel`` functions and the ``haar`` integrands' guesses, on mutated
+arguments, either return a result or raise a ``QmeterError``. A
+``RuntimeWarning`` fails either fuzzer (see pyproject.toml).
 """
 
 import copy
 import io
 import json
 import random
-import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 
-from qmeter import catalog, cli, haar
+from conftest import rand_complex, rand_hermitian
+from qmeter import catalog, cli, estimator, haar, matkernel
 from qmeter.errors import QmeterError
 from qmeter.estimator import make_rank_one_device
-from qmeter.measurement import Measurement
+from qmeter.measurement import Measurement, as_state
 
 MUTANTS = 600
 # ``MUTANT`` stands for the mutated file's path in each command line.
@@ -156,9 +157,6 @@ CONSTRUCTOR_CALLS = 3000
 # Whole-argument junk, beside the entry-level edits of ``mutate``.
 ARGUMENT_JUNK = [5, None, "ab", {}, [], [[[{}]]], 10**400, 2.5, True, [1], ["x"], [[1, 2], [3]]]
 TOLERANCES = [None, 0, 1e-8, 0.5, -1.0, "x", "1e-3", [1], 10**400, float("nan"), float("inf"), True, {}]
-# The ValueErrors qmeter raises on purpose (other tests pin their type): non-finite
-# numbers, and a state whose norm is not 1.
-DELIBERATE = re.compile(r"must be finite$|^state norm is ")
 
 
 def junk_or_mutant(value, rng):
@@ -171,8 +169,8 @@ def junk_or_mutant(value, rng):
 
 
 def constructor_call(rng):
-    """A random library-constructor call with mutated arguments, as a thunk."""
-    kind = rng.randrange(3)
+    """A random library call with mutated arguments, as a thunk."""
+    kind = rng.randrange(9)
     if kind == 0:
         m = catalog.random_device(rng.choice((2, 3)), rng.choice((1, 2, 4)), seed=rng.randrange(100))
         kraus = junk_or_mutant(m.kraus, rng)
@@ -192,23 +190,49 @@ def constructor_call(rng):
             weights = rng.choice(ARGUMENT_JUNK + [[0.5, 0.5, 0.5, "x"], [0.5, 0.5, 0.5, -1], [0.5j] * 4, [1e308] * 4])
         tolerance = rng.choice(TOLERANCES)
         return lambda: make_rank_one_device(pres, posts, weights, tolerance=tolerance)
-    m = catalog.random_device(2, rng.choice((1, 3)), seed=rng.randrange(100))
-    kicks = [haar.haar_isometry(2, 2, haar.RngStream(7, s)) for s in range(m.n_outcomes)]
-    kicks = junk_or_mutant(kicks, rng)
-    return lambda: catalog.with_kicks(m, kicks)
+    if kind == 2:
+        m = catalog.random_device(2, rng.choice((1, 3)), seed=rng.randrange(100))
+        kicks = [haar.haar_isometry(2, 2, haar.RngStream(7, s)) for s in range(m.n_outcomes)]
+        kicks = junk_or_mutant(kicks, rng)
+        return lambda: catalog.with_kicks(m, kicks)
+    gen = np.random.default_rng(rng.randrange(100))
+    d = rng.choice((1, 2, 3))
+    if kind == 3:
+        stack = [rand_hermitian(gen, d) for _ in range(rng.choice((1, 3)))]
+        matrices = junk_or_mutant(stack if rng.random() < 0.5 else stack[0], rng)
+        return lambda: matkernel.hermitian_eig(matrices)
+    if kind == 4:
+        matrix = junk_or_mutant(rand_complex(gen, d, d), rng)
+        return lambda: matkernel.polar_decompose(matrix)
+    if kind == 5:
+        pair = [rand_complex(gen, d, d), junk_or_mutant(rand_complex(gen, d, d), rng)]
+        rng.shuffle(pair)
+        return lambda: matkernel.frobenius_distance(*pair)
+    if kind == 6:
+        psi = junk_or_mutant(haar.haar_state(d, haar.RngStream(rng.randrange(100))), rng)
+        dim = rng.choice([None, d, d + 1])
+        return lambda: as_state(psi, dim)
+    if kind == 7:
+        direction = junk_or_mutant(gen.normal(size=3), rng)
+        return lambda: catalog.bloch_state(direction)
+    m = catalog.random_device(rng.choice((2, 3)), rng.choice((1, 2, 4)), seed=rng.randrange(100))
+    integrand, estimate = rng.choice(
+        [(haar.g_post_integrand, estimator.best_post_estimate), (haar.g_pre_integrand, estimator.best_pre_estimate)]
+    )
+    guesses = junk_or_mutant([estimate(m, s) for s in range(1, m.n_outcomes + 1)], rng)
+    states = haar.haar_states(m.dim, 8, seed=rng.randrange(100))
+    return lambda: integrand(m, guesses, states)
 
 
 def test_library_constructors_raise_typed_errors():
     rng = random.Random(0)
     outcomes = set()
-    for k in range(CONSTRUCTOR_CALLS):
+    for _ in range(CONSTRUCTOR_CALLS):
         call = constructor_call(rng)
         try:
             call()
-            outcomes.add("device")
+            outcomes.add("result")
         except QmeterError as e:
             outcomes.add(type(e).__name__)
-        except ValueError as e:
-            assert DELIBERATE.search(str(e)), (k, repr(e))
-            outcomes.add("ValueError")
-    assert {"device", "ShapeMismatch", "OutOfDomain", "ValueError"} <= outcomes, outcomes
+    expected = {"result", "ShapeMismatch", "DimensionMismatch", "OutOfDomain", "NotHermitian", "NotUnitary"}
+    assert expected <= outcomes, outcomes

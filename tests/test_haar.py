@@ -339,7 +339,7 @@ class TestBlockDriver:
         cases = [(haar.g_post_integrand, optimal_post(m)), (haar.g_pre_integrand, optimal_pre(m))]
         for integrand, guesses in cases:
             for wrong in (guesses[:3], guesses + guesses[:1]):
-                with pytest.raises(ValueError):
+                with pytest.raises(DimensionMismatch):
                     integrand(m, wrong, states)
 
     @pytest.mark.parametrize("blocks, extra", [(1, 1), (1, 2), (1, 3), (2, 1)])

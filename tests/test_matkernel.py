@@ -3,7 +3,7 @@ import pytest
 
 from conftest import charpoly_eigenvalues, rand_complex, rand_hermitian
 from qmeter import matkernel as mk
-from qmeter.errors import NoConvergence, NotHermitian, ShapeMismatch
+from qmeter.errors import NoConvergence, NotHermitian, OutOfDomain, ShapeMismatch
 
 
 def _raise_linalg_error(*args, **kwargs):
@@ -82,8 +82,13 @@ class TestHermitianEig:
             mk.hermitian_eig(rand_hermitian(np.random.default_rng(0), 3))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfDomain):
             mk.hermitian_eig([[np.nan, 0.0], [0.0, 1.0]])
+
+    def test_squares_beyond_float64_rejected_without_warning(self):
+        with pytest.raises(OutOfDomain, match="overflow"):
+            mk.hermitian_eig([[1e200, 0.0], [0.0, 1.0]])
+        assert mk.frobenius_distance([[1e200]], [[0.0]]) == np.inf
 
 
 class TestStackedEig:
@@ -121,18 +126,18 @@ class TestStackedEig:
         assert es.eigenvalues.tolist() == [[2.5], [-1.0], [0.0]]
         assert es.eigenvectors.tolist() == [[[1.0]]] * 3
 
-    # The first failing slice decides the error: a skew slice before a non-finite one is NotHermitian.
+    # Non-finite input is rejected before any arithmetic, wherever a skew slice sits.
     SKEW = [[0.0, 1.0], [0.0, 0.0]]
     INF = [[np.inf, 0.0], [0.0, 1.0]]
 
     def test_one_non_hermitian_slice_rejected(self):
-        for stack in ([np.eye(2), self.SKEW, np.eye(2)], [np.eye(2), self.SKEW, self.INF]):
-            with pytest.raises(NotHermitian):
-                mk.hermitian_eig(np.array(stack))
+        with pytest.raises(NotHermitian):
+            mk.hermitian_eig(np.array([np.eye(2), self.SKEW, np.eye(2)]))
 
     def test_non_finite_slice_rejected(self):
-        for stack in ([np.eye(2), self.INF], [np.eye(2), self.INF, self.SKEW], [self.INF, self.SKEW], self.INF):
-            with pytest.raises(ValueError, match="matrix entries must be finite"):
+        stacks = ([np.eye(2), self.INF], [np.eye(2), self.INF, self.SKEW], [self.INF, self.SKEW], self.INF)
+        for stack in (*stacks, [np.eye(2), self.SKEW, self.INF]):
+            with pytest.raises(OutOfDomain, match="non-finite entry"):
                 mk.hermitian_eig(np.array(stack))
 
     @pytest.mark.parametrize("d", [1, 2, 5, 16, 64])

@@ -91,6 +91,10 @@ class TestValidate:
         "rank_one_states": (lambda: est.make_rank_one_device(5, 5, [1, 1]), DimensionMismatch),
         "kicks_string": (lambda: catalog.with_kicks(catalog.projective(2), "ab"), ShapeMismatch),
         "kicks_huge": (lambda: catalog.with_kicks(catalog.projective(2), np.full((2, 2, 2), 1e200)), NotUnitary),
+        "bloch_zero": (lambda: catalog.bloch_state([0, 0, 0]), OutOfDomain),
+        "bloch_string": (lambda: catalog.bloch_state("ab"), ShapeMismatch),
+        "bloch_two_numbers": (lambda: catalog.bloch_state([1.0, 0.0]), ShapeMismatch),
+        "bloch_complex": (lambda: catalog.bloch_state(np.array([1j, 0.0, 0.0])), ShapeMismatch),
     }
 
     @pytest.mark.parametrize("case", list(MALFORMED))
@@ -212,7 +216,7 @@ class TestOutcomeDistribution:
 
     def test_unnormalized_rejected(self):
         m = catalog.projective(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfDomain, match="state norm is 1.41421356237, not 1"):
             m.outcome_distribution([1.0, 1.0])
 
     def test_probability_conservation_haar_sweep(self):
@@ -330,7 +334,7 @@ class TestSampleOutcome:
 
     def test_rejects_invalid_state(self):
         m = catalog.projective(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfDomain, match="state norm"):
             m.sample_outcome([1.0, 1.0], haar.RngStream(4))
         with pytest.raises(DimensionMismatch):
             m.sample_outcome([1.0, 0.0, 0.0], haar.RngStream(4))

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import NotUnitary, OutOfDomain, ShapeMismatch
 from .estimator import make_rank_one_device
 from .haar import RngStream, haar_isometry
-from .matkernel import finite_array
+from .matkernel import finite_array, finite_scalar
 from .measurement import Measurement
 
 # Bloch vectors of a regular tetrahedron (pairwise overlap -1/3, summing to 0).
@@ -25,24 +25,20 @@ TETRAHEDRON_DIRECTIONS = np.array(
 
 def projective(d: int) -> Measurement:
     """The d-outcome projective measurement onto the computational basis."""
-    if d < 2:
-        raise OutOfDomain(f"projective devices need d >= 2, got {d}")
+    d = finite_scalar(d, int, "projective dimension", 2)
     eye = np.eye(d, dtype=np.complex128)
     return Measurement(eye[:, :, None] * eye[:, None, :], labels=[str(s + 1) for s in range(d)])
 
 
 def identity_device(d: int) -> Measurement:
     """The trivial single-outcome device that leaves every state untouched."""
-    if d < 1:
-        raise OutOfDomain(f"dimension must be positive, got {d}")
+    d = finite_scalar(d, int, "dimension", 1)
     return Measurement([np.eye(d, dtype=np.complex128)], labels=["1"])
 
 
 def unsharp_qubit(lam: float) -> Measurement:
     """Two-outcome unsharp qubit measurement of strength ``lam`` in [0, 1]."""
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise OutOfDomain(f"unsharp strength must lie in [0, 1], got {lam}")
+    lam = finite_scalar(lam, float, "unsharp strength", 0.0, 1.0)
     hi = np.sqrt((1.0 + lam) / 2.0)
     lo = np.sqrt((1.0 - lam) / 2.0)
     plus = np.diag([hi, lo]).astype(np.complex128)
@@ -57,8 +53,7 @@ def random_device(d: int, n: int, seed: int) -> Measurement:
     dimension d into n*d, so completeness holds structurally rather than by
     post-hoc correction.
     """
-    if d < 2 or n < 1:
-        raise OutOfDomain(f"need d >= 2 and n >= 1, got d={d}, n={n}")
+    d, n = finite_scalar(d, int, "dimension", 2), finite_scalar(n, int, "outcome count", 1)
     return Measurement(haar_isometry(n * d, d, RngStream(seed)).reshape(n, d, d))
 
 

@@ -40,7 +40,7 @@ from .errors import (
     OutOfDomain,
     QmeterError,
 )
-from .matkernel import canonicalize_phase
+from .matkernel import canonicalize_phase, finite_scalar
 from .measurement import DEFAULT_COMPLETENESS_TOL, Measurement, as_state
 
 MC_AGREEMENT_ABS = 1e-3
@@ -129,12 +129,6 @@ def default_tolerance() -> float:
         raise DeviceSpecError(f"QMETER_DEFAULT_TOLERANCE={raw!r} is not a number") from e
 
 
-def _dim(raw, path: str) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, int) or raw < 1:
-        raise DeviceSpecError(f"{path}: 'dim' must be a positive integer")
-    return raw
-
-
 def load_device(path: str, tolerance: float | None = None) -> Measurement:
     """Parse and validate a device spec file.
 
@@ -146,7 +140,7 @@ def load_device(path: str, tolerance: float | None = None) -> Measurement:
         raise DeviceSpecError(f"{path}: device spec must be a JSON object")
     if "dim" not in obj or "kraus" not in obj:
         raise DeviceSpecError(f"{path}: device spec needs 'dim' and 'kraus'")
-    dim = _dim(obj["dim"], path)
+    dim = finite_scalar(obj["dim"], int, f"{path}: 'dim'", 1, error=DeviceSpecError)
     raw_kraus = obj["kraus"]
     if not isinstance(raw_kraus, list) or not raw_kraus:
         raise DeviceSpecError(f"{path}: 'kraus' must be a non-empty list of matrices")
@@ -180,7 +174,7 @@ def load_state(path: str, dim: int) -> np.ndarray:
     obj = _load_json(path)
     if not isinstance(obj, dict) or not isinstance(obj.get("amplitudes"), list):
         raise DeviceSpecError(f"{path}: state file needs an 'amplitudes' array")
-    declared = _dim(obj["dim"], path) if "dim" in obj else dim
+    declared = finite_scalar(obj.get("dim", dim), int, f"{path}: 'dim'", 1, error=DeviceSpecError)
     if declared != dim or len(obj["amplitudes"]) != dim:
         raise DimensionMismatch(
             f"{path}: state dimension {declared} does not match device dimension {dim}"
@@ -349,8 +343,7 @@ def cmd_fidelities(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.shots < 1:
-        raise OutOfDomain(f"--shots must be at least 1, got {args.shots}")
+    finite_scalar(args.shots, int, "--shots", 1)
     m = load_device(args.device)
     if args.state is not None:
         psi = as_state(load_state(args.state, m.dim), m.dim)

@@ -30,11 +30,12 @@ from .matkernel import (
     _fro_norms,
     canonicalize_phase,
     finite_array,
+    finite_scalar,
     fro_norm,
     frozen,
     hermitian_eig,
 )
-from .measurement import Measurement, as_state, floored_psd_eigenvalues
+from .measurement import Measurement, as_state, as_states, floored_psd_eigenvalues
 
 # Phase-insensitive overlap criteria count as satisfied above 1 - OVERLAP_TOL.
 OVERLAP_TOL = 1e-9
@@ -137,12 +138,10 @@ def estimate_pair(m: Measurement, s: int) -> EstimatePair:
 
 def _check_guesses(m: Measurement, guesses) -> np.ndarray:
     """One normalized state of dimension ``m.dim`` per outcome, stacked; anything else raises a QmeterError."""
-    if not np.iterable(guesses):
-        raise DimensionMismatch(f"guesses must be an iterable of {m.n_outcomes} states")
-    states = [as_state(g, m.dim) for g in guesses]
+    states = as_states(list(guesses) if np.iterable(guesses) else guesses, m.dim)
     if len(states) != m.n_outcomes:
         raise DimensionMismatch(f"{len(states)} guesses for {m.n_outcomes} outcomes")
-    return np.array(states)
+    return states
 
 
 def _sum_squared_norms(ops: np.ndarray, states: np.ndarray) -> float:
@@ -186,10 +185,8 @@ def tradeoff_bound(d: int, g_post_value: float) -> tuple[float, float]:
     common value both sides of the inequality take at saturation and
     ``max_f = (1 + saturating_value**2) / (d + 1)``.
     """
-    if d < 2:
-        raise OutOfDomain(f"dimension must be at least 2, got {d}")
-    if not 1.0 / d - 1e-12 <= g_post_value <= 1.0 + 1e-12:
-        raise OutOfDomain(f"g_post={g_post_value} outside [1/{d}, 1]")
+    d = finite_scalar(d, int, "dimension", 2)
+    g_post_value = finite_scalar(g_post_value, float, f"g_post in dimension {d}", 1.0 / d - 1e-12, 1.0 + 1e-12)
     g = min(max(g_post_value, 1.0 / d), 1.0)
     saturating = math.sqrt(g) + math.sqrt((d - 1) * max(1.0 - g, 0.0))
     return saturating, (1.0 + saturating * saturating) / (d + 1)
@@ -293,14 +290,11 @@ def domain_boundary(d, steps: int) -> np.ndarray:
     ``max_f = 1 - g_post`` sampled on (0, 1]. Returns an array of shape
     ``(steps, 2)``, monotone non-increasing in its second column.
     """
-    if steps < 2:
-        raise OutOfDomain(f"need at least 2 steps, got {steps}")
-    if isinstance(d, float) and math.isinf(d):
+    steps = finite_scalar(steps, int, "steps", 2)
+    if isinstance(d, float) and d == math.inf:
         g = np.arange(1, steps + 1, dtype=np.float64) / steps
         return np.column_stack([g, 1.0 - g])
-    d = int(d)
-    if d < 2:
-        raise OutOfDomain(f"dimension must be at least 2 (or inf), got {d}")
+    d = finite_scalar(d, int, "dimension (or math.inf)", 2)
     g = np.linspace(1.0 / d, 1.0, steps)
     f = np.array([tradeoff_bound(d, gi)[1] for gi in g])
     return np.column_stack([g, f])

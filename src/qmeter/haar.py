@@ -24,12 +24,12 @@ states: one product per guess set for ``g_post``, one stacked collapse product
 ``states @ K.reshape(n*d, d).T`` shared by ``g_pre`` and ``F`` (made only when
 one of them is asked for), and row-wise ``einsum`` reductions. The public
 integrands and every ``mc_*`` function call it, after checking that their
-guesses are one normalized state per outcome. A Monte Carlo call draws its
-Haar ensemble once, in ``ceil(samples / MC_CHUNK)`` near-equal blocks
-(``MC_CHUNK`` = 4096; no block has a single row), so :func:`mc_fidelities`
-checks all three on one set of states. Per-sample values depend only on their
-own row, not on the block size. Memory is O(samples) floats plus
-O(``MC_CHUNK`` * n * d) complex amplitudes.
+guesses (and the integrands' states) are normalized states of dimension d. A
+Monte Carlo call draws its Haar ensemble once, in ``ceil(samples / MC_CHUNK)``
+near-equal blocks (``MC_CHUNK`` = 4096; no block has a single row), so
+:func:`mc_fidelities` checks all three on one set of states. Per-sample values
+depend only on their own row, not on the block size. Memory is O(samples)
+floats plus O(``MC_CHUNK`` * n * d) complex amplitudes.
 """
 
 from __future__ import annotations
@@ -38,9 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfDomain, ZeroProbabilityOutcome
+from .errors import ZeroProbabilityOutcome
 from .estimator import _check_guesses
-from .measurement import PROBABILITY_FLOOR, Measurement, as_state
+from .matkernel import finite_scalar
+from .measurement import PROBABILITY_FLOOR, Measurement, as_state, as_states
 
 DEFAULT_SAMPLES = 100_000
 # Most Haar samples drawn and integrated at a time by one Monte Carlo call.
@@ -87,8 +88,7 @@ def _gaussian_amplitudes(uniforms: np.ndarray) -> np.ndarray:
 
 def haar_state(d: int, stream: RngStream) -> np.ndarray:
     """One Haar-random pure state of dimension ``d`` from the stream's origin."""
-    if d < 1:
-        raise OutOfDomain(f"dimension must be positive, got {d}")
+    d = finite_scalar(d, int, "dimension", 1)
     amps = _gaussian_amplitudes(stream.generator().random((d, 2)))
     return amps / np.sqrt(np.sum(amps.real**2 + amps.imag**2))
 
@@ -99,12 +99,9 @@ def haar_states(d: int, count: int, seed: int, start: int = 0) -> np.ndarray:
     Row ``i`` equals sample ``start + i`` no matter how the range is chunked;
     ``haar_states(d, n, seed)`` is bit-identical to concatenating any partition.
     """
-    if d < 1:
-        raise OutOfDomain(f"dimension must be positive, got {d}")
-    if count < 0:
-        raise OutOfDomain(f"sample count must be non-negative, got {count}")
-    if start < 0:
-        raise OutOfDomain(f"first sample index must be non-negative, got {start}")
+    d = finite_scalar(d, int, "dimension", 1)
+    count = finite_scalar(count, int, "sample count", 0)
+    start = finite_scalar(start, int, "first sample index", 0)
     gen = RngStream(seed, 0).generator(word_offset=2 * d * start)
     amps = _gaussian_amplitudes(gen.random((count, d, 2)))
     norms = np.sqrt(np.sum(amps.real**2 + amps.imag**2, axis=1))
@@ -113,8 +110,8 @@ def haar_states(d: int, count: int, seed: int, start: int = 0) -> np.ndarray:
 
 def haar_isometry(rows: int, cols: int, stream: RngStream) -> np.ndarray:
     """Haar-distributed isometry (orthonormal columns) of shape (rows, cols)."""
-    if cols > rows or cols < 1:
-        raise OutOfDomain(f"need 1 <= cols <= rows, got {rows}x{cols}")
+    rows = finite_scalar(rows, int, "isometry rows", 1)
+    cols = finite_scalar(cols, int, "isometry columns", 1, rows)
     gauss = _gaussian_amplitudes(stream.generator().random((rows, cols, 2)))
     q, r = np.linalg.qr(gauss)
     diag = np.diagonal(r).copy()
@@ -140,11 +137,6 @@ def _summarize(values: np.ndarray) -> MonteCarloResult:
         std_error=float(np.std(values, ddof=1) / np.sqrt(n)),
         samples=n,
     )
-
-
-def _check_samples(samples: int) -> None:
-    if samples < 100:
-        raise OutOfDomain(f"need at least 100 samples for a standard error, got {samples}")
 
 
 def _blocks(samples: int):
@@ -195,30 +187,30 @@ def _block_values(m: Measurement, states: np.ndarray, post=None, pre=None, opera
     return rows
 
 
-def g_post_integrand(m: Measurement, guesses, states: np.ndarray) -> np.ndarray:
-    """Per-state values of ``sum_s |<chi_s|M_s|psi>|^2``, one normalized guess per outcome (checked).
+def g_post_integrand(m: Measurement, guesses, states) -> np.ndarray:
+    """Per-state values of ``sum_s |<chi_s|M_s|psi>|^2`` on ``(N, d)`` states, one guess per outcome (all checked).
 
     This product form is the same integral as the fidelity-times-probability
     sum but never divides by a near-zero outcome probability.
     """
-    return _block_values(m, states, post=_check_guesses(m, guesses))[0]
+    return _block_values(m, as_states(states, m.dim), post=_check_guesses(m, guesses))[0]
 
 
-def g_pre_integrand(m: Measurement, guesses, states: np.ndarray) -> np.ndarray:
-    """Per-state values of ``sum_s p_s(psi) |<chi_s|psi>|^2``; ``guesses`` as in :func:`g_post_integrand`."""
-    return _block_values(m, states, pre=_check_guesses(m, guesses))[0]
+def g_pre_integrand(m: Measurement, guesses, states) -> np.ndarray:
+    """Per-state values of ``sum_s p_s(psi) |<chi_s|psi>|^2``; arguments as in :func:`g_post_integrand`."""
+    return _block_values(m, as_states(states, m.dim), pre=_check_guesses(m, guesses))[0]
 
 
-def operation_integrand(m: Measurement, states: np.ndarray) -> np.ndarray:
-    """Per-state values of ``sum_s |<psi|M_s|psi>|^2``."""
-    return _block_values(m, states, operation=True)[0]
+def operation_integrand(m: Measurement, states) -> np.ndarray:
+    """Per-state values of ``sum_s |<psi|M_s|psi>|^2``; ``states`` as in :func:`g_post_integrand`."""
+    return _block_values(m, as_states(states, m.dim), operation=True)[0]
 
 
 def _monte_carlo(
     m: Measurement, samples: int, seed: int, post=None, pre=None, operation=False
 ) -> list[MonteCarloResult]:
     """Average the :func:`_block_values` rows over one Haar ensemble drawn in blocks."""
-    _check_samples(samples)
+    samples = finite_scalar(samples, int, "Monte Carlo samples", 100)
     values = np.empty(((post is not None) + (pre is not None) + operation, samples))
     for start, count in _blocks(samples):
         states = haar_states(m.dim, count, seed, start)

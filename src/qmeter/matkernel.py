@@ -1,8 +1,9 @@
 """Dense complex matrix primitives with deterministic, reproducible output.
 
 Everything downstream (effects, spectral data, polar factors) is built on the
-routines here, and every array from outside qmeter enters through one gate,
-``finite_array``. The numerics are thin layers over LAPACK:
+routines here. Every array from outside qmeter enters through one gate,
+``finite_array``, and every scalar through its twin, ``finite_scalar``. The
+numerics are thin layers over LAPACK:
 
 * ``hermitian_eig`` makes one ``numpy.linalg.eigh`` call on a matrix or a stack,
 * ``polar_decompose`` assembles both factors from ``numpy.linalg.svd``.
@@ -15,6 +16,9 @@ numpy/BLAS build and agree to rounding across builds.
 
 from __future__ import annotations
 
+import contextlib
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +51,22 @@ def finite_array(x, dtype, error, what: str, ndim: int | tuple[int, ...]) -> np.
     if not np.isfinite(a).all():
         raise OutOfDomain(f"{what}, got a non-finite entry")
     return a
+
+
+def finite_scalar(x, kind, what: str, lo, hi=math.inf, error=OutOfDomain):
+    """The one gate from outside numbers to scalars: ``x`` as a finite ``kind`` (``int`` or ``float``) in ``[lo, hi]``.
+
+    A bool, a non-number, a float where an int is asked for and a non-finite or out-of-range value raise
+    ``error``; ``what`` starts the message. An int too large for a float stays a valid int.
+    """
+    if not isinstance(x, bool) and isinstance(x, numbers.Integral if kind is int else numbers.Real):
+        with contextlib.suppress(OverflowError):  # float() of an int beyond float64
+            value = kind(x)
+            if lo <= value <= hi and abs(value) != math.inf:
+                return value
+    noun = "an integer" if kind is int else "a finite real number"
+    span = f">= {lo:g}" if hi == math.inf else f"in [{lo:g}, {hi:g}]"
+    raise error(f"{what} must be {noun} {span}, got {x!r}")
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -155,12 +175,16 @@ def hermitian_eig(m) -> EigenSystem:
         raise ShapeMismatch(f"{what}, got {a.shape}")
     stack = a if a.ndim == 3 else a[None]
     with np.errstate(over="ignore"):
-        defects, norms = _fro_norms(stack - stack.conj().swapaxes(1, 2)), _fro_norms(stack)
-    if np.isinf(norms).any():
-        raise OutOfDomain(f"{what}, got entries whose squares overflow float64")
+        if np.isinf(_fro_norms(stack)).any():
+            raise OutOfDomain(f"{what}, got entries whose squares overflow float64")
+    # Compared at a largest modulus of 1, so tiny entries cannot hide a defect by squaring to 0.
+    peaks = np.abs(stack).max(axis=(1, 2), initial=0.0)
+    scales = np.where(peaks > 0.0, peaks, 1.0)
+    unit = stack / scales[:, None, None]
+    defects, norms = _fro_norms(unit - unit.conj().swapaxes(1, 2)), _fro_norms(unit)
     bad = np.flatnonzero(defects > HERMITICITY_TOL * norms)
     if bad.size:
-        defect = defects[bad[0]]
+        defect = defects[bad[0]] * scales[bad[0]]
         raise NotHermitian(f"symmetry defect {defect:.3e} exceeds {HERMITICITY_TOL:.1e} * ||m||_F")
 
     try:

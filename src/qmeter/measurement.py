@@ -31,6 +31,7 @@ from .errors import (
 from .matkernel import (
     EigenSystem,
     finite_array,
+    finite_scalar,
     frobenius_distance,
     frozen,
     hermitian_eig,
@@ -50,27 +51,28 @@ EIGENVALUE_FLOOR_FACTOR = 1e-14
 STATE_NORM_TOL = 1e-10
 
 
-def _tolerance(tolerance) -> float:
-    """A completeness tolerance as a float: the default for None, else a finite number >= 0."""
-    try:
-        value = DEFAULT_COMPLETENESS_TOL if tolerance is None else float(tolerance)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise OutOfDomain(f"completeness tolerance must be a real number: {e}") from e
-    if not (math.isfinite(value) and value >= 0.0):
-        raise OutOfDomain(f"completeness tolerance must be finite and >= 0, got {value}")
-    return value
-
-
 def as_state(vec, dim: int | None = None) -> np.ndarray:
     """Coerce ``vec`` to a normalized complex amplitude vector; a norm off 1 raises OutOfDomain."""
     v = finite_array(vec, np.complex128, DimensionMismatch, "state must be a 1-D amplitude vector", ndim=1)
-    if dim is not None and v.shape[0] != dim:
-        raise DimensionMismatch(f"state has dimension {v.shape[0]}, expected {dim}")
+    return _normalized(v, dim).copy()
+
+
+def as_states(rows, dim: int) -> np.ndarray:
+    """Coerce ``rows`` to an ``(N, dim)`` array of normalized amplitude vectors, as :func:`as_state` does one."""
+    what = f"states must be an (N, {dim}) array of amplitude vectors"
+    return _normalized(finite_array(rows, np.complex128, DimensionMismatch, what, ndim=2), dim)
+
+
+def _normalized(a: np.ndarray, dim: int | None) -> np.ndarray:
+    """``a`` if its last axis has length ``dim`` (when given) and every vector along it norm 1."""
+    if dim is not None and a.shape[-1] != dim:
+        raise DimensionMismatch(f"state has dimension {a.shape[-1]}, expected {dim}")
     with np.errstate(over="ignore"):  # huge finite amplitudes give norm inf, rejected below
-        norm = float(np.sqrt(np.sum(v.real**2 + v.imag**2)))
-    if abs(norm - 1.0) > STATE_NORM_TOL:
-        raise OutOfDomain(f"state norm is {norm:.12g}, not 1 within {STATE_NORM_TOL:.1e}")
-    return v.copy()
+        norms = np.sqrt(np.sum(a.real**2 + a.imag**2, axis=-1))
+    bad = np.flatnonzero(np.abs(norms - 1.0) > STATE_NORM_TOL)
+    if bad.size:
+        raise OutOfDomain(f"state norm is {norms.flat[bad[0]]:.12g}, not 1 within {STATE_NORM_TOL:.1e}")
+    return a
 
 
 def floored_psd_eigenvalues(values: np.ndarray) -> np.ndarray:
@@ -106,7 +108,9 @@ class Measurement:
     """
 
     def __init__(self, kraus_ops, labels=None, tolerance: float | None = None):
-        tolerance = _tolerance(tolerance)
+        if tolerance is None:
+            tolerance = DEFAULT_COMPLETENESS_TOL
+        tolerance = finite_scalar(tolerance, float, "completeness tolerance", 0.0)
         ops = list(kraus_ops) if np.iterable(kraus_ops) else kraus_ops
         what = "Kraus operators must form one non-empty (n, d, d) array of numbers"
         kraus = finite_array(ops, np.complex128, ShapeMismatch, what, ndim=3)
@@ -178,9 +182,7 @@ class Measurement:
         return self._defect
 
     def _index(self, s: int) -> int:
-        if not 1 <= s <= self.n_outcomes:
-            raise OutcomeOutOfRange(f"outcome {s} not in 1..{self.n_outcomes}")
-        return s - 1
+        return finite_scalar(s, int, "outcome", 1, self.n_outcomes, OutcomeOutOfRange) - 1
 
     def kraus_op(self, s: int) -> np.ndarray:
         """Kraus operator of outcome ``s`` (1-based), a read-only view."""
@@ -249,8 +251,7 @@ class Measurement:
         int array, and a dict from each outcome that occurs to its collapsed
         state (computed once per distinct outcome).
         """
-        if shots < 1:
-            raise OutOfDomain(f"shots must be at least 1, got {shots}")
+        shots = finite_scalar(shots, int, "shots", 1)
         gen = rng.generator() if hasattr(rng, "generator") else rng
         psi = as_state(psi, self.dim)
         p = self._probabilities(psi)

@@ -257,7 +257,30 @@ class TestSimulate:
             argv = [dev, "--haar", "--seed", "11", "--shots", "300"]
         code, out, err = run(capsys, "simulate", *argv, *(["--json"] if as_json else []))
         assert code == 0, err
+        if as_json:  # the values first, so a digest that fails on another build says whether they moved
+            self.check_values(json.loads(out), dev, shots=int(argv[argv.index("--shots") + 1]))
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_DIGESTS[case, as_json], build_note()
+
+    @staticmethod
+    def check_values(rec, dev, shots):
+        """Plain numpy on the written spec: counts add up, no impossible outcome fires, and every
+        ``post_state`` is the phase-canonical ``M_s psi / ||M_s psi||``."""
+        with open(dev) as fh:
+            pairs = np.array(json.load(fh)["kraus"], dtype=np.float64)
+        kraus = pairs[..., 0] + 1j * pairs[..., 1]
+        psi = np.array(rec["state"]) @ [1.0, 1j]
+        collapsed = kraus @ psi
+        p = np.sum(np.abs(collapsed) ** 2, axis=1)
+        assert sum(rec["counts"]) == len(rec["shots"]) == shots
+        outcomes = [shot["outcome"] for shot in rec["shots"]]
+        assert np.bincount(outcomes, minlength=len(p) + 1)[1:].tolist() == rec["counts"]
+        for shot in rec["shots"]:
+            s = shot["outcome"]
+            assert p[s - 1] > 1e-14, (shot, p)
+            expected = collapsed[s - 1] / np.sqrt(p[s - 1])
+            lead = expected[np.flatnonzero(np.abs(expected) > 1e-12)[0]]
+            expected *= lead.conjugate() / abs(lead)
+            assert np.abs(np.array(shot["post_state"]) @ [1.0, 1j] - expected).max() <= 1e-12, shot
 
 
 def reference_simulate_record(device, seed, shots, state=None) -> dict:

@@ -9,9 +9,10 @@ commands, a state file through ``simulate --state``. Every run exits 0, 1 or 2.
 
 Library entry points: ``Measurement``, ``make_rank_one_device``,
 ``catalog.with_kicks``, ``catalog.bloch_state``, ``as_state``, the public
-``matkernel`` functions and the ``haar`` integrands' guesses, on mutated
-arguments, either return a result or raise a ``QmeterError``. A
-``RuntimeWarning`` fails either fuzzer (see pyproject.toml).
+``matkernel`` functions, the ``haar`` integrands' guesses and states, and every
+scalar argument that ``matkernel.finite_scalar`` gates, on mutated arguments,
+either return a result or raise a ``QmeterError``. A ``RuntimeWarning`` fails
+either fuzzer (see pyproject.toml).
 """
 
 import copy
@@ -21,6 +22,7 @@ import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
+import pytest
 
 from conftest import rand_complex, rand_hermitian
 from qmeter import catalog, cli, estimator, haar, matkernel
@@ -168,9 +170,60 @@ def junk_or_mutant(value, rng):
     return holder.get("x")
 
 
+# Junk for one scalar argument. Valid sizes among it stay small: a valid huge count would make numpy
+# allocate it. 10**400 is passed only where the argument has a finite upper bound.
+SCALAR_JUNK = [None, "3", 2.5, True, [2], -1, 0, float("nan"), float("inf")]
+
+
+def scalar_slots(seed):
+    """``(name, call, bounded)`` for every scalar argument that ``finite_scalar`` gates.
+
+    ``call(x)`` makes the library call with ``x`` in that argument and small valid values in the others;
+    ``bounded`` says whether the argument has a finite upper bound.
+    """
+    m = catalog.random_device(2, 2, seed=seed)
+    psi = haar.haar_state(2, haar.RngStream(seed))
+    post = [estimator.best_post_estimate(m, s) for s in (1, 2)]
+    pre = [estimator.best_pre_estimate(m, s) for s in (1, 2)]
+    stream = haar.RngStream(seed)
+    return [
+        ("Measurement.tolerance", lambda x: Measurement(m.kraus, tolerance=x), False),
+        ("kraus_op", lambda x: m.kraus_op(x), True),
+        ("collapse", lambda x: m.collapse(psi, x), True),
+        ("bi_orthogonal_factors", lambda x: m.bi_orthogonal_factors(x), True),
+        ("estimate_pair", lambda x: estimator.estimate_pair(m, x), True),
+        ("verify_estimate_relations", lambda x: estimator.verify_estimate_relations(m, x), True),
+        ("mc_estimation_fidelity", lambda x: haar.mc_estimation_fidelity(m, x, post[0], psi), True),
+        ("sample_outcomes", lambda x: m.sample_outcomes(psi, np.random.default_rng(seed), x), False),
+        ("haar_state", lambda x: haar.haar_state(x, stream), False),
+        ("haar_states.d", lambda x: haar.haar_states(x, 3, seed), False),
+        ("haar_states.count", lambda x: haar.haar_states(2, x, seed), False),
+        ("haar_states.start", lambda x: haar.haar_states(2, 3, seed, x), False),
+        ("haar_isometry.rows", lambda x: haar.haar_isometry(x, 2, stream), False),
+        ("haar_isometry.cols", lambda x: haar.haar_isometry(4, x, stream), True),
+        ("mc_g_post", lambda x: haar.mc_g_post(m, post, samples=x), False),
+        ("mc_g_pre", lambda x: haar.mc_g_pre(m, pre, samples=x), False),
+        ("mc_operation_fidelity", lambda x: haar.mc_operation_fidelity(m, samples=x), False),
+        ("mc_fidelities", lambda x: haar.mc_fidelities(m, post, pre, samples=x), False),
+        ("tradeoff_bound.d", lambda x: estimator.tradeoff_bound(x, 0.75), False),
+        ("tradeoff_bound.g_post", lambda x: estimator.tradeoff_bound(2, x), True),
+        ("domain_boundary.d", lambda x: estimator.domain_boundary(x, 3), False),
+        ("domain_boundary.steps", lambda x: estimator.domain_boundary(2, x), False),
+        ("projective", lambda x: catalog.projective(x), False),
+        ("identity_device", lambda x: catalog.identity_device(x), False),
+        ("unsharp_qubit", lambda x: catalog.unsharp_qubit(x), True),
+        ("random_device.d", lambda x: catalog.random_device(x, 2, seed), False),
+        ("random_device.n", lambda x: catalog.random_device(2, x, seed), False),
+    ]
+
+
+def scalar_junk(bounded):
+    return SCALAR_JUNK + [10**400] * bounded
+
+
 def constructor_call(rng):
     """A random library call with mutated arguments, as a thunk."""
-    kind = rng.randrange(9)
+    kind = rng.randrange(10)
     if kind == 0:
         m = catalog.random_device(rng.choice((2, 3)), rng.choice((1, 2, 4)), seed=rng.randrange(100))
         kraus = junk_or_mutant(m.kraus, rng)
@@ -215,12 +268,18 @@ def constructor_call(rng):
     if kind == 7:
         direction = junk_or_mutant(gen.normal(size=3), rng)
         return lambda: catalog.bloch_state(direction)
+    if kind == 8:
+        _, call, bounded = rng.choice(scalar_slots(rng.randrange(100)))
+        x = rng.choice(scalar_junk(bounded))
+        return lambda: call(x)
     m = catalog.random_device(rng.choice((2, 3)), rng.choice((1, 2, 4)), seed=rng.randrange(100))
     integrand, estimate = rng.choice(
         [(haar.g_post_integrand, estimator.best_post_estimate), (haar.g_pre_integrand, estimator.best_pre_estimate)]
     )
     guesses = junk_or_mutant([estimate(m, s) for s in range(1, m.n_outcomes + 1)], rng)
     states = haar.haar_states(m.dim, 8, seed=rng.randrange(100))
+    if rng.random() < 0.3:
+        states = junk_or_mutant(states, rng)
     return lambda: integrand(m, guesses, states)
 
 
@@ -234,5 +293,30 @@ def test_library_constructors_raise_typed_errors():
             outcomes.add("result")
         except QmeterError as e:
             outcomes.add(type(e).__name__)
-    expected = {"result", "ShapeMismatch", "DimensionMismatch", "OutOfDomain", "NotHermitian", "NotUnitary"}
+    expected = {
+        "result", "ShapeMismatch", "DimensionMismatch", "OutOfDomain", "NotHermitian", "NotUnitary", "OutcomeOutOfRange"
+    }
     assert expected <= outcomes, outcomes
+
+
+# The only junk that is valid input: an empty sample range, the default or a loose tolerance, a zero
+# strength and the limiting curve.
+VALID_JUNK = {
+    ("haar_states.count", 0),
+    ("haar_states.start", 0),
+    ("Measurement.tolerance", None),
+    ("Measurement.tolerance", 2.5),
+    ("unsharp_qubit", 0),
+    ("domain_boundary.d", float("inf")),
+}
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in scalar_slots(0)])
+def test_every_scalar_junk_value_raises_a_typed_error(name):
+    _, call, bounded = next(slot for slot in scalar_slots(0) if slot[0] == name)
+    for x in scalar_junk(bounded):
+        try:
+            call(x)
+        except QmeterError:
+            continue
+        assert (name, x) in VALID_JUNK

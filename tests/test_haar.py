@@ -342,6 +342,24 @@ class TestBlockDriver:
                 with pytest.raises(DimensionMismatch):
                     integrand(m, wrong, states)
 
+    def test_integrands_check_their_states(self):
+        m = catalog.random_device(3, 4, seed=1)
+        states = haar.haar_states(3, 10, seed=47)
+        calls = [
+            lambda x: haar.g_post_integrand(m, optimal_post(m), x),
+            lambda x: haar.g_pre_integrand(m, optimal_pre(m), x),
+            lambda x: haar.operation_integrand(m, x),
+        ]
+        shapes = ["ab", None, states[0], states[:, :2], [[1.0, 0.0, 0.0], [1.0, 0.0]]]
+        for call in calls:
+            assert np.array_equal(call(states.tolist()), call(states))
+            for bad in shapes:
+                with pytest.raises(DimensionMismatch):
+                    call(bad)
+            for bad in (2.0 * states, np.where(states == states[3, 1], np.nan, states), states[:, ::-1] * 1e200):
+                with pytest.raises(OutOfDomain):
+                    call(bad)
+
     @pytest.mark.parametrize("blocks, extra", [(1, 1), (1, 2), (1, 3), (2, 1)])
     def test_per_sample_values_do_not_depend_on_block_size(self, monkeypatch, blocks, extra):
         m = catalog.random_device(5, 4, seed=48)

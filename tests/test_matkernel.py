@@ -3,7 +3,7 @@ import pytest
 
 from conftest import charpoly_eigenvalues, rand_complex, rand_hermitian
 from qmeter import matkernel as mk
-from qmeter.errors import NoConvergence, NotHermitian, OutOfDomain, ShapeMismatch
+from qmeter.errors import NoConvergence, NotHermitian, OutcomeOutOfRange, OutOfDomain, ShapeMismatch
 
 
 def _raise_linalg_error(*args, **kwargs):
@@ -89,6 +89,18 @@ class TestHermitianEig:
         with pytest.raises(OutOfDomain, match="overflow"):
             mk.hermitian_eig([[1e200, 0.0], [0.0, 1.0]])
         assert mk.frobenius_distance([[1e200]], [[0.0]]) == np.inf
+
+    def test_tiny_skew_matrix_rejected(self):
+        # Both Frobenius norms underflow to 0 here; the check runs at a largest modulus of 1.
+        with pytest.raises(NotHermitian, match="symmetry defect 1.414e-200 "):
+            mk.hermitian_eig([[0.0, 1e-200], [0.0, 0.0]])
+        with pytest.raises(NotHermitian):
+            mk.hermitian_eig(np.array([np.eye(2), [[1e-300, 1e-305], [0.0, 1e-300]]]))
+
+    def test_tiny_multiple_of_identity_diagonalizes(self):
+        es = mk.hermitian_eig(1e-200 * np.eye(2))
+        assert es.eigenvalues.tolist() == [1e-200, 1e-200]
+        assert mk.hermitian_eig(np.zeros((2, 2))).eigenvalues.tolist() == [0.0, 0.0]
 
 
 class TestStackedEig:
@@ -272,3 +284,41 @@ class TestFrobeniusDistance:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             mk.frobenius_distance(np.eye(2), np.eye(3))
+
+
+class TestFiniteScalar:
+    """The one gate from outside numbers to scalars."""
+
+    @pytest.mark.parametrize("x", [2, 64, np.int64(7), np.uint8(3)])
+    def test_ints_pass_as_python_ints(self, x):
+        value = mk.finite_scalar(x, int, "d", 2)
+        assert type(value) is int and value == x
+
+    @pytest.mark.parametrize("x", [0, 1, 0.5, np.float32(0.25), np.int64(1)])
+    def test_reals_pass_as_python_floats(self, x):
+        value = mk.finite_scalar(x, float, "strength", 0.0, 1.0)
+        assert type(value) is float and value == float(x)
+
+    @pytest.mark.parametrize(
+        "x", [None, "3", "0.5", b"3", True, np.True_, [2], (2,), {}, np.array(2), 2.0, 2.5, np.float64(3.0), 1, -1]
+    )
+    def test_int_junk_raises_the_given_error(self, x):
+        with pytest.raises(OutcomeOutOfRange, match=r"^outcome must be an integer in \[2, 4\], got "):
+            mk.finite_scalar(x, int, "outcome", 2, 4, OutcomeOutOfRange)
+
+    @pytest.mark.parametrize("x", [None, "1e-3", False, [0.5], np.nan, np.inf, -np.inf, -0.1])
+    def test_real_junk_raises_out_of_domain(self, x):
+        with pytest.raises(OutOfDomain, match="^tolerance must be a finite real number >= 0, got "):
+            mk.finite_scalar(x, float, "tolerance", 0.0)
+
+    def test_int_beyond_float64(self):
+        assert mk.finite_scalar(10**400, int, "d", 2) == 10**400
+        with pytest.raises(OutOfDomain):
+            mk.finite_scalar(10**400, int, "d", 2, 4)
+        with pytest.raises(OutOfDomain, match="^tolerance must be a finite real number >= 0, got 1000"):
+            mk.finite_scalar(10**400, float, "tolerance", 0.0)
+
+    def test_bounds_are_inclusive(self):
+        assert mk.finite_scalar(2, int, "d", 2, 4) == 2
+        assert mk.finite_scalar(4, int, "d", 2, 4) == 4
+        assert mk.finite_scalar(1.0, float, "g", 0.5, 1.0) == 1.0

@@ -20,6 +20,7 @@ both eigenvalue problems share the spectrum, and the common top eigenvalue
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,18 +106,16 @@ def _top(m: Measurement, s: int) -> tuple[float, np.ndarray, bool, bool]:
 def best_post_estimate(m: Measurement, s: int) -> np.ndarray:
     """Top eigenvector of ``M_s M_s^dag``: the optimal post-measurement guess.
 
-    For a non-degenerate, non-vanishing top eigenvalue it follows from the
-    cached effect spectrum by the link relation
-    ``M_s chi_pre = sqrt(a_max) chi_post``. Otherwise ``M_s M_s^dag`` is
-    diagonalized so that the deterministic tie-break picks the vector.
+    By the link relation ``M_s chi_pre = sqrt(a_max) chi_post`` it is the phase-canonical ``M_s chi_pre``
+    normalized, so a degenerate top inherits ``chi_pre``'s tie-break. When ``||M_s chi_pre||^2 <= A_MAX_FLOOR``
+    (a vanishing top, or a tie-broken ``chi_pre`` in the kernel of ``M_s``) it is ``chi_pre`` itself.
     """
-    _, chi_pre, degenerate, vanishing = _top(m, s)
-    k = m.kraus_op(s)
-    if not (degenerate or vanishing):
-        v = k @ chi_pre
-        return canonicalize_phase(v / fro_norm(v))
-    left = k @ k.conj().T
-    return hermitian_eig(0.5 * (left + left.conj().T)).eigenvectors[:, 0].copy()
+    chi_pre = _top(m, s)[1]
+    v = m.kraus_op(s) @ chi_pre
+    norm = fro_norm(v)
+    if norm * norm <= A_MAX_FLOOR:
+        return chi_pre.copy()
+    return canonicalize_phase(v / norm)
 
 
 def best_pre_estimate(m: Measurement, s: int) -> np.ndarray:
@@ -185,7 +184,7 @@ def tradeoff_bound(d: int, g_post_value: float) -> tuple[float, float]:
     common value both sides of the inequality take at saturation and
     ``max_f = (1 + saturating_value**2) / (d + 1)``.
     """
-    d = finite_scalar(d, int, "dimension", 2)
+    d = finite_scalar(d, int, "dimension", 2, sys.float_info.max)
     g_post_value = finite_scalar(g_post_value, float, f"g_post in dimension {d}", 1.0 / d - 1e-12, 1.0 + 1e-12)
     g = min(max(g_post_value, 1.0 / d), 1.0)
     saturating = math.sqrt(g) + math.sqrt((d - 1) * max(1.0 - g, 0.0))
@@ -290,11 +289,11 @@ def domain_boundary(d, steps: int) -> np.ndarray:
     ``max_f = 1 - g_post`` sampled on (0, 1]. Returns an array of shape
     ``(steps, 2)``, monotone non-increasing in its second column.
     """
-    steps = finite_scalar(steps, int, "steps", 2)
+    steps = finite_scalar(steps, int, "steps", 2, sys.maxsize // 16)  # the (steps, 2) float table
     if isinstance(d, float) and d == math.inf:
         g = np.arange(1, steps + 1, dtype=np.float64) / steps
         return np.column_stack([g, 1.0 - g])
-    d = finite_scalar(d, int, "dimension (or math.inf)", 2)
+    d = finite_scalar(d, int, "dimension (or math.inf)", 2, sys.float_info.max)
     g = np.linspace(1.0 / d, 1.0, steps)
     f = np.array([tradeoff_bound(d, gi)[1] for gi in g])
     return np.column_stack([g, f])

@@ -9,9 +9,9 @@ numerics are thin layers over LAPACK:
 * ``polar_decompose`` assembles both factors from ``numpy.linalg.svd``.
 
 What this module adds is a fixed output convention: eigenvalues descending,
-eigenvector phases canonicalized, and a lexicographic tie-break inside
-degenerate eigenvalue groups. Results are bit-reproducible within one
-numpy/BLAS build and agree to rounding across builds.
+eigenvector phases canonicalized, and inside a degenerate eigenvalue group a
+basis that depends only on the eigenspace. Results are bit-reproducible
+within one numpy/BLAS build and agree to rounding across builds.
 """
 
 from __future__ import annotations
@@ -36,11 +36,13 @@ HERMITICITY_TOL = 1e-10
 def finite_array(x, dtype, error, what: str, ndim: int | tuple[int, ...]) -> np.ndarray:
     """The one gate from outside numbers to arrays: ``x`` as a finite ``dtype`` array with ``ndim`` axes.
 
-    Ragged, non-numeric or (for a real ``dtype``) complex input and an axis count not in ``ndim`` raise
+    Ragged, string, non-numeric or (for a real ``dtype``) complex input and an axis count not in ``ndim`` raise
     ``error``, an int beyond float64 or a non-finite entry :class:`OutOfDomain`; ``what`` starts each message.
     """
     try:
         a = np.asarray(x)
+        if a.dtype.kind in "US" or a.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in a.flat):
+            raise TypeError("strings where numbers are expected")
         if a.dtype.kind == "c" and np.dtype(dtype).kind != "c":
             raise TypeError("complex numbers where real ones are expected")
         a = a.astype(dtype, copy=False)
@@ -117,47 +119,42 @@ class EigenSystem:
 
     ``eigenvalues`` are real and sorted descending; column ``eigenvectors[:, i]``
     belongs to ``eigenvalues[i]`` (a stack adds a leading matrix axis to both).
-    Vectors are orthonormal, phase-canonicalized, and degenerate groups are
-    ordered by a deterministic lexicographic rule.
+    Vectors are orthonormal and phase-canonicalized; a degenerate group gets a
+    basis that depends only on its eigenspace, not on LAPACK's vectors.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
-def _lex_key(v: np.ndarray) -> tuple:
-    key = np.empty(2 * v.shape[0], dtype=np.float64)
-    key[0::2] = v.real
-    key[1::2] = v.imag
-    return tuple(key)
+def _span_basis(b: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of span(b) that depends only on the span, not on the columns of ``b``.
 
-
-def _order_basis(values: np.ndarray, vectors: np.ndarray):
-    """Sort a (values, column-vectors) pair descending with deterministic ties.
-
-    Columns are phase-canonicalized first; groups of values closer than
-    ``EIG_GAP_TOL`` are then ordered by descending lexicographic key over the
-    interleaved (real, imag) components of their canonicalized vectors.
+    Greedy pivoted Gram-Schmidt over the columns of the projector ``b b^dag``: each step normalizes the largest
+    residual column (the lowest index within a relative ``EIG_GAP_TOL`` of it) and canonicalizes its phase.
     """
-    d = values.shape[0]
-    order = np.argsort(-values, kind="stable")
-    canon = np.empty_like(vectors)
-    for i in range(d):
-        canon[:, i] = canonicalize_phase(vectors[:, order[i]])
+    residual = b @ b.conj().T
+    basis = np.empty_like(b)
+    for i in range(b.shape[1]):
+        norms = np.sqrt(np.sum(residual.real**2 + residual.imag**2, axis=0))
+        j = int(np.argmax(norms >= (1.0 - EIG_GAP_TOL) * norms.max()))
+        basis[:, i] = q = canonicalize_phase(residual[:, j] / norms[j])
+        residual -= np.outer(q, q.conj() @ residual)
+    return basis
 
-    # Walk clusters of near-equal values and break ties inside each one.
-    final = list(range(d))
-    start = 0
-    while start < d:
-        stop = start + 1
-        while stop < d and values[order[stop - 1]] - values[order[stop]] < EIG_GAP_TOL:
-            stop += 1
+
+def _order_basis(values: np.ndarray, vectors: np.ndarray) -> None:
+    """Canonicalize the columns of one descending (values, vectors) pair in place.
+
+    A group of values linked by gaps below ``EIG_GAP_TOL`` gets the ``_span_basis`` of its vectors;
+    a value with no such neighbour keeps its vector, phase-canonicalized.
+    """
+    edges = [0, *(np.flatnonzero(values[:-1] - values[1:] >= EIG_GAP_TOL) + 1).tolist(), values.shape[0]]
+    for start, stop in zip(edges, edges[1:]):
         if stop - start > 1:
-            cluster = sorted(range(start, stop), key=lambda i: _lex_key(canon[:, i]), reverse=True)
-            final[start:stop] = cluster
-        start = stop
-
-    return values[order[final]], canon[:, final]
+            vectors[:, start:stop] = _span_basis(vectors[:, start:stop])
+        else:
+            vectors[:, start] = canonicalize_phase(vectors[:, start])
 
 
 def hermitian_eig(m) -> EigenSystem:
@@ -191,8 +188,10 @@ def hermitian_eig(m) -> EigenSystem:
         values, vecs = np.linalg.eigh(0.5 * (stack + stack.conj().swapaxes(1, 2)))
     except np.linalg.LinAlgError as e:
         raise NoConvergence(f"LAPACK eigh failed: {e}") from e
+    # eigh sorts ascending, so reversing gives the descending order.
+    values, vecs = values[:, ::-1].copy(), vecs[:, :, ::-1].copy()
     for i in range(stack.shape[0]):
-        values[i], vecs[i] = _order_basis(values[i], vecs[i])
+        _order_basis(values[i], vecs[i])
     values.setflags(write=False)
     vecs.setflags(write=False)
     return EigenSystem(values.reshape(a.shape[:-1]), vecs.reshape(a.shape))

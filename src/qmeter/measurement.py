@@ -14,6 +14,7 @@ solved on first use. Sampling takes a caller-owned RNG stream.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -251,7 +252,7 @@ class Measurement:
         int array, and a dict from each outcome that occurs to its collapsed
         state (computed once per distinct outcome).
         """
-        shots = finite_scalar(shots, int, "shots", 1)
+        shots = finite_scalar(shots, int, "shots", 1, sys.maxsize // 8)  # one float64 uniform per shot
         gen = rng.generator() if hasattr(rng, "generator") else rng
         psi = as_state(psi, self.dim)
         p = self._probabilities(psi)

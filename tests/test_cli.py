@@ -417,9 +417,9 @@ class TestPinnedOutputs:
         ("random_n12", "montecarlo"): "a95abddb0aaabfd07ef004477736ed47f93f97b1e9efe93fc0881a6c6ac0ef21",
         ("kicked_identity", "spec"): "d538b30cb8423a5ce9a07460ca2170f9e092c3989038737d04e17af8aa41fd4b",
         ("kicked_identity", "validate"): "92878231374792db8e4cc72ff7f56b0d69b100004bca1122c581a4848027ebe1",
-        ("kicked_identity", "fidelities"): "0be676f02ef34ad49336a795b4e845e06323c90983bff1f4538932a9b4bf904a",
-        ("kicked_identity", "estimate"): "dda2a32ec80e4fd0ef97c1bd7f37c4bfc930878def7e0abb08a2a0d84c49f208",
-        ("kicked_identity", "montecarlo"): "d5dfd4bc09cb48f4e63d6db7ec7fa2dc95bc9a88599f3749c179f8f9f305b416",
+        ("kicked_identity", "fidelities"): "b4792822e3f3a4994c4fac54f9fb4cd978bc31c1e268984f445e5ae2c6d84a51",
+        ("kicked_identity", "estimate"): "a7bb78275a8d67e258bed4033537ac1a9f256d74ff1ac74346e99b42a82f857a",
+        ("kicked_identity", "montecarlo"): "2c9d3bf23410e5097c6dabcc2f46e5ec84f4213e4f0a4e8ee69392f26b25c14a",
         ("tetrahedron", "spec"): "10eba3d589217d812227eadee945ebd5284462fef0c2fcc7b739a95bdeda5c79",
         ("tetrahedron", "validate"): "08de8f46a98a802f1b9edb8fa92021eb6a15ff746114a517f0799cfc838f4e81",
         ("tetrahedron", "fidelities"): "9090960c146c713d3ccaa8f7e6b48cbedc9fc513772a197fc7082e9bebc43ffe",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,21 +86,39 @@ class TestBestEstimates:
                 checked += 1
         assert checked > 100
 
-    def test_degenerate_or_vanishing_top_uses_tie_break(self):
-        kicked = catalog.with_kicks(catalog.identity_device(3), [haar.haar_isometry(3, 3, haar.RngStream(5, 0))])
+    @staticmethod
+    def kicked(m, seed):
+        kicks = [haar.haar_isometry(m.dim, m.dim, haar.RngStream(seed, s)) for s in range(m.n_outcomes)]
+        return catalog.with_kicks(m, kicks)
+
+    def test_degenerate_top_keeps_the_link_relation(self):
+        p01, p23 = np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0])
         devices = [
-            catalog.identity_device(3),
-            kicked,
-            catalog.unsharp_qubit(0.0),
-            validate([np.eye(2), np.zeros((2, 2))]),
+            self.kicked(catalog.identity_device(3), 5),
+            self.kicked(catalog.identity_device(16), 6),
+            self.kicked(catalog.unsharp_qubit(0.0), 7),
+            self.kicked(validate([np.sqrt(0.4) * p01, np.sqrt(0.6) * p01 + p23]), 8),
         ]
         for m in devices:
-            for s in range(1, m.n_outcomes + 1):
-                values = m.spectrum.eigenvalues[s - 1]
-                assert values[0] <= est.A_MAX_FLOOR or values[0] - values[1] < EIG_GAP_TOL
-                k = m.kraus_op(s)
-                expected = hermitian_eig(k @ k.conj().T).eigenvectors[:, 0]
-                assert np.array_equal(est.best_post_estimate(m, s), expected)
+            pairs = [est.estimate_pair(m, s) for s in range(1, m.n_outcomes + 1)]
+            for pair in pairs:
+                assert pair.degenerate
+                u = m.bi_orthogonal_factors(pair.outcome).unitary
+                assert overlap2(pair.chi_post, u @ pair.chi_pre) >= 1.0 - 1e-12
+            assert est.g_post_of_guess(m, [p.chi_post for p in pairs]) == pytest.approx(est.g_post(m), abs=1e-12)
+            assert est.g_pre_of_guess(m, [p.chi_pre for p in pairs]) == pytest.approx(est.g_pre(m), abs=1e-12)
+
+    def test_tie_broken_estimate_in_the_kernel_falls_back_to_chi_pre(self):
+        # The top of E_1 = diag(0, 5e-11) is degenerate (and its a_max of 5e-11 is not vanishing); the
+        # tie-broken chi_pre = e_1 lies in the kernel of M_1, so M_1 chi_pre cannot be normalized.
+        m = validate([np.diag([0.0, np.sqrt(5e-11)]), np.diag([1.0, np.sqrt(1.0 - 5e-11)])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = [est.estimate_pair(m, s) for s in (1, 2)]
+        for pair in pairs:
+            assert pair.degenerate
+            assert np.allclose(pair.chi_pre, [1.0, 0.0], rtol=0.0, atol=1e-12)
+            assert np.allclose(pair.chi_post, [1.0, 0.0], rtol=0.0, atol=1e-12)
 
 
 class TestMeanFidelities:

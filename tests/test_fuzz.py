@@ -10,8 +10,9 @@ commands, a state file through ``simulate --state``. Every run exits 0, 1 or 2.
 Library entry points: ``Measurement``, ``make_rank_one_device``,
 ``catalog.with_kicks``, ``catalog.bloch_state``, ``as_state``, the public
 ``matkernel`` functions, the ``haar`` integrands' guesses and states, and every
-scalar argument that ``matkernel.finite_scalar`` gates, on mutated arguments,
-either return a result or raise a ``QmeterError``. A ``RuntimeWarning`` fails
+scalar argument that ``matkernel.finite_scalar`` gates (seeds and sizes beyond
+numpy's index range included), on mutated arguments or on arrays of numeric
+strings, either return a result or raise a ``QmeterError``. A ``RuntimeWarning`` fails
 either fuzzer (see pyproject.toml).
 """
 
@@ -171,15 +172,14 @@ def junk_or_mutant(value, rng):
 
 
 # Junk for one scalar argument. Valid sizes among it stay small: a valid huge count would make numpy
-# allocate it. 10**400 is passed only where the argument has a finite upper bound.
-SCALAR_JUNK = [None, "3", 2.5, True, [2], -1, 0, float("nan"), float("inf")]
+# allocate it. Every size has an upper bound that keeps its arrays indexable, so 10**400 is refused.
+SCALAR_JUNK = [None, "3", 2.5, True, [2], -1, 0, float("nan"), float("inf"), 10**400]
 
 
 def scalar_slots(seed):
-    """``(name, call, bounded)`` for every scalar argument that ``finite_scalar`` gates.
+    """``(name, call)`` for every scalar argument that ``finite_scalar`` gates.
 
-    ``call(x)`` makes the library call with ``x`` in that argument and small valid values in the others;
-    ``bounded`` says whether the argument has a finite upper bound.
+    ``call(x)`` makes the library call with ``x`` in that argument and small valid values in the others.
     """
     m = catalog.random_device(2, 2, seed=seed)
     psi = haar.haar_state(2, haar.RngStream(seed))
@@ -187,43 +187,44 @@ def scalar_slots(seed):
     pre = [estimator.best_pre_estimate(m, s) for s in (1, 2)]
     stream = haar.RngStream(seed)
     return [
-        ("Measurement.tolerance", lambda x: Measurement(m.kraus, tolerance=x), False),
-        ("kraus_op", lambda x: m.kraus_op(x), True),
-        ("collapse", lambda x: m.collapse(psi, x), True),
-        ("bi_orthogonal_factors", lambda x: m.bi_orthogonal_factors(x), True),
-        ("estimate_pair", lambda x: estimator.estimate_pair(m, x), True),
-        ("verify_estimate_relations", lambda x: estimator.verify_estimate_relations(m, x), True),
-        ("mc_estimation_fidelity", lambda x: haar.mc_estimation_fidelity(m, x, post[0], psi), True),
-        ("sample_outcomes", lambda x: m.sample_outcomes(psi, np.random.default_rng(seed), x), False),
-        ("haar_state", lambda x: haar.haar_state(x, stream), False),
-        ("haar_states.d", lambda x: haar.haar_states(x, 3, seed), False),
-        ("haar_states.count", lambda x: haar.haar_states(2, x, seed), False),
-        ("haar_states.start", lambda x: haar.haar_states(2, 3, seed, x), False),
-        ("haar_isometry.rows", lambda x: haar.haar_isometry(x, 2, stream), False),
-        ("haar_isometry.cols", lambda x: haar.haar_isometry(4, x, stream), True),
-        ("mc_g_post", lambda x: haar.mc_g_post(m, post, samples=x), False),
-        ("mc_g_pre", lambda x: haar.mc_g_pre(m, pre, samples=x), False),
-        ("mc_operation_fidelity", lambda x: haar.mc_operation_fidelity(m, samples=x), False),
-        ("mc_fidelities", lambda x: haar.mc_fidelities(m, post, pre, samples=x), False),
-        ("tradeoff_bound.d", lambda x: estimator.tradeoff_bound(x, 0.75), False),
-        ("tradeoff_bound.g_post", lambda x: estimator.tradeoff_bound(2, x), True),
-        ("domain_boundary.d", lambda x: estimator.domain_boundary(x, 3), False),
-        ("domain_boundary.steps", lambda x: estimator.domain_boundary(2, x), False),
-        ("projective", lambda x: catalog.projective(x), False),
-        ("identity_device", lambda x: catalog.identity_device(x), False),
-        ("unsharp_qubit", lambda x: catalog.unsharp_qubit(x), True),
-        ("random_device.d", lambda x: catalog.random_device(x, 2, seed), False),
-        ("random_device.n", lambda x: catalog.random_device(2, x, seed), False),
+        ("Measurement.tolerance", lambda x: Measurement(m.kraus, tolerance=x)),
+        ("kraus_op", lambda x: m.kraus_op(x)),
+        ("collapse", lambda x: m.collapse(psi, x)),
+        ("bi_orthogonal_factors", lambda x: m.bi_orthogonal_factors(x)),
+        ("estimate_pair", lambda x: estimator.estimate_pair(m, x)),
+        ("verify_estimate_relations", lambda x: estimator.verify_estimate_relations(m, x)),
+        ("mc_estimation_fidelity", lambda x: haar.mc_estimation_fidelity(m, x, post[0], psi)),
+        ("sample_outcomes", lambda x: m.sample_outcomes(psi, np.random.default_rng(seed), x)),
+        ("haar_state", lambda x: haar.haar_state(x, stream)),
+        ("haar_states.d", lambda x: haar.haar_states(x, 3, seed)),
+        ("haar_states.count", lambda x: haar.haar_states(2, x, seed)),
+        ("haar_states.start", lambda x: haar.haar_states(2, 3, seed, x)),
+        ("haar_isometry.rows", lambda x: haar.haar_isometry(x, 2, stream)),
+        ("haar_isometry.cols", lambda x: haar.haar_isometry(4, x, stream)),
+        ("mc_g_post", lambda x: haar.mc_g_post(m, post, samples=x)),
+        ("mc_g_pre", lambda x: haar.mc_g_pre(m, pre, samples=x)),
+        ("mc_operation_fidelity", lambda x: haar.mc_operation_fidelity(m, samples=x)),
+        ("mc_fidelities", lambda x: haar.mc_fidelities(m, post, pre, samples=x)),
+        ("tradeoff_bound.d", lambda x: estimator.tradeoff_bound(x, 0.75)),
+        ("tradeoff_bound.g_post", lambda x: estimator.tradeoff_bound(2, x)),
+        ("domain_boundary.d", lambda x: estimator.domain_boundary(x, 3)),
+        ("domain_boundary.steps", lambda x: estimator.domain_boundary(2, x)),
+        ("projective", lambda x: catalog.projective(x)),
+        ("identity_device", lambda x: catalog.identity_device(x)),
+        ("unsharp_qubit", lambda x: catalog.unsharp_qubit(x)),
+        ("random_device.d", lambda x: catalog.random_device(x, 2, seed)),
+        ("random_device.n", lambda x: catalog.random_device(2, x, seed)),
+        ("random_device.seed", lambda x: catalog.random_device(2, 2, x)),
+        ("haar_states.seed", lambda x: haar.haar_states(2, 3, x)),
+        ("mc_g_post.seed", lambda x: haar.mc_g_post(m, post, samples=100, seed=x)),
+        ("RngStream.seed", lambda x: haar.RngStream(x).generator()),
+        ("RngStream.stream_index", lambda x: haar.RngStream(seed, x).generator()),
     ]
-
-
-def scalar_junk(bounded):
-    return SCALAR_JUNK + [10**400] * bounded
 
 
 def constructor_call(rng):
     """A random library call with mutated arguments, as a thunk."""
-    kind = rng.randrange(10)
+    kind = rng.randrange(11)
     if kind == 0:
         m = catalog.random_device(rng.choice((2, 3)), rng.choice((1, 2, 4)), seed=rng.randrange(100))
         kraus = junk_or_mutant(m.kraus, rng)
@@ -269,9 +270,23 @@ def constructor_call(rng):
         direction = junk_or_mutant(gen.normal(size=3), rng)
         return lambda: catalog.bloch_state(direction)
     if kind == 8:
-        _, call, bounded = rng.choice(scalar_slots(rng.randrange(100)))
-        x = rng.choice(scalar_junk(bounded))
+        _, call = rng.choice(scalar_slots(rng.randrange(100)))
+        x = rng.choice(SCALAR_JUNK)
         return lambda: call(x)
+    if kind == 9:
+        # A valid array written as (numeric) strings, which a numpy conversion would parse.
+        m = catalog.random_device(max(d, 2), 2, seed=rng.randrange(100))
+        call, value = rng.choice(
+            [(Measurement, m.kraus), (as_state, haar.haar_state(d, haar.RngStream(1))),
+             (matkernel.hermitian_eig, m.effects), (matkernel.polar_decompose, m.kraus[0]),
+             (catalog.bloch_state, gen.normal(size=3)), (lambda x: catalog.with_kicks(m, x), [np.eye(m.dim)] * 2)]
+        )
+        strings = np.asarray(value).astype(rng.choice(["U", "S"]))
+        if rng.random() < 0.5:
+            strings = strings.tolist()  # nested lists of str or bytes, which numpy reads back as a U or S array
+        elif rng.random() < 0.5:
+            strings = strings.astype(object)
+        return lambda: call(strings)
     m = catalog.random_device(rng.choice((2, 3)), rng.choice((1, 2, 4)), seed=rng.randrange(100))
     integrand, estimate = rng.choice(
         [(haar.g_post_integrand, estimator.best_post_estimate), (haar.g_pre_integrand, estimator.best_pre_estimate)]
@@ -300,7 +315,7 @@ def test_library_constructors_raise_typed_errors():
 
 
 # The only junk that is valid input: an empty sample range, the default or a loose tolerance, a zero
-# strength and the limiting curve.
+# strength, the limiting curve, stream 0 and any integer seed.
 VALID_JUNK = {
     ("haar_states.count", 0),
     ("haar_states.start", 0),
@@ -308,13 +323,16 @@ VALID_JUNK = {
     ("Measurement.tolerance", 2.5),
     ("unsharp_qubit", 0),
     ("domain_boundary.d", float("inf")),
+    ("RngStream.stream_index", 0),
+    *((f"{slot}.seed", seed) for slot in ("random_device", "haar_states", "mc_g_post", "RngStream")
+      for seed in (-1, 0, 10**400)),
 }
 
 
-@pytest.mark.parametrize("name", [name for name, _, _ in scalar_slots(0)])
+@pytest.mark.parametrize("name", [name for name, _ in scalar_slots(0)])
 def test_every_scalar_junk_value_raises_a_typed_error(name):
-    _, call, bounded = next(slot for slot in scalar_slots(0) if slot[0] == name)
-    for x in scalar_junk(bounded):
+    call = dict(scalar_slots(0))[name]
+    for x in SCALAR_JUNK:
         try:
             call(x)
         except QmeterError:

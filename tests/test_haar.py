@@ -94,6 +94,50 @@ class TestHaarStates:
         with pytest.raises(OutOfDomain):
             haar.haar_states(2, 3, seed=1, start=-1)
 
+    def test_sizes_beyond_numpy_index_range_are_typed(self):
+        # Pure arithmetic refuses these; none of them allocates anything.
+        calls = [
+            lambda: haar.haar_states(2, 10**400, 0),
+            lambda: haar.haar_states(2, 1, 0, 10**400),
+            lambda: haar.haar_states(2, 2**62, 0),
+            lambda: haar.haar_states(3, 0, 0, (2**66 - 1) // 6 + 1),
+            lambda: catalog.projective(10**400),
+            lambda: est.domain_boundary(2, 10**400),
+            lambda: est.domain_boundary(10**400, 3),
+            lambda: est.tradeoff_bound(10**400, 0.5),
+        ]
+        for call in calls:
+            with pytest.raises(OutOfDomain):
+                call()
+
+    def test_last_philox_block_keeps_the_partition_property(self):
+        # d = 2 puts sample i at counter block i; numpy casts a list counter through float64 above 2**63.
+        last = 2**64 - 1
+        pair = haar.haar_states(2, 2, seed=5, start=last - 1)
+        assert np.array_equal(pair[1:], haar.haar_states(2, 1, seed=5, start=last))
+        assert not np.array_equal(pair[:1], haar.haar_states(2, 1, seed=5, start=0))
+
+
+class TestSeeds:
+    def test_any_integer_seed_keys_its_low_64_bits(self):
+        base = haar.haar_states(2, 3, 3)
+        for seed in (np.int64(3), np.uint64(3), 2**64 + 3, 3 - 2**64, 3 + 5 * 2**64):
+            assert np.array_equal(haar.haar_states(2, 3, seed), base)
+        assert np.array_equal(haar.haar_states(2, 3, -5), haar.haar_states(2, 3, 2**64 - 5))
+
+    @pytest.mark.parametrize("seed", ["x", None, 1.5, 3.0, True, [3], np.nan])
+    def test_non_integer_seeds_are_typed(self, seed):
+        with pytest.raises(OutOfDomain, match="^seed must be an integer"):
+            haar.haar_states(2, 3, seed)
+        with pytest.raises(OutOfDomain, match="^seed must be an integer"):
+            catalog.random_device(2, 2, seed)
+
+    @pytest.mark.parametrize("index", [-1, 2**64, 1.0, "0", None])
+    def test_stream_index_is_a_64_bit_word(self, index):
+        with pytest.raises(OutOfDomain, match="^stream index must be an integer"):
+            haar.RngStream(1, index).generator()
+        assert haar.RngStream(1, 2**64 - 1).generator().random() != haar.RngStream(1, 0).generator().random()
+
 
 class TestHaarIsometry:
     def test_columns_orthonormal(self):

@@ -3,7 +3,8 @@ import pytest
 
 from conftest import charpoly_eigenvalues, rand_complex, rand_hermitian
 from qmeter import matkernel as mk
-from qmeter.errors import NoConvergence, NotHermitian, OutcomeOutOfRange, OutOfDomain, ShapeMismatch
+from qmeter.errors import NoConvergence, NotHermitian, OutcomeOutOfRange, OutOfDomain, QmeterError, ShapeMismatch
+from qmeter.measurement import Measurement, as_state
 
 
 def _raise_linalg_error(*args, **kwargs):
@@ -69,8 +70,21 @@ class TestHermitianEig:
         es1 = mk.hermitian_eig(np.eye(3))
         es2 = mk.hermitian_eig(np.eye(3))
         assert np.array_equal(es1.eigenvectors, es2.eigenvectors)
-        # descending lexicographic tie-break puts the basis in natural order
+        # the span's basis takes the lowest-index column of the projector first: the natural order
         assert np.allclose(es1.eigenvectors, np.eye(3))
+
+    def test_degenerate_basis_depends_only_on_the_eigenspace(self):
+        # One rank-2 projector (eigenvalue 0.9, d = 4) rebuilt from 50 bases of the same span.
+        rng = np.random.default_rng(25)
+        span = np.linalg.qr(rand_complex(rng, 4, 2))[0]
+        tops = []
+        for _ in range(50):
+            b = span @ np.linalg.qr(rand_complex(rng, 2, 2))[0]
+            tops.append(mk.hermitian_eig(0.9 * (b @ b.conj().T)).eigenvectors[:, 0])
+        assert max(1.0 - abs(np.vdot(tops[0], top)) ** 2 for top in tops) <= 1e-12
+
+    def test_degenerate_group_stays_descending(self):
+        assert mk.hermitian_eig(np.diag([0.0, 5e-11])).eigenvalues.tolist() == [5e-11, 0.0]
 
     def test_dimension_one(self):
         es = mk.hermitian_eig([[2.5]])
@@ -322,3 +336,28 @@ class TestFiniteScalar:
         assert mk.finite_scalar(2, int, "d", 2, 4) == 2
         assert mk.finite_scalar(4, int, "d", 2, 4) == 4
         assert mk.finite_scalar(1.0, float, "g", 0.5, 1.0) == 1.0
+
+
+class TestFiniteArrayStrings:
+    """Numeric strings are text, not numbers, in arrays as in scalars."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [["1", "0"], np.array(["1", "0"]), [b"1", b"0"], np.array(["1", 0], dtype=object),
+         np.array([b"1"], dtype=object)],
+    )
+    def test_strings_raise_the_given_error(self, x):
+        with pytest.raises(ShapeMismatch, match="^vector: strings where numbers are expected"):
+            mk.finite_array(x, np.complex128, ShapeMismatch, "vector", ndim=1)
+
+    def test_entry_points_refuse_numeric_strings(self):
+        calls = [
+            lambda: as_state(["1", "0"]),
+            lambda: Measurement(np.eye(2)[None].astype(str)),
+            lambda: mk.hermitian_eig([["1", "0"], ["0", "1"]]),
+            lambda: mk.polar_decompose(np.array([[b"1", b"0"], [b"0", b"1"]])),
+        ]
+        for call in calls:
+            with pytest.raises(QmeterError):
+                call()
+

@@ -9,15 +9,12 @@ every intermediate strength, with closed forms ``g_post = (1 + lambda)/2`` and
 
 from __future__ import annotations
 
-import math
-import sys
-
 import numpy as np
 
 from .errors import NotUnitary, OutOfDomain, ShapeMismatch
 from .estimator import make_rank_one_device
 from .haar import RngStream, haar_isometry
-from .matkernel import finite_array, finite_scalar
+from .matkernel import finite_array, finite_scalar, max_count
 from .measurement import Measurement
 
 # Bloch vectors of a regular tetrahedron (pairwise overlap -1/3, summing to 0).
@@ -28,16 +25,14 @@ TETRAHEDRON_DIRECTIONS = np.array(
 
 def projective(d: int) -> Measurement:
     """The d-outcome projective measurement onto the computational basis."""
-    # The (d, d, d) complex Kraus stack takes 16 d^3 bytes, which numpy must be able to index.
-    top = int((sys.maxsize // 16) ** (1 / 3))
-    d = finite_scalar(d, int, "projective dimension", 2, top - (16 * top**3 > sys.maxsize))
+    d = finite_scalar(d, int, "projective dimension", 2, max_count(16, 3))  # the (d, d, d) complex Kraus stack
     eye = np.eye(d, dtype=np.complex128)
     return Measurement(eye[:, :, None] * eye[:, None, :], labels=[str(s + 1) for s in range(d)])
 
 
 def identity_device(d: int) -> Measurement:
     """The trivial single-outcome device that leaves every state untouched."""
-    d = finite_scalar(d, int, "dimension", 1, math.isqrt(sys.maxsize // 16))
+    d = finite_scalar(d, int, "dimension", 1, max_count(16, 2))
     return Measurement([np.eye(d, dtype=np.complex128)], labels=["1"])
 
 
@@ -58,9 +53,7 @@ def random_device(d: int, n: int, seed: int) -> Measurement:
     dimension d into n*d, so completeness holds structurally rather than by
     post-hoc correction.
     """
-    # The (n d, d) complex isometry takes 16 n d^2 bytes, which numpy must be able to index.
-    d = finite_scalar(d, int, "dimension", 2, math.isqrt(sys.maxsize // 16))
-    n = finite_scalar(n, int, "outcome count", 1, sys.maxsize // (16 * d * d))
+    d, n = finite_scalar(d, int, "dimension", 2), finite_scalar(n, int, "outcome count", 1)
     return Measurement(haar_isometry(n * d, d, RngStream(seed)).reshape(n, d, d))
 
 

@@ -35,6 +35,8 @@ from .matkernel import (
     fro_norm,
     frozen,
     hermitian_eig,
+    max_count,
+    top_eigenvector,
 )
 from .measurement import Measurement, as_state, as_states, floored_psd_eigenvalues
 
@@ -91,7 +93,7 @@ class RelationCheck:
 
 
 def _top(m: Measurement, s: int) -> tuple[float, np.ndarray, bool, bool]:
-    """``(a_max, chi_pre, degenerate, vanishing)`` of outcome ``s``: the top of ``E_s`` in ``m.spectrum``.
+    """``(a_max, chi_pre, degenerate, vanishing)`` of outcome ``s``; ``chi_pre`` is the ``top_eigenvector`` of ``E_s``.
 
     ``a_max`` is clipped at zero. Degenerate (top gap below ``EIG_GAP_TOL``, never for d = 1) or
     vanishing (``a_max <= A_MAX_FLOOR``) tops make the optimal estimates non-unique.
@@ -100,7 +102,7 @@ def _top(m: Measurement, s: int) -> tuple[float, np.ndarray, bool, bool]:
     values = m.spectrum.eigenvalues[i]
     a_max = max(float(values[0]), 0.0)
     degenerate = values.shape[0] > 1 and float(values[0] - values[1]) < EIG_GAP_TOL
-    return a_max, m.spectrum.eigenvectors[i, :, 0], degenerate, a_max <= A_MAX_FLOOR
+    return a_max, top_eigenvector(values, m.spectrum.eigenvectors[i]), degenerate, a_max <= A_MAX_FLOOR
 
 
 def best_post_estimate(m: Measurement, s: int) -> np.ndarray:
@@ -289,7 +291,7 @@ def domain_boundary(d, steps: int) -> np.ndarray:
     ``max_f = 1 - g_post`` sampled on (0, 1]. Returns an array of shape
     ``(steps, 2)``, monotone non-increasing in its second column.
     """
-    steps = finite_scalar(steps, int, "steps", 2, sys.maxsize // 16)  # the (steps, 2) float table
+    steps = finite_scalar(steps, int, "steps", 2, max_count(16))  # the (steps, 2) float table
     if isinstance(d, float) and d == math.inf:
         g = np.arange(1, steps + 1, dtype=np.float64) / steps
         return np.column_stack([g, 1.0 - g])

@@ -35,14 +35,13 @@ floats plus O(``MC_CHUNK`` * n * d) complex amplitudes.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ZeroProbabilityOutcome
 from .estimator import _check_guesses
-from .matkernel import finite_scalar
+from .matkernel import finite_scalar, max_count
 from .measurement import PROBABILITY_FLOOR, Measurement, as_state, as_states
 
 DEFAULT_SAMPLES = 100_000
@@ -53,21 +52,23 @@ MC_CHUNK = 4096
 
 @dataclass(frozen=True)
 class RngStream:
-    """A reproducible uniform stream keyed by ``(seed, stream_index)``."""
+    """A reproducible uniform stream keyed by ``(seed, stream_index)``.
+
+    ``seed`` is any integer (its low 64 bits key Philox); ``stream_index`` is in ``[0, 2**64 - 1]``.
+    """
 
     seed: int
     stream_index: int = 0
 
-    def generator(self, word_offset: int = 0) -> np.random.Generator:
-        """Generator positioned ``word_offset`` uniform doubles into the stream.
+    def __post_init__(self):
+        object.__setattr__(self, "seed", finite_scalar(self.seed, int, "seed", -math.inf))
+        object.__setattr__(self, "stream_index", finite_scalar(self.stream_index, int, "stream index", 0, 2**64 - 1))
 
-        ``seed`` is any integer (its low 64 bits key Philox); ``stream_index`` is in ``[0, 2**64 - 1]``.
-        """
-        seed = finite_scalar(self.seed, int, "seed", -math.inf)
-        index = finite_scalar(self.stream_index, int, "stream index", 0, 2**64 - 1)
+    def generator(self, word_offset: int = 0) -> np.random.Generator:
+        """Generator positioned ``word_offset`` uniform doubles into the stream."""
         block, rem = divmod(int(word_offset), 4)
         # One int, not a list of words: numpy casts a list through float64 above 2**63.
-        bg = np.random.Philox(key=seed & (2**64 - 1), counter=block + (index << 128))
+        bg = np.random.Philox(key=self.seed & (2**64 - 1), counter=block + (self.stream_index << 128))
         gen = np.random.Generator(bg)
         if rem:
             gen.random(rem)
@@ -96,7 +97,7 @@ def _gaussian_amplitudes(uniforms: np.ndarray) -> np.ndarray:
 
 def haar_state(d: int, stream: RngStream) -> np.ndarray:
     """One Haar-random pure state of dimension ``d`` from the stream's origin."""
-    d = finite_scalar(d, int, "dimension", 1, sys.maxsize // 16)
+    d = finite_scalar(d, int, "dimension", 1, max_count(16))
     amps = _gaussian_amplitudes(stream.generator().random((d, 2)))
     return amps / np.sqrt(np.sum(amps.real**2 + amps.imag**2))
 
@@ -109,8 +110,8 @@ def haar_states(d: int, count: int, seed: int, start: int = 0) -> np.ndarray:
     """
     # 16 bytes per amplitude (two uniform doubles, then one complex), in a block numpy can index;
     # the first Philox block, 2 * d * start // 4, must fit one 64-bit counter word.
-    d = finite_scalar(d, int, "dimension", 1, sys.maxsize // 16)
-    count = finite_scalar(count, int, "sample count", 0, sys.maxsize // (16 * d))
+    d = finite_scalar(d, int, "dimension", 1, max_count(16))
+    count = finite_scalar(count, int, "sample count", 0, max_count(16 * d))
     start = finite_scalar(start, int, "first sample index", 0, (2**66 - 1) // (2 * d))
     gen = RngStream(seed, 0).generator(word_offset=2 * d * start)
     amps = _gaussian_amplitudes(gen.random((count, d, 2)))
@@ -120,8 +121,8 @@ def haar_states(d: int, count: int, seed: int, start: int = 0) -> np.ndarray:
 
 def haar_isometry(rows: int, cols: int, stream: RngStream) -> np.ndarray:
     """Haar-distributed isometry (orthonormal columns) of shape (rows, cols)."""
-    rows = finite_scalar(rows, int, "isometry rows", 1, sys.maxsize // 16)
-    cols = finite_scalar(cols, int, "isometry columns", 1, min(rows, sys.maxsize // (16 * rows)))
+    rows = finite_scalar(rows, int, "isometry rows", 1, max_count(16))
+    cols = finite_scalar(cols, int, "isometry columns", 1, min(rows, max_count(16 * rows)))
     gauss = _gaussian_amplitudes(stream.generator().random((rows, cols, 2)))
     q, r = np.linalg.qr(gauss)
     diag = np.diagonal(r).copy()
@@ -220,7 +221,7 @@ def _monte_carlo(
     m: Measurement, samples: int, seed: int, post=None, pre=None, operation=False
 ) -> list[MonteCarloResult]:
     """Average the :func:`_block_values` rows over one Haar ensemble drawn in blocks."""
-    samples = finite_scalar(samples, int, "Monte Carlo samples", 100, sys.maxsize // 24)  # up to 3 float rows
+    samples = finite_scalar(samples, int, "Monte Carlo samples", 100, max_count(24))  # up to 3 float rows
     values = np.empty(((post is not None) + (pre is not None) + operation, samples))
     for start, count in _blocks(samples):
         states = haar_states(m.dim, count, seed, start)

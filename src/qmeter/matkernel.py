@@ -9,9 +9,9 @@ numerics are thin layers over LAPACK:
 * ``polar_decompose`` assembles both factors from ``numpy.linalg.svd``.
 
 What this module adds is a fixed output convention: eigenvalues descending,
-eigenvector phases canonicalized, and inside a degenerate eigenvalue group a
-basis that depends only on the eigenspace. Results are bit-reproducible
-within one numpy/BLAS build and agree to rounding across builds.
+eigenvector phases canonicalized, and one vector for a degenerate top group
+that depends only on its eigenspace (``top_eigenvector``). Results are
+bit-reproducible within one numpy/BLAS build and agree to rounding across builds.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,20 @@ def finite_scalar(x, kind, what: str, lo, hi=math.inf, error=OutOfDomain):
             if lo <= value <= hi and abs(value) != math.inf:
                 return value
     noun = "an integer" if kind is int else "a finite real number"
-    span = f">= {lo:g}" if hi == math.inf else f"in [{lo:g}, {hi:g}]"
+    lo, hi = (f"{b:g}" if isinstance(b, float) else str(b) for b in (lo, hi))  # an int prints exactly
+    span = f">= {lo}" if hi == "inf" else f"in [{lo}, {hi}]"
     raise error(f"{what} must be {noun} {span}, got {x!r}")
+
+
+def max_count(item_bytes: int, power: int = 1) -> int:
+    """The largest ``n`` with ``item_bytes * n**power <= sys.maxsize``: the size bound of an array numpy can index."""
+    limit = sys.maxsize // item_bytes
+    n = limit if power == 1 else round(limit ** (1.0 / power))  # a float guess, corrected in integers
+    while n**power > limit:
+        n -= 1
+    while (n + 1) ** power <= limit:
+        n += 1
+    return n
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -119,42 +132,28 @@ class EigenSystem:
 
     ``eigenvalues`` are real and sorted descending; column ``eigenvectors[:, i]``
     belongs to ``eigenvalues[i]`` (a stack adds a leading matrix axis to both).
-    Vectors are orthonormal and phase-canonicalized; a degenerate group gets a
-    basis that depends only on its eigenspace, not on LAPACK's vectors.
+    Vectors are orthonormal and phase-canonicalized; inside a degenerate group
+    they are LAPACK's basis, and ``top_eigenvector`` picks the top group's one.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
-def _span_basis(b: np.ndarray) -> np.ndarray:
-    """An orthonormal basis of span(b) that depends only on the span, not on the columns of ``b``.
+def top_eigenvector(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """The vector that stands for the top eigenspace of one descending ``(values, vectors)`` pair.
 
-    Greedy pivoted Gram-Schmidt over the columns of the projector ``b b^dag``: each step normalizes the largest
-    residual column (the lowest index within a relative ``EIG_GAP_TOL`` of it) and canonicalizes its phase.
+    A gapped top gives its own column. A top group (values linked by gaps below ``EIG_GAP_TOL``) gives the largest
+    column of its projector ``B B^dag`` (the lowest index on a relative tie of ``EIG_GAP_TOL``), normalized and
+    phase-canonicalized: a vector that depends only on the group's span.
     """
-    residual = b @ b.conj().T
-    basis = np.empty_like(b)
-    for i in range(b.shape[1]):
-        norms = np.sqrt(np.sum(residual.real**2 + residual.imag**2, axis=0))
-        j = int(np.argmax(norms >= (1.0 - EIG_GAP_TOL) * norms.max()))
-        basis[:, i] = q = canonicalize_phase(residual[:, j] / norms[j])
-        residual -= np.outer(q, q.conj() @ residual)
-    return basis
-
-
-def _order_basis(values: np.ndarray, vectors: np.ndarray) -> None:
-    """Canonicalize the columns of one descending (values, vectors) pair in place.
-
-    A group of values linked by gaps below ``EIG_GAP_TOL`` gets the ``_span_basis`` of its vectors;
-    a value with no such neighbour keeps its vector, phase-canonicalized.
-    """
-    edges = [0, *(np.flatnonzero(values[:-1] - values[1:] >= EIG_GAP_TOL) + 1).tolist(), values.shape[0]]
-    for start, stop in zip(edges, edges[1:]):
-        if stop - start > 1:
-            vectors[:, start:stop] = _span_basis(vectors[:, start:stop])
-        else:
-            vectors[:, start] = canonicalize_phase(vectors[:, start])
+    width = int(np.argmax(np.append(values[:-1] - values[1:] >= EIG_GAP_TOL, True))) + 1
+    if width == 1:
+        return vectors[:, 0]
+    projector = vectors[:, :width] @ vectors[:, :width].conj().T
+    norms = np.sqrt(np.sum(projector.real**2 + projector.imag**2, axis=0))
+    j = int(np.argmax(norms >= (1.0 - EIG_GAP_TOL) * norms.max()))
+    return canonicalize_phase(projector[:, j] / norms[j])
 
 
 def hermitian_eig(m) -> EigenSystem:
@@ -188,10 +187,10 @@ def hermitian_eig(m) -> EigenSystem:
         values, vecs = np.linalg.eigh(0.5 * (stack + stack.conj().swapaxes(1, 2)))
     except np.linalg.LinAlgError as e:
         raise NoConvergence(f"LAPACK eigh failed: {e}") from e
-    # eigh sorts ascending, so reversing gives the descending order.
-    values, vecs = values[:, ::-1].copy(), vecs[:, :, ::-1].copy()
-    for i in range(stack.shape[0]):
-        _order_basis(values[i], vecs[i])
+    # Descending, each value with its own vector; equal values keep LAPACK's order.
+    order = np.argsort(-values, axis=1, kind="stable")
+    values = np.take_along_axis(values, order, axis=1)
+    vecs = np.apply_along_axis(canonicalize_phase, 1, np.take_along_axis(vecs, order[:, None, :], axis=2))
     values.setflags(write=False)
     vecs.setflags(write=False)
     return EigenSystem(values.reshape(a.shape[:-1]), vecs.reshape(a.shape))

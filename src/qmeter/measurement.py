@@ -14,7 +14,6 @@ solved on first use. Sampling takes a caller-owned RNG stream.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -36,6 +35,7 @@ from .matkernel import (
     frobenius_distance,
     frozen,
     hermitian_eig,
+    max_count,
     polar_decompose,
 )
 
@@ -252,7 +252,7 @@ class Measurement:
         int array, and a dict from each outcome that occurs to its collapsed
         state (computed once per distinct outcome).
         """
-        shots = finite_scalar(shots, int, "shots", 1, sys.maxsize // 8)  # one float64 uniform per shot
+        shots = finite_scalar(shots, int, "shots", 1, max_count(8))  # one float64 uniform per shot
         gen = rng.generator() if hasattr(rng, "generator") else rng
         psi = as_state(psi, self.dim)
         p = self._probabilities(psi)

@@ -108,6 +108,20 @@ class TestBestEstimates:
             assert est.g_post_of_guess(m, [p.chi_post for p in pairs]) == pytest.approx(est.g_post(m), abs=1e-12)
             assert est.g_pre_of_guess(m, [p.chi_pre for p in pairs]) == pytest.approx(est.g_pre(m), abs=1e-12)
 
+    def test_degenerate_estimates_depend_only_on_the_eigenspace(self):
+        # Outcome 1 has E_1 = 0.9 P for one rank-2 projector P (d = 4), rebuilt from 50 bases of its span.
+        rng = np.random.default_rng(25)
+        span = np.linalg.qr(rand_complex(rng, 4, 2))[0]
+        picks = []
+        for _ in range(50):
+            b = span @ np.linalg.qr(rand_complex(rng, 2, 2))[0]
+            p = b @ b.conj().T
+            m = validate([np.sqrt(0.9) * p, np.eye(4) - p + np.sqrt(0.1) * p])
+            picks.append((est.best_pre_estimate(m, 1), est.best_post_estimate(m, 1)))
+        for pre, post in picks:
+            assert overlap2(pre, picks[0][0]) >= 1.0 - 1e-12
+            assert overlap2(post, picks[0][1]) >= 1.0 - 1e-12
+
     def test_tie_broken_estimate_in_the_kernel_falls_back_to_chi_pre(self):
         # The top of E_1 = diag(0, 5e-11) is degenerate (and its a_max of 5e-11 is not vanishing); the
         # tie-broken chi_pre = e_1 lies in the kernel of M_1, so M_1 chi_pre cannot be normalized.
@@ -341,6 +355,13 @@ class TestPureMeasurements:
             assert abs(est.g_pre(p) - est.g_pre(m)) <= 1e-10
             psi = haar.haar_state(m.dim, haar.RngStream(8100 + i))
             assert np.allclose(m.outcome_distribution(psi), p.outcome_distribution(psi), atol=1e-12)
+
+    def test_pure_part_of_a_near_degenerate_effect(self):
+        # E_1 = diag(0, 9e-11): the two values form one group, and sqrt(E_1) must still pair each with its vector.
+        m = validate([np.diag([0.0, np.sqrt(9e-11)]), np.diag([1.0, np.sqrt(1.0 - 9e-11)])])
+        p = est.pure_part(m)
+        for s in (1, 2):
+            assert frobenius_distance(p.kraus_op(s), m.kraus_op(s)) <= 1e-15
 
     def test_pure_part_generally_changes_operation_fidelity(self):
         m = bit_flip_unsharp()

@@ -138,6 +138,13 @@ class TestSeeds:
             haar.RngStream(1, index).generator()
         assert haar.RngStream(1, 2**64 - 1).generator().random() != haar.RngStream(1, 0).generator().random()
 
+    def test_stream_is_gated_once_at_construction(self):
+        with pytest.raises(OutOfDomain, match=r"^stream index must be an integer in \[0, 18446744073709551615\], got -1$"):
+            haar.RngStream(1, -1)
+        stream = haar.RngStream(np.int64(3), np.uint8(2))
+        assert (type(stream.seed), type(stream.stream_index)) == (int, int)
+        assert stream == haar.RngStream(3, 2)
+
 
 class TestHaarIsometry:
     def test_columns_orthonormal(self):

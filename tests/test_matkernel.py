@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -70,18 +72,30 @@ class TestHermitianEig:
         es1 = mk.hermitian_eig(np.eye(3))
         es2 = mk.hermitian_eig(np.eye(3))
         assert np.array_equal(es1.eigenvectors, es2.eigenvectors)
-        # the span's basis takes the lowest-index column of the projector first: the natural order
+        # equal values keep LAPACK's basis, which for a diagonal matrix is the natural one
         assert np.allclose(es1.eigenvectors, np.eye(3))
 
-    def test_degenerate_basis_depends_only_on_the_eigenspace(self):
+    def test_top_eigenvector_depends_only_on_the_eigenspace(self):
         # One rank-2 projector (eigenvalue 0.9, d = 4) rebuilt from 50 bases of the same span.
         rng = np.random.default_rng(25)
         span = np.linalg.qr(rand_complex(rng, 4, 2))[0]
         tops = []
         for _ in range(50):
             b = span @ np.linalg.qr(rand_complex(rng, 2, 2))[0]
-            tops.append(mk.hermitian_eig(0.9 * (b @ b.conj().T)).eigenvectors[:, 0])
+            es = mk.hermitian_eig(0.9 * (b @ b.conj().T))
+            tops.append(mk.top_eigenvector(es.eigenvalues, es.eigenvectors))
         assert max(1.0 - abs(np.vdot(tops[0], top)) ** 2 for top in tops) <= 1e-12
+
+    def test_gapped_top_eigenvector_is_the_first_column(self):
+        es = mk.hermitian_eig(rand_hermitian(np.random.default_rng(26), 4))
+        assert np.array_equal(mk.top_eigenvector(es.eigenvalues, es.eigenvectors), es.eigenvectors[:, 0])
+
+    def test_near_degenerate_group_keeps_each_value_with_its_vector(self):
+        # Values 9e-11 apart form one group, yet column i must still be an eigenvector of value i.
+        u = np.linalg.qr(rand_complex(np.random.default_rng(27), 3, 3))[0]
+        h = (u * [0.5, 9e-11, 0.0]) @ u.conj().T
+        es = mk.hermitian_eig(h)
+        assert mk.frobenius_distance(h @ es.eigenvectors, es.eigenvectors * es.eigenvalues) <= 1e-15
 
     def test_degenerate_group_stays_descending(self):
         assert mk.hermitian_eig(np.diag([0.0, 5e-11])).eigenvalues.tolist() == [5e-11, 0.0]
@@ -302,6 +316,11 @@ class TestFrobeniusDistance:
 
 class TestFiniteScalar:
     """The one gate from outside numbers to scalars."""
+
+    @pytest.mark.parametrize("item_bytes, power", [(8, 1), (16, 1), (24, 1), (16, 2), (16, 3)])
+    def test_max_count_is_the_exact_integer_bound(self, item_bytes, power):
+        n = mk.max_count(item_bytes, power)
+        assert item_bytes * n**power <= sys.maxsize < item_bytes * (n + 1) ** power
 
     @pytest.mark.parametrize("x", [2, 64, np.int64(7), np.uint8(3)])
     def test_ints_pass_as_python_ints(self, x):

@@ -510,6 +510,17 @@ class TestBiOrthogonalFactors:
             assert frobenius_distance(rec, m.kraus_op(s)) <= 1e-10
             assert frobenius_distance(fac.unitary.conj().T @ fac.unitary, np.eye(2)) <= 1e-10
 
+    def test_near_degenerate_group_reconstructs(self):
+        # E_1 = diag(0, 9e-11) has one group of two values; M_1 = sum sqrt(a_j) |left_j><right_j| still holds.
+        m = catalog.with_kicks(
+            validate([np.diag([0.0, np.sqrt(9e-11)]), np.diag([1.0, np.sqrt(1.0 - 9e-11)])]),
+            [haar.haar_isometry(2, 2, haar.RngStream(7, s)) for s in range(2)],
+        )
+        for s in (1, 2):
+            fac = m.bi_orthogonal_factors(s)
+            rec = (fac.left_basis * np.sqrt(fac.eigenvalues)) @ fac.right_basis.conj().T
+            assert frobenius_distance(rec, m.kraus_op(s)) <= 1e-14
+
     def test_same_spectrum_left_and_right(self):
         # M M^dag and E share their eigenvalue list.
         for i in range(50):

@@ -30,20 +30,16 @@ class IncompleteDevice(QmeterError):
 
     Attributes:
         defect: Frobenius norm of (sum of effects - identity).
-        tolerance: the bound it exceeded, or None when not given.
+        tolerance: the bound it exceeded.
 
     ``source`` names where the tolerance came from, for the message.
     """
 
-    def __init__(self, defect, message=None, tolerance=None, source=None):
+    def __init__(self, defect, tolerance, source=None):
         self.defect = float(defect)
-        self.tolerance = None if tolerance is None else float(tolerance)
-        if message is None:
-            limit = ""
-            if self.tolerance is not None:
-                limit = f" exceeds tolerance {self.tolerance:g}" + (f" from {source}" if source else "")
-            message = f"effects do not sum to identity (defect {self.defect:.6g}{limit})"
-        super().__init__(message)
+        self.tolerance = float(tolerance)
+        limit = f" exceeds tolerance {self.tolerance:g}" + (f" from {source}" if source else "")
+        super().__init__(f"effects do not sum to identity (defect {self.defect:.6g}{limit})")
 
 
 class OutcomeOutOfRange(QmeterError):

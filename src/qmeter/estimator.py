@@ -3,8 +3,9 @@
 Given the device and an observed outcome ``s``, the best guess for the state
 *after* the measurement is the top eigenvector of ``M_s M_s^dag`` and the best
 guess for the state *before* it is the top eigenvector of ``E_s = M_s^dag M_s``;
-both eigenvalue problems share the spectrum, and the common top eigenvalue
-``a_max`` drives the mean fidelities:
+both eigenvalue problems share the spectrum, so ``estimate_pair`` reads both
+from the one of ``E_s``, and the common top eigenvalue ``a_max`` drives the
+mean fidelities:
 
 * ``g_post = (1/d) sum_s a_max(s)``, the mean fidelity of the post-measurement
   estimate over Haar-random inputs,
@@ -27,7 +28,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, OutOfDomain
 from .matkernel import (
-    EIG_GAP_TOL,
     _fro_norms,
     canonicalize_phase,
     finite_array,
@@ -54,8 +54,8 @@ PURITY_TOL = 1e-10
 class EstimatePair:
     """Optimal pre/post estimates for one outcome, plus degeneracy flag.
 
-    ``degenerate`` marks a top-eigenvalue gap below 1e-10: the estimates are
-    then one deterministic choice out of a whole eigenspace of equally good ones.
+    ``degenerate`` is the flag of :func:`matkernel.top_eigenvector`: the estimates
+    are then one deterministic choice out of a whole eigenspace of equally good ones.
     """
 
     outcome: int
@@ -92,49 +92,36 @@ class RelationCheck:
     kraus_link_ok: bool | None = None
 
 
-def _top(m: Measurement, s: int) -> tuple[float, np.ndarray, bool, bool]:
-    """``(a_max, chi_pre, degenerate, vanishing)`` of outcome ``s``; ``chi_pre`` is the ``top_eigenvector`` of ``E_s``.
+def estimate_pair(m: Measurement, s: int) -> EstimatePair:
+    """Both optimal estimates for outcome ``s``: the one place they are computed.
 
-    ``a_max`` is clipped at zero. Degenerate (top gap below ``EIG_GAP_TOL``, never for d = 1) or
-    vanishing (``a_max <= A_MAX_FLOOR``) tops make the optimal estimates non-unique.
+    ``chi_pre`` is the ``top_eigenvector`` of ``E_s`` and ``a_max`` its eigenvalue, clipped at zero. ``chi_post``,
+    the top eigenvector of ``M_s M_s^dag``, follows from the link ``M_s chi_pre = sqrt(a_max) chi_post``: it is
+    the phase-canonical ``M_s chi_pre`` normalized, or ``chi_pre`` itself when ``||M_s chi_pre||^2 <= A_MAX_FLOOR``
+    (a vanishing top, or a tie-broken ``chi_pre`` in the kernel of ``M_s``).
     """
     i = m._index(s)
     values = m.spectrum.eigenvalues[i]
-    a_max = max(float(values[0]), 0.0)
-    degenerate = values.shape[0] > 1 and float(values[0] - values[1]) < EIG_GAP_TOL
-    return a_max, top_eigenvector(values, m.spectrum.eigenvectors[i]), degenerate, a_max <= A_MAX_FLOOR
+    chi_pre, degenerate = top_eigenvector(values, m.spectrum.eigenvectors[i])
+    v = m.kraus[i] @ chi_pre
+    norm = fro_norm(v)
+    return EstimatePair(
+        outcome=s,
+        a_max=max(float(values[0]), 0.0),
+        chi_pre=frozen(chi_pre),
+        chi_post=frozen(chi_pre if norm * norm <= A_MAX_FLOOR else canonicalize_phase(v / norm)),
+        degenerate=degenerate,
+    )
 
 
 def best_post_estimate(m: Measurement, s: int) -> np.ndarray:
-    """Top eigenvector of ``M_s M_s^dag``: the optimal post-measurement guess.
-
-    By the link relation ``M_s chi_pre = sqrt(a_max) chi_post`` it is the phase-canonical ``M_s chi_pre``
-    normalized, so a degenerate top inherits ``chi_pre``'s tie-break. When ``||M_s chi_pre||^2 <= A_MAX_FLOOR``
-    (a vanishing top, or a tie-broken ``chi_pre`` in the kernel of ``M_s``) it is ``chi_pre`` itself.
-    """
-    chi_pre = _top(m, s)[1]
-    v = m.kraus_op(s) @ chi_pre
-    norm = fro_norm(v)
-    if norm * norm <= A_MAX_FLOOR:
-        return chi_pre.copy()
-    return canonicalize_phase(v / norm)
+    """Top eigenvector of ``M_s M_s^dag``: the optimal post-measurement guess, as a writable copy."""
+    return estimate_pair(m, s).chi_post.copy()
 
 
 def best_pre_estimate(m: Measurement, s: int) -> np.ndarray:
-    """Top eigenvector of ``E_s``: the optimal pre-measurement guess."""
-    return _top(m, s)[1].copy()
-
-
-def estimate_pair(m: Measurement, s: int) -> EstimatePair:
-    """Both optimal estimates for outcome ``s`` with shared spectral data."""
-    a_max, chi_pre, degenerate, _ = _top(m, s)
-    return EstimatePair(
-        outcome=s,
-        a_max=a_max,
-        chi_pre=frozen(chi_pre),
-        chi_post=frozen(best_post_estimate(m, s)),
-        degenerate=degenerate,
-    )
+    """Top eigenvector of ``E_s``: the optimal pre-measurement guess, as a writable copy."""
+    return estimate_pair(m, s).chi_pre.copy()
 
 
 def _check_guesses(m: Measurement, guesses) -> np.ndarray:
@@ -169,7 +156,7 @@ def g_pre_of_guess(m: Measurement, guesses) -> float:
 
 def g_pre(m: Measurement) -> float:
     """Maximal mean pre-measurement estimation fidelity, ``(1 + g_post)/(d + 1)``."""
-    return (1.0 + g_post(m)) / (m.dim + 1)
+    return check_bound(m).g_pre
 
 
 def operation_fidelity(m: Measurement) -> float:
@@ -240,15 +227,14 @@ def verify_estimate_relations(m: Measurement, s: int) -> RelationCheck:
     states are physical rays. Degenerate or vanishing top eigenvalues make the
     estimates non-unique, so those outcomes are reported as skipped.
     """
-    a_max, chi_pre, degenerate, vanishing = _top(m, s)
-    if vanishing:
+    pair = estimate_pair(m, s)
+    if pair.a_max <= A_MAX_FLOOR:
         return RelationCheck(skipped=True, reason="a_max is numerically zero")
-    if degenerate:
+    if pair.degenerate:
         return RelationCheck(skipped=True, reason="top eigenvalue is degenerate")
-    chi_post = best_post_estimate(m, s)
     u = m.bi_orthogonal_factors(s).unitary
-    unitary_overlap = abs(np.vdot(chi_post, u @ chi_pre)) ** 2
-    kraus_overlap = abs(np.vdot(chi_post, m.kraus_op(s) @ chi_pre)) ** 2 / a_max
+    unitary_overlap = abs(np.vdot(pair.chi_post, u @ pair.chi_pre)) ** 2
+    kraus_overlap = abs(np.vdot(pair.chi_post, m.kraus_op(s) @ pair.chi_pre)) ** 2 / pair.a_max
     return RelationCheck(
         skipped=False,
         unitary_link_ok=bool(unitary_overlap >= 1.0 - OVERLAP_TOL),

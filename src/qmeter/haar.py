@@ -39,10 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroProbabilityOutcome
 from .estimator import _check_guesses
 from .matkernel import finite_scalar, max_count
-from .measurement import PROBABILITY_FLOOR, Measurement, as_state, as_states
+from .measurement import Measurement, as_state, as_states
 
 DEFAULT_SAMPLES = 100_000
 # Most Haar samples drawn and integrated at a time by one Monte Carlo call.
@@ -131,14 +130,8 @@ def haar_isometry(rows: int, cols: int, stream: RngStream) -> np.ndarray:
 
 
 def mc_estimation_fidelity(m: Measurement, s: int, guess, psi) -> float:
-    """Fidelity ``|<guess|M_s|psi>|^2 / p_s`` of one guess for one collapse."""
-    k = m.kraus_op(s)
-    guess = as_state(guess, m.dim)
-    psi = as_state(psi, m.dim)
-    p = float(m.outcome_distribution(psi)[s - 1])
-    if p <= PROBABILITY_FLOOR:
-        raise ZeroProbabilityOutcome(f"outcome {s} has probability {p:.3e}")
-    return float(abs(np.vdot(guess, k @ psi)) ** 2 / p)
+    """Fidelity ``|<guess|M_s|psi>|^2 / p_s`` of one guess for one collapse, by :meth:`Measurement.collapse`."""
+    return float(abs(np.vdot(as_state(guess, m.dim), m.collapse(psi, s))) ** 2)
 
 
 def _summarize(values: np.ndarray) -> MonteCarloResult:

@@ -70,7 +70,11 @@ def finite_scalar(x, kind, what: str, lo, hi=math.inf, error=OutOfDomain):
     noun = "an integer" if kind is int else "a finite real number"
     lo, hi = (f"{b:g}" if isinstance(b, float) else str(b) for b in (lo, hi))  # an int prints exactly
     span = f">= {lo}" if hi == "inf" else f"in [{lo}, {hi}]"
-    raise error(f"{what} must be {noun} {span}, got {x!r}")
+    try:
+        got = repr(x)
+    except ValueError:  # an int with more decimal digits than sys.get_int_max_str_digits() allows
+        got = f"an integer of {x.bit_length()} bits"
+    raise error(f"{what} must be {noun} {span}, got {got}")
 
 
 def max_count(item_bytes: int, power: int = 1) -> int:
@@ -140,20 +144,21 @@ class EigenSystem:
     eigenvectors: np.ndarray
 
 
-def top_eigenvector(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """The vector that stands for the top eigenspace of one descending ``(values, vectors)`` pair.
+def top_eigenvector(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``(vector, degenerate)`` for the top eigenspace of one descending ``(values, vectors)`` pair.
 
-    A gapped top gives its own column. A top group (values linked by gaps below ``EIG_GAP_TOL``) gives the largest
-    column of its projector ``B B^dag`` (the lowest index on a relative tie of ``EIG_GAP_TOL``), normalized and
-    phase-canonicalized: a vector that depends only on the group's span.
+    The top group is the values linked by gaps below ``EIG_GAP_TOL``; ``degenerate`` is true when it has more than
+    one (never for d = 1). A gapped top gives its own column. A group gives the largest column of its projector
+    ``B B^dag`` (the lowest index on a relative tie of ``EIG_GAP_TOL``), normalized and phase-canonicalized: a
+    vector that depends only on the group's span.
     """
     width = int(np.argmax(np.append(values[:-1] - values[1:] >= EIG_GAP_TOL, True))) + 1
     if width == 1:
-        return vectors[:, 0]
+        return vectors[:, 0], False
     projector = vectors[:, :width] @ vectors[:, :width].conj().T
     norms = np.sqrt(np.sum(projector.real**2 + projector.imag**2, axis=0))
     j = int(np.argmax(norms >= (1.0 - EIG_GAP_TOL) * norms.max()))
-    return canonicalize_phase(projector[:, j] / norms[j])
+    return canonicalize_phase(projector[:, j] / norms[j]), True
 
 
 def hermitian_eig(m) -> EigenSystem:

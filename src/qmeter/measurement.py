@@ -103,15 +103,15 @@ class Measurement:
     """A validated generalized measurement (ordered Kraus set) on dimension d.
 
     ``kraus_ops`` is an iterable of ``d x d`` matrices or one ``(n, d, d)`` array;
-    ``tolerance`` (finite, >= 0) bounds the Frobenius completeness defect. The
+    ``tolerance`` (in [0, 0.5]) bounds the Frobenius completeness defect. The
     operators, their effects and the effects' ``spectrum`` are read-only stacks
     (row ``s - 1`` is outcome ``s``), so instances are safe to share across threads.
     """
 
     def __init__(self, kraus_ops, labels=None, tolerance: float | None = None):
-        if tolerance is None:
-            tolerance = DEFAULT_COMPLETENESS_TOL
-        tolerance = finite_scalar(tolerance, float, "completeness tolerance", 0.0)
+        # At most 1/2: every state keeps a total probability >= 1/2, and fidelities exceed 1 by at most the defect.
+        tolerance = DEFAULT_COMPLETENESS_TOL if tolerance is None else tolerance
+        tolerance = finite_scalar(tolerance, float, "completeness tolerance", 0.0, 0.5)
         ops = list(kraus_ops) if np.iterable(kraus_ops) else kraus_ops
         what = "Kraus operators must form one non-empty (n, d, d) array of numbers"
         kraus = finite_array(ops, np.complex128, ShapeMismatch, what, ndim=3)
@@ -260,7 +260,7 @@ class Measurement:
         # Rounding can leave the total mass below a uniform: clamp to outcome n.
         drawn = np.minimum(np.searchsorted(np.cumsum(p), gen.random(shots), side="right"), n - 1)
         viable = np.flatnonzero(p > PROBABILITY_FLOOR)
-        if not viable.size:  # only a device accepted under a loose tolerance gets here
+        if not viable.size:  # a guard only: a tolerance <= 1/2 leaves sum(p) >= 1/2
             raise ZeroProbabilityOutcome(f"every outcome has probability <= {PROBABILITY_FLOOR:.0e}")
         # nearest[i]: the first viable index >= i, else the last viable one.
         nearest = viable[np.minimum(np.searchsorted(viable, np.arange(n)), viable.size - 1)]

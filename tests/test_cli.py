@@ -164,16 +164,17 @@ class TestFidelities:
         post = [estimator.best_post_estimate(m, s) for s in range(1, m.n_outcomes + 1)]
         pre = [estimator.best_pre_estimate(m, s) for s in range(1, m.n_outcomes + 1)]
         expected = haar.mc_fidelities(m, post, pre, 500, 4)
-        calls = {"post": 0, "pre": 0}
-        for name, original in (("post", estimator.best_post_estimate), ("pre", estimator.best_pre_estimate)):
-            def counting(m, s, name=name, original=original):
-                calls[name] += 1
-                return original(m, s)
+        calls = []
+        original = estimator.estimate_pair
 
-            monkeypatch.setattr(estimator, f"best_{name}_estimate", counting)
+        def counting(m, s):
+            calls.append(s)
+            return original(m, s)
+
+        monkeypatch.setattr(estimator, "estimate_pair", counting)
         code, out, _ = run(capsys, "fidelities", path, "--montecarlo", "500", "--seed", "4", "--json")
         assert code == 0
-        assert calls == {"post": m.n_outcomes, "pre": 0}
+        assert calls == list(range(1, m.n_outcomes + 1))
         mc = json.loads(out)["montecarlo"]
         for name, result in zip(("g_post", "g_pre", "f"), expected):
             assert (mc[name]["mean"], mc[name]["std_error"]) == (result.mean, result.std_error)
@@ -720,6 +721,22 @@ class TestInputOutputHardening:
         code, out, err = run(capsys, "validate", str(path))
         assert code == 2 and out == ""
         assert "tolerance" in err
+
+    def test_tolerance_above_one_half_exits_2_from_every_source(self, capsys, tmp_path, monkeypatch):
+        # 2 * identity has defect 3 sqrt(2); a tolerance of 10 would report G_post = 2 and F = 3.
+        doubled = [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps({"dim": 2, "kraus": [doubled], "tolerance": 10}))
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps({"dim": 2, "kraus": [doubled]}))
+        runs = [({}, ("fidelities", str(field))), ({}, ("validate", str(plain), "--tolerance", "10"))]
+        runs.append(({"QMETER_DEFAULT_TOLERANCE": "10"}, ("fidelities", str(plain))))
+        for env, argv in runs:
+            for name, value in env.items():
+                monkeypatch.setenv(name, value)
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err == "error: completeness tolerance must be a finite real number in [0, 0.5], got 10.0\n"
 
     def _simulate_with_state(self, capsys, tmp_path, state):
         dev = write_catalog(capsys, tmp_path, "id1.json", "identity", "--d", "1")

@@ -7,7 +7,7 @@ import pytest
 from conftest import corpus_params, overlap2, rand_complex
 from qmeter import catalog, estimator as est, haar, measurement
 from qmeter.errors import DimensionMismatch, IncompleteDevice, OutOfDomain
-from qmeter.matkernel import EIG_GAP_TOL, PHASE_TOL, fro_norm, frobenius_distance, hermitian_eig
+from qmeter.matkernel import EIG_GAP_TOL, PHASE_TOL, fro_norm, frobenius_distance, hermitian_eig, top_eigenvector
 from qmeter.measurement import validate
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -133,6 +133,65 @@ class TestBestEstimates:
             assert pair.degenerate
             assert np.allclose(pair.chi_pre, [1.0, 0.0], rtol=0.0, atol=1e-12)
             assert np.allclose(pair.chi_post, [1.0, 0.0], rtol=0.0, atol=1e-12)
+
+
+def one_path_devices():
+    """Random, kicked, degenerate, vanishing and d = 1 devices: every branch of ``estimate_pair``."""
+    kick = [haar.haar_isometry(3, 3, haar.RngStream(5, 0))]
+    return [
+        catalog.random_device(3, 4, seed=81),
+        catalog.random_device(16, 2, seed=82),
+        bit_flip_unsharp(),
+        catalog.with_kicks(catalog.identity_device(3), kick),
+        catalog.unsharp_qubit(0.0),
+        validate([np.diag([0.0, np.sqrt(5e-11)]), np.diag([1.0, np.sqrt(1.0 - 5e-11)])]),
+        validate([np.zeros((2, 2)), np.eye(2)]),
+        validate([[[0.6]], [[0.8]]]),
+    ]
+
+
+class TestOnePath:
+    """``estimate_pair`` is the one computation; the single-estimate functions only copy its fields."""
+
+    @pytest.mark.parametrize("m", one_path_devices())
+    def test_wrappers_return_the_pair_fields_bit_for_bit(self, m, monkeypatch):
+        pairs, original = [], est.estimate_pair
+
+        def recording(m, s):
+            pairs.append(original(m, s))
+            return pairs[-1]
+
+        monkeypatch.setattr(est, "estimate_pair", recording)
+        for s in range(1, m.n_outcomes + 1):
+            for wrapper, field in ((est.best_pre_estimate, "chi_pre"), (est.best_post_estimate, "chi_post")):
+                guess = wrapper(m, s)
+                frozen_field = getattr(pairs[-1], field)
+                assert guess.tobytes() == frozen_field.tobytes()
+                assert guess.tobytes() == getattr(original(m, s), field).tobytes()
+                assert guess.flags.writeable and not frozen_field.flags.writeable
+                assert not np.shares_memory(guess, frozen_field)
+
+    def test_one_top_eigenvector_per_pair(self, monkeypatch):
+        calls = []
+
+        def counting(values, vectors):
+            calls.append(values.shape)
+            return top_eigenvector(values, vectors)
+
+        monkeypatch.setattr(est, "top_eigenvector", counting)
+        for m in one_path_devices():
+            for s in range(1, m.n_outcomes + 1):
+                for call in (est.estimate_pair, est.best_post_estimate, est.verify_estimate_relations):
+                    calls.clear()
+                    call(m, s)
+                    assert calls == [(m.dim,)]
+
+    def test_vanishing_top_keeps_chi_pre(self):
+        m = validate([np.zeros((2, 2)), np.eye(2)])
+        pair = est.estimate_pair(m, 1)
+        assert pair.a_max == 0.0 and pair.degenerate
+        assert np.array_equal(pair.chi_post, pair.chi_pre)
+        assert est.verify_estimate_relations(m, 1).reason == "a_max is numerically zero"
 
 
 class TestMeanFidelities:
@@ -273,6 +332,35 @@ class TestCheckBound:
             report = est.check_bound(m)
             assert est.g_post(m) == report.g_post == float(report.per_outcome_a_max.sum()) / m.dim
             assert est.g_pre(m) == report.g_pre
+
+    def test_fidelities_exceed_one_by_at_most_the_defect(self):
+        # A device accepted with defect t <= 1/2 has g_post <= 1 + t/sqrt(d) and F <= 1 + sqrt(d) t/(d + 1).
+        rng = np.random.default_rng(83)
+        checked = 0
+        for i in range(200):
+            d, n = 1 + i % 4, 1 + i % 3
+            kraus = catalog.random_device(max(d, 2), n, seed=8300 + i).kraus[:, :d, :d] * rng.uniform(0.8, 1.4)
+            kraus = kraus + 0.1 * rng.uniform() * rand_complex(rng, n * d, d).reshape(n, d, d)
+            try:
+                m = validate(kraus, tolerance=0.5)
+            except IncompleteDevice:
+                continue
+            t, report = m.completeness_defect, est.check_bound(m)
+            assert report.g_post <= 1.0 + t / math.sqrt(d) + 1e-12
+            assert report.f_op <= 1.0 + math.sqrt(d) * t / (d + 1) + 1e-12
+            checked += 1
+        assert checked >= 50
+
+    @pytest.mark.parametrize("d", [2, 4, 16])
+    def test_scaled_devices_attain_the_defect_bounds(self, d):
+        # c * (a projective device) attains the g_post bound, c * (the identity device) the F bound.
+        t = 0.49
+        c = math.sqrt(1.0 + t / math.sqrt(d))
+        proj, ident = (validate(c * m.kraus, tolerance=0.5) for m in (catalog.projective(d), catalog.identity_device(d)))
+        assert proj.completeness_defect == pytest.approx(t, abs=1e-12)
+        assert ident.completeness_defect == pytest.approx(t, abs=1e-12)
+        assert est.g_post(proj) == pytest.approx(1.0 + t / math.sqrt(d), abs=1e-12)
+        assert est.operation_fidelity(ident) == pytest.approx(1.0 + math.sqrt(d) * t / (d + 1), abs=1e-12)
 
     def test_bound_holds_on_random_and_kicked_devices(self):
         for i in range(100):

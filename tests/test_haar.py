@@ -3,7 +3,7 @@ import pytest
 
 from qmeter import catalog, estimator as est, haar
 from qmeter.errors import DimensionMismatch, OutcomeOutOfRange, OutOfDomain, ZeroProbabilityOutcome
-from qmeter.measurement import Measurement
+from qmeter.measurement import PROBABILITY_FLOOR, Measurement
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
@@ -186,6 +186,29 @@ class TestEstimationFidelity:
     def test_outcome_out_of_range(self, s):
         with pytest.raises(OutcomeOutOfRange):
             haar.mc_estimation_fidelity(catalog.projective(2), s, [1.0, 0.0], PLUS)
+
+    def test_probability_floor(self):
+        # ||M_2 psi||^2 = p: refused at or below PROBABILITY_FLOOR, answered above it.
+        m = catalog.projective(2)
+        for p, refused in ((0.5 * PROBABILITY_FLOOR, True), (4 * PROBABILITY_FLOOR, False)):
+            psi = [np.sqrt(1.0 - p), np.sqrt(p)]
+            if refused:
+                with pytest.raises(ZeroProbabilityOutcome):
+                    haar.mc_estimation_fidelity(m, 2, [0.0, 1.0], psi)
+            else:
+                assert haar.mc_estimation_fidelity(m, 2, [0.0, 1.0], psi) == pytest.approx(1.0, abs=1e-15)
+
+    def test_matches_the_born_rule_quotient(self):
+        # The collapse-based value against |<g|M_s psi>|^2 / <psi|E_s|psi>, on 600 random cases.
+        worst = 0.0
+        for i in range(150):
+            m = catalog.random_device(2 + i % 3, 4, seed=5100 + i)
+            psi, guess = haar.haar_states(m.dim, 2, seed=5100 + i)
+            p = m.outcome_distribution(psi)
+            for s in range(1, 5):
+                quotient = abs(np.vdot(guess, m.kraus_op(s) @ psi)) ** 2 / p[s - 1]
+                worst = max(worst, abs(haar.mc_estimation_fidelity(m, s, guess, psi) - quotient))
+        assert worst <= 1e-15
 
 
 class TestMonteCarloIntegrals:

@@ -83,12 +83,28 @@ class TestHermitianEig:
         for _ in range(50):
             b = span @ np.linalg.qr(rand_complex(rng, 2, 2))[0]
             es = mk.hermitian_eig(0.9 * (b @ b.conj().T))
-            tops.append(mk.top_eigenvector(es.eigenvalues, es.eigenvectors))
+            top, degenerate = mk.top_eigenvector(es.eigenvalues, es.eigenvectors)
+            assert degenerate
+            tops.append(top)
         assert max(1.0 - abs(np.vdot(tops[0], top)) ** 2 for top in tops) <= 1e-12
 
     def test_gapped_top_eigenvector_is_the_first_column(self):
         es = mk.hermitian_eig(rand_hermitian(np.random.default_rng(26), 4))
-        assert np.array_equal(mk.top_eigenvector(es.eigenvalues, es.eigenvectors), es.eigenvectors[:, 0])
+        top, degenerate = mk.top_eigenvector(es.eigenvalues, es.eigenvectors)
+        assert np.array_equal(top, es.eigenvectors[:, 0]) and not degenerate
+
+    @pytest.mark.parametrize("gap", [0.0, mk.EIG_GAP_TOL / 2, mk.EIG_GAP_TOL, 2 * mk.EIG_GAP_TOL])
+    def test_degenerate_flag_is_the_top_gap_test(self, gap):
+        vectors = np.linalg.qr(rand_complex(np.random.default_rng(28), 3, 3))[0]
+        for base in (0.5, 0.0):
+            values = np.array([base + gap, base, base - 0.25])
+            _, degenerate = mk.top_eigenvector(values, vectors)
+            assert degenerate == bool(values[0] - values[1] < mk.EIG_GAP_TOL)
+        assert degenerate == (gap < mk.EIG_GAP_TOL)  # at base 0.0 the gap is exact
+
+    def test_dimension_one_is_never_degenerate(self):
+        top, degenerate = mk.top_eigenvector(np.array([0.7]), np.eye(1, dtype=complex))
+        assert top.tolist() == [1.0] and not degenerate
 
     def test_near_degenerate_group_keeps_each_value_with_its_vector(self):
         # Values 9e-11 apart form one group, yet column i must still be an eigenvector of value i.
@@ -350,6 +366,15 @@ class TestFiniteScalar:
             mk.finite_scalar(10**400, int, "d", 2, 4)
         with pytest.raises(OutOfDomain, match="^tolerance must be a finite real number >= 0, got 1000"):
             mk.finite_scalar(10**400, float, "tolerance", 0.0)
+
+    def test_int_beyond_the_decimal_digit_limit_shows_its_bit_length(self):
+        # repr() of an int with more than 4300 digits raises ValueError, so the message names its size instead.
+        assert (10**5000).bit_length() == 16610
+        for x in (10**5000, -(10**5000)):
+            with pytest.raises(OutOfDomain, match=r"^d must be an integer in \[2, 4\], got an integer of 16610 bits$"):
+                mk.finite_scalar(x, int, "d", 2, 4)
+            with pytest.raises(OutOfDomain, match="^tolerance must be .* >= 0, got an integer of 16610 bits$"):
+                mk.finite_scalar(x, float, "tolerance", 0.0)
 
     def test_bounds_are_inclusive(self):
         assert mk.finite_scalar(2, int, "d", 2, 4) == 2

@@ -77,6 +77,12 @@ class TestValidate:
                 Measurement([np.eye(2)], tolerance=tol)
         assert Measurement([np.eye(2)], tolerance=0.0).tolerance == 0.0
 
+    def test_tolerance_is_capped_at_one_half(self):
+        assert Measurement([np.eye(2)], tolerance=0.5).tolerance == 0.5
+        for tol in (np.nextafter(0.5, 1.0), 1.0, 10):
+            with pytest.raises(OutOfDomain, match=r"^completeness tolerance must be a finite real number in \[0, 0.5\]"):
+                Measurement([np.eye(2)], tolerance=tol)
+
     MALFORMED = {
         "not_iterable": (lambda: Measurement(5), ShapeMismatch),
         "none": (lambda: Measurement(None), ShapeMismatch),
@@ -449,9 +455,10 @@ class TestSampleOutcomes:
         assert list(posts) == [2]
         assert overlap2(posts[2], [0.0, 1.0, 0.0]) == pytest.approx(1.0, abs=1e-14)
 
-    def test_no_viable_outcome_is_typed(self):
-        # A loose tolerance admits effects far below the identity: p = 1e-16 <= floor.
-        m = Measurement([1e-8 * np.eye(2)], tolerance=10.0)
+    def test_no_viable_outcome_is_typed(self, monkeypatch):
+        # A tolerance <= 1/2 keeps sum(p) >= 1/2, so only a floor above every p = 1/2 reaches the guard.
+        monkeypatch.setattr(measurement, "PROBABILITY_FLOOR", 0.6)
+        m = catalog.projective(2)
         for shots in (1, 5):
             with pytest.raises(ZeroProbabilityOutcome):
                 m.sample_outcomes(PLUS, haar.RngStream(4), shots)

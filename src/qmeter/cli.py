@@ -117,6 +117,8 @@ def _load_json(path: str):
         raise DeviceSpecError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from e
     except RecursionError as e:
         raise DeviceSpecError(f"{path}: JSON nested too deeply") from e
+    except ValueError as e:  # an integer with more digits than sys.get_int_max_str_digits() allows
+        raise DeviceSpecError(f"{path}: {e}") from e
 
 
 def default_tolerance() -> float:
@@ -356,10 +358,9 @@ def cmd_simulate(args) -> int:
     log = outcomes.tolist()
     counts = np.bincount(outcomes - 1, minlength=m.n_outcomes)
     freqs = counts / args.shots
-    # Each distinct post-state is encoded once; every shot reuses its text.
-    texts = {
-        s: json.dumps(_pairs(canonicalize_phase(post)), allow_nan=False) for s, post in posts.items()
-    }
+    # One phase pass over the distinct post-states and psi; each post-state is encoded once, for every shot.
+    *rows, state = _pairs(canonicalize_phase(np.array([*posts.values(), psi])))
+    texts = {s: json.dumps(row, allow_nan=False) for s, row in zip(posts, rows)}
     if args.json:
         # Byte-identical to json.dumps of {"command", "shots": [shot dicts], **rest}
         # without building one dict per shot: the log is spliced into the rest.
@@ -367,7 +368,7 @@ def cmd_simulate(args) -> int:
             {
                 "counts": [int(c) for c in counts],
                 "frequencies": [float(f) for f in freqs],
-                "state": _pairs(canonicalize_phase(psi)),
+                "state": state,
                 **source,
             },
             allow_nan=False,
@@ -418,26 +419,20 @@ def cmd_domain(args) -> int:
     return 0
 
 
-def _build_catalog_device(args) -> Measurement:
-    family = args.family
-    if family == "projective":
-        return catalog.projective(args.d)
-    if family == "identity":
-        return catalog.identity_device(args.d)
-    if family == "unsharp":
-        return catalog.unsharp_qubit(args.lam)
-    if family == "random":
-        return catalog.random_device(args.d, args.n, args.seed)
-    if family == "tetrahedron":
-        posts = None
-        if args.post_seed is not None:
-            posts = list(haar.haar_states(2, 4, args.post_seed))
-        return catalog.tetrahedron_rank_one(posts)
-    raise DeviceSpecError(f"unknown family {family!r}")
+# Each catalog family's constructor from the parsed flags; the names are also the parser's choices.
+FAMILIES = {
+    "projective": lambda args: catalog.projective(args.d),
+    "identity": lambda args: catalog.identity_device(args.d),
+    "unsharp": lambda args: catalog.unsharp_qubit(args.lam),
+    "random": lambda args: catalog.random_device(args.d, args.n, args.seed),
+    "tetrahedron": lambda args: catalog.tetrahedron_rank_one(
+        None if args.post_seed is None else list(haar.haar_states(2, 4, args.post_seed))
+    ),
+}
 
 
 def cmd_catalog(args) -> int:
-    m = _build_catalog_device(args)
+    m = FAMILIES[args.family](args)
     if args.kick_seed is not None:
         kicks = [
             haar.haar_isometry(m.dim, m.dim, haar.RngStream(args.kick_seed, s))
@@ -495,7 +490,7 @@ def _parser() -> argparse.ArgumentParser:
     d.set_defaults(func=cmd_domain)
 
     c = sub.add_parser("catalog", help="write a named device family to a spec file")
-    c.add_argument("family", choices=["projective", "identity", "unsharp", "random", "tetrahedron"])
+    c.add_argument("family", choices=FAMILIES)
     c.add_argument("--d", type=int, default=2)
     c.add_argument("--lambda", dest="lam", type=float, default=0.5)
     c.add_argument("--n", type=int, default=2)

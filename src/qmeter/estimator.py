@@ -166,6 +166,11 @@ def operation_fidelity(m: Measurement) -> float:
     return (d + float(traces)) / (d * (d + 1))
 
 
+def _bound_rhs(d: int, g):
+    """The bound's right side ``sqrt(g) + sqrt((d-1)(1-g))``, roots of values floored at 0; ``g`` may be an array."""
+    return np.sqrt(np.maximum(g, 0.0)) + np.sqrt(float(d - 1) * np.maximum(1.0 - g, 0.0))
+
+
 def tradeoff_bound(d: int, g_post_value: float) -> tuple[float, float]:
     """Largest operation fidelity compatible with a given ``g_post`` in dimension d.
 
@@ -175,9 +180,8 @@ def tradeoff_bound(d: int, g_post_value: float) -> tuple[float, float]:
     """
     d = finite_scalar(d, int, "dimension", 2, sys.float_info.max)
     g_post_value = finite_scalar(g_post_value, float, f"g_post in dimension {d}", 1.0 / d - 1e-12, 1.0 + 1e-12)
-    g = min(max(g_post_value, 1.0 / d), 1.0)
-    saturating = math.sqrt(g) + math.sqrt((d - 1) * max(1.0 - g, 0.0))
-    return saturating, (1.0 + saturating * saturating) / (d + 1)
+    saturating = float(_bound_rhs(d, np.clip(g_post_value, 1.0 / d, 1.0)))
+    return saturating, (1.0 + saturating * saturating) / float(d + 1)
 
 
 def check_bound(m: Measurement) -> FidelityReport:
@@ -187,7 +191,7 @@ def check_bound(m: Measurement) -> FidelityReport:
     gp = float(a_maxes.sum()) / d
     f = operation_fidelity(m)
     lhs = math.sqrt(max((d + 1) * f - 1.0, 0.0))
-    rhs = math.sqrt(max(gp, 0.0)) + math.sqrt((d - 1) * max(1.0 - gp, 0.0))
+    rhs = float(_bound_rhs(d, gp))
     return FidelityReport(
         g_post=gp,
         g_pre=(1.0 + gp) / (d + 1),
@@ -283,5 +287,5 @@ def domain_boundary(d, steps: int) -> np.ndarray:
         return np.column_stack([g, 1.0 - g])
     d = finite_scalar(d, int, "dimension (or math.inf)", 2, sys.float_info.max)
     g = np.linspace(1.0 / d, 1.0, steps)
-    f = np.array([tradeoff_bound(d, gi)[1] for gi in g])
-    return np.column_stack([g, f])
+    saturating = _bound_rhs(d, np.clip(g, 1.0 / d, 1.0))
+    return np.column_stack([g, (1.0 + saturating * saturating) / float(d + 1)])

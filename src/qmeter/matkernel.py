@@ -117,17 +117,18 @@ def _fro_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(squares.reshape(n, rows * cols), axis=1))
 
 
-def canonicalize_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the first component with |v_i| > PHASE_TOL is real positive.
+def canonicalize_phase(v) -> np.ndarray:
+    """Rotate each vector along the last of ``v``'s 1 to 3 axes so its first |v_i| > PHASE_TOL is real positive.
 
-    Idempotent, and a no-op on the (physically empty) all-below-tolerance vector.
+    The modulus is ``hypot``, which rounds as ``abs`` of one complex number does. Idempotent; keeps a tiny vector.
     """
-    v = np.asarray(v, dtype=np.complex128)
-    for x in v:
-        mod = abs(x)
-        if mod > PHASE_TOL:
-            return v * (x.conjugate() / mod)
-    return v.copy()
+    v = finite_array(v, np.complex128, ShapeMismatch, "canonicalize_phase requires a vector or a stack", (1, 2, 3))
+    if v.shape[-1] == 0:
+        return v.copy()
+    mod = np.hypot(v.real, v.imag)
+    first = np.argmax(mod > PHASE_TOL, axis=-1, keepdims=True)
+    lead, lead_mod = np.take_along_axis(v, first, -1), np.take_along_axis(mod, first, -1)
+    return np.where(lead_mod > PHASE_TOL, v * (np.conj(lead) / np.maximum(lead_mod, PHASE_TOL)), v)
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,7 @@ def hermitian_eig(m) -> EigenSystem:
     # Descending, each value with its own vector; equal values keep LAPACK's order.
     order = np.argsort(-values, axis=1, kind="stable")
     values = np.take_along_axis(values, order, axis=1)
-    vecs = np.apply_along_axis(canonicalize_phase, 1, np.take_along_axis(vecs, order[:, None, :], axis=2))
+    vecs = canonicalize_phase(np.take_along_axis(vecs, order[:, None, :], axis=2).swapaxes(1, 2)).swapaxes(1, 2)
     values.setflags(write=False)
     vecs.setflags(write=False)
     return EigenSystem(values.reshape(a.shape[:-1]), vecs.reshape(a.shape))

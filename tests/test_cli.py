@@ -551,8 +551,11 @@ class TestCatalogCommand:
                 assert frobenius_distance(loaded.kraus_op(s), m.kraus_op(s)) == 0.0
 
     def test_unknown_family_rejected(self, capsys, tmp_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exit_info:
             cli.main(["catalog", "nonsense", "--out", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2 and "invalid choice: 'nonsense'" in err
+        assert all(family in err for family in cli.FAMILIES)
 
 
 def extreme_floats():
@@ -828,6 +831,43 @@ class TestRejectionCorpus:
         code, out, err = run(capsys, "validate", str(path))
         assert (code, out) == (1, "")
         assert "nested too deeply" in err
+
+    # More decimal digits than sys.get_int_max_str_digits() lets json.loads convert.
+    TOO_LONG = "1" * 5001
+    LONG_INT_FILES = {
+        "dim": ('{"dim": ' + TOO_LONG + ', "kraus": [[[[1.0, 0.0]]]]}', None),
+        "kraus_entry": ('{"dim": 1, "kraus": [[[[' + TOO_LONG + ", 0.0]]]]}", None),
+        "tolerance": ('{"dim": 1, "kraus": [[[[1.0, 0.0]]]], "tolerance": ' + TOO_LONG + "}", None),
+        "amplitude": ('{"dim": 1, "kraus": [[[[1.0, 0.0]]]]}', '{"dim": 1, "amplitudes": [[' + TOO_LONG + ", 0]]}"),
+    }
+
+    @pytest.mark.parametrize("where", list(LONG_INT_FILES))
+    def test_integer_beyond_the_digit_limit_is_malformed(self, capsys, tmp_path, where):
+        device_text, state_text = self.LONG_INT_FILES[where]
+        device = tmp_path / "device.json"
+        device.write_text(device_text)
+        argv = ["validate", str(device)]
+        path = device
+        if state_text is not None:
+            path = tmp_path / "state.json"
+            path.write_text(state_text)
+            argv = ["simulate", str(device), "--state", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: ") and "digits" in err and err.count("\n") == 1
+
+    def test_top_level_list_is_malformed(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out, err) == (1, "", f"error: {path}: device spec must be a JSON object\n")
+
+    def test_non_numeric_tolerance_env_var_is_malformed(self, capsys, tmp_path, monkeypatch):
+        device = tmp_path / "identity.json"
+        device.write_text('{"dim": 1, "kraus": [[[[1.0, 0.0]]]]}')
+        monkeypatch.setenv("QMETER_DEFAULT_TOLERANCE", "abc")
+        code, out, err = run(capsys, "validate", str(device))
+        assert (code, out, err) == (1, "", "error: QMETER_DEFAULT_TOLERANCE='abc' is not a number\n")
 
 
 class TestDecodePairs:

@@ -7,7 +7,15 @@ import pytest
 from conftest import corpus_params, overlap2, rand_complex
 from qmeter import catalog, estimator as est, haar, measurement
 from qmeter.errors import DimensionMismatch, IncompleteDevice, OutOfDomain
-from qmeter.matkernel import EIG_GAP_TOL, PHASE_TOL, fro_norm, frobenius_distance, hermitian_eig, top_eigenvector
+from qmeter.matkernel import (
+    EIG_GAP_TOL,
+    PHASE_TOL,
+    finite_scalar,
+    fro_norm,
+    frobenius_distance,
+    hermitian_eig,
+    top_eigenvector,
+)
 from qmeter.measurement import validate
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -295,6 +303,12 @@ class TestTradeoffBound:
         assert max_f == pytest.approx((1.0 + (np.sqrt(0.8) + np.sqrt(0.2)) ** 2) / 3, abs=1e-14)
         assert max_f == pytest.approx(2.8 / 3, abs=1e-12)
 
+    def test_saturating_value_is_check_bounds_right_side(self):
+        for d, n, seed in corpus_params(40, seed_base=6100):
+            report = est.check_bound(catalog.random_device(d, n, seed))
+            assert 1.0 / d <= report.g_post <= 1.0
+            assert est.tradeoff_bound(d, report.g_post)[0] == report.bound_rhs
+
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
             est.tradeoff_bound(2, 0.3)
@@ -564,3 +578,25 @@ class TestDomainBoundary:
     def test_bad_steps(self):
         with pytest.raises(OutOfDomain):
             est.domain_boundary(2, 1)
+
+    def test_table_is_the_per_step_tradeoff_bound_bit_for_bit(self):
+        for d in [*range(2, 65), 10**15, 10**300]:
+            for steps in (2, 3, 101, 1000):
+                table = est.domain_boundary(d, steps)
+                per_step = [est.tradeoff_bound(d, float(g))[1] for g in table[:, 0]]
+                assert table[:, 1].tobytes() == np.array(per_step).tobytes(), (d, steps)
+
+    def test_grid_is_gated_once_not_per_step(self, monkeypatch):
+        gated = []
+
+        def counting(x, *args, **kwargs):
+            gated.append(x)
+            return finite_scalar(x, *args, **kwargs)
+
+        def per_step(*args):
+            raise AssertionError("domain_boundary must not call tradeoff_bound")
+
+        monkeypatch.setattr(est, "finite_scalar", counting)
+        monkeypatch.setattr(est, "tradeoff_bound", per_step)
+        assert est.domain_boundary(4, 1000).shape == (1000, 2)
+        assert gated == [1000, 4]

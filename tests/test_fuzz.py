@@ -16,6 +16,7 @@ strings, either return a result or raise a ``QmeterError``. A ``RuntimeWarning``
 either fuzzer (see pyproject.toml).
 """
 
+import collections
 import copy
 import io
 import json
@@ -227,7 +228,7 @@ def scalar_slots(seed):
 
 def constructor_call(rng):
     """A random library call with mutated arguments, as a thunk."""
-    kind = rng.randrange(11)
+    kind = rng.randrange(12)
     if kind == 0:
         m = catalog.random_device(rng.choice((2, 3)), rng.choice((1, 2, 4)), seed=rng.randrange(100))
         kraus = junk_or_mutant(m.kraus, rng)
@@ -256,7 +257,11 @@ def constructor_call(rng):
     d = rng.choice((1, 2, 3))
     if kind == 3:
         stack = [rand_hermitian(gen, d) for _ in range(rng.choice((1, 3)))]
-        matrices = junk_or_mutant(stack if rng.random() < 0.5 else stack[0], rng)
+        if d > 1 and rng.random() < 0.25:  # one broken off-diagonal entry: NotHermitian by construction
+            stack[-1][0, 1] += 1.0
+            matrices = stack if rng.random() < 0.5 else stack[-1]
+        else:
+            matrices = junk_or_mutant(stack if rng.random() < 0.5 else stack[0], rng)
         return lambda: matkernel.hermitian_eig(matrices)
     if kind == 4:
         matrix = junk_or_mutant(rand_complex(gen, d, d), rng)
@@ -282,6 +287,7 @@ def constructor_call(rng):
         call, value = rng.choice(
             [(Measurement, m.kraus), (as_state, haar.haar_state(d, haar.RngStream(1))),
              (matkernel.hermitian_eig, m.effects), (matkernel.polar_decompose, m.kraus[0]),
+             (matkernel.canonicalize_phase, m.kraus[0]),
              (catalog.bloch_state, gen.normal(size=3)), (lambda x: catalog.with_kicks(m, x), [np.eye(m.dim)] * 2)]
         )
         strings = np.asarray(value).astype(rng.choice(["U", "S"]))
@@ -290,6 +296,9 @@ def constructor_call(rng):
         elif rng.random() < 0.5:
             strings = strings.astype(object)
         return lambda: call(strings)
+    if kind == 10:
+        vectors = junk_or_mutant(rand_complex(gen, rng.choice((1, 3)), d), rng)
+        return lambda: matkernel.canonicalize_phase(vectors)
     m = catalog.random_device(rng.choice((2, 3)), rng.choice((1, 2, 4)), seed=rng.randrange(100))
     integrand, estimate = rng.choice(
         [(haar.g_post_integrand, estimator.best_post_estimate), (haar.g_pre_integrand, estimator.best_pre_estimate)]
@@ -303,18 +312,19 @@ def constructor_call(rng):
 
 def test_library_constructors_raise_typed_errors():
     rng = random.Random(0)
-    outcomes = set()
+    outcomes = collections.Counter()
     for _ in range(CONSTRUCTOR_CALLS):
         call = constructor_call(rng)
         try:
             call()
-            outcomes.add("result")
+            outcomes["result"] += 1
         except QmeterError as e:
-            outcomes.add(type(e).__name__)
+            outcomes[type(e).__name__] += 1
+    print(dict(outcomes))  # the count of each outcome, shown by pytest -s
     expected = {
         "result", "ShapeMismatch", "DimensionMismatch", "OutOfDomain", "NotHermitian", "NotUnitary", "OutcomeOutOfRange"
     }
-    assert expected <= outcomes, outcomes
+    assert expected <= set(outcomes), outcomes
 
 
 # The only junk that is valid input: an empty sample range, the default tolerance, a zero strength, the

@@ -247,6 +247,54 @@ class TestPhaseCanonicalization:
         out = mk.canonicalize_phase(v)
         assert out[1] == pytest.approx(1.0)
 
+    @staticmethod
+    def loop_rule(v):
+        """The one-vector rule as a loop over components: the reference the stack-wise rule must match."""
+        v = np.asarray(v, dtype=np.complex128)
+        for x in v:
+            mod = abs(x)
+            if mod > mk.PHASE_TOL:
+                return v * (x.conjugate() / mod)
+        return v.copy()
+
+    def test_stacks_match_the_loop_rule_bit_for_bit(self):
+        rng = np.random.default_rng(47)
+        for _ in range(1000):
+            shape = tuple(int(n) for n in rng.integers(0, 6, size=rng.integers(1, 4)))
+            v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            v *= 10.0 ** rng.integers(-14, 3, size=shape)  # many entries below PHASE_TOL, some leading
+            v[rng.random(shape) < 0.2] = 0.0  # whole zero vectors among the short ones
+            v.real[rng.random(shape) < 0.1] = -0.0
+            v.imag[rng.random(shape) < 0.1] = -0.0
+            want = np.empty(shape, dtype=np.complex128)
+            for index in np.ndindex(shape[:-1]):
+                want[index] = self.loop_rule(v[index])
+            got = mk.canonicalize_phase(v)
+            # Bits, not values: -0.0 == 0.0 would hide a sign flip.
+            assert got.shape == shape and got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+    def test_rows_of_a_matrix_are_canonicalized_one_by_one(self):
+        rows = np.array([[1j, 1.0], [0.0, -2.0], [1e-13, 0.0]])
+        out = mk.canonicalize_phase(rows)
+        for row, got in zip(rows, out):
+            assert np.array_equal(got, mk.canonicalize_phase(row))
+        assert np.array_equal(out, [[1.0, -1j], [0.0, 2.0], [1e-13, 0.0]])
+
+    def test_empty_and_all_tiny_vectors_come_back_unchanged(self):
+        for v in (np.zeros(0, complex), np.zeros((2, 0), complex), np.array([1e-13j, -0.0])):
+            out = mk.canonicalize_phase(v)
+            assert out.shape == v.shape and out.view(np.uint64).tobytes() == v.view(np.uint64).tobytes()
+            assert out is not v
+
+    @pytest.mark.parametrize("junk", [np.ones((2, 2, 2, 2)), 1.0, "ab", None, [[1, 2], [3]], ["x", "y"]])
+    def test_bad_input_raises_a_typed_error(self, junk):
+        with pytest.raises(QmeterError):
+            mk.canonicalize_phase(junk)
+
+    def test_non_finite_entry_is_out_of_domain(self):
+        with pytest.raises(OutOfDomain):
+            mk.canonicalize_phase([1.0, np.nan])
+
 
 class TestPolarDecompose:
     def test_positive_input(self):

@@ -22,8 +22,8 @@ print(f"Monte Carlo vs closed form at {SAMPLES} samples")
 print(f"{'device':<20}{'quantity':<8}{'analytic':>12}{'MC mean':>12}{'std err':>11}{'sigmas':>8}")
 for i, (name, device) in enumerate(devices):
     report = estimator.check_bound(device)
-    post = [estimator.best_post_estimate(device, s) for s in range(1, device.n_outcomes + 1)]
-    pre = [estimator.best_pre_estimate(device, s) for s in range(1, device.n_outcomes + 1)]
+    pairs = estimator.estimate_pairs(device)  # every outcome's estimates from one stacked pass
+    post, pre = [p.chi_post for p in pairs], [p.chi_pre for p in pairs]
     rows = [
         ("g_post", haar.mc_g_post(device, post, SAMPLES, seed=100 + i), report.g_post),
         ("g_pre", haar.mc_g_pre(device, pre, SAMPLES, seed=100 + i), report.g_pre),

@@ -61,7 +61,8 @@ def with_kicks(m: Measurement, unitaries) -> Measurement:
     """Left-multiply each Kraus operator by a unitary kick ``V_s``.
 
     Effects (hence outcome statistics and both estimation fidelities) are
-    unchanged; the operation fidelity generally is not.
+    unchanged; the operation fidelity generally is not. The kicked set is
+    checked at ``m``'s slack, as its effects are.
     """
     kicks = finite_array(unitaries, np.complex128, ShapeMismatch, "kicks must be an (n, d, d) unitary array", ndim=3)
     if kicks.shape != m.kraus.shape:
@@ -71,7 +72,7 @@ def with_kicks(m: Measurement, unitaries) -> Measurement:
         defect = float(np.linalg.norm(gram - np.eye(m.dim), axis=(1, 2)).max())
     if not defect <= 1e-10:
         raise NotUnitary(f"kick unitarity defect {defect:.3e} exceeds 1e-10")
-    return Measurement(kicks @ m.kraus, labels=m.labels, tolerance=m.tolerance)
+    return Measurement(kicks @ m.kraus, labels=m.labels, tolerance=m._slack)
 
 
 def bloch_state(direction) -> np.ndarray:

@@ -283,32 +283,19 @@ def cmd_estimate(args) -> int:
 
 def _mc_block(m: Measurement, pairs, samples: int, seed: int, report) -> dict:
     post, pre = [p.chi_post for p in pairs], [p.chi_pre for p in pairs]
-    mc_post, mc_pre, mc_f = haar.mc_fidelities(m, post, pre, samples, seed)
-    results = {
-        "g_post": (mc_post, report.g_post),
-        "g_pre": (mc_pre, report.g_pre),
-        "f": (mc_f, report.f_op),
-    }
+    analytic = {"g_post": report.g_post, "g_pre": report.g_pre, "f": report.f_op}
     block = {"samples": samples, "seed": seed}
-    all_ok = True
-    for name, (mc, analytic) in results.items():
-        window = max(MC_AGREEMENT_SIGMAS * mc.std_error, MC_AGREEMENT_ABS)
-        ok = abs(mc.mean - analytic) <= window
-        all_ok &= ok
-        block[name] = {
-            "mean": mc.mean,
-            "std_error": mc.std_error,
-            "analytic": analytic,
-            "agrees": ok,
-        }
-    block["agrees"] = all_ok
+    for (name, exact), mc in zip(analytic.items(), haar.mc_fidelities(m, post, pre, samples, seed)):
+        ok = abs(mc.mean - exact) <= max(MC_AGREEMENT_SIGMAS * mc.std_error, MC_AGREEMENT_ABS)
+        block[name] = {"mean": mc.mean, "std_error": mc.std_error, "analytic": exact, "agrees": ok}
+    block["agrees"] = all(block[name]["agrees"] for name in analytic)
     return block
 
 
 def cmd_fidelities(args) -> int:
     m = load_device(args.device)
     report = estimator.check_bound(m)
-    pairs = [estimator.estimate_pair(m, s) for s in range(1, m.n_outcomes + 1)]
+    pairs = estimator.estimate_pairs(m)
     rec = {
         "command": "fidelities",
         "dim": m.dim,

@@ -3,9 +3,9 @@
 Given the device and an observed outcome ``s``, the best guess for the state
 *after* the measurement is the top eigenvector of ``M_s M_s^dag`` and the best
 guess for the state *before* it is the top eigenvector of ``E_s = M_s^dag M_s``;
-both eigenvalue problems share the spectrum, so ``estimate_pair`` reads both
-from the one of ``E_s``, and the common top eigenvalue ``a_max`` drives the
-mean fidelities:
+both eigenvalue problems share the spectrum, so ``estimate_pairs`` reads both,
+for every outcome in one stacked pass, from the device's one spectrum stack,
+and the common top eigenvalue ``a_max`` drives the mean fidelities:
 
 * ``g_post = (1/d) sum_s a_max(s)``, the mean fidelity of the post-measurement
   estimate over Haar-random inputs,
@@ -32,7 +32,6 @@ from .matkernel import (
     canonicalize_phase,
     finite_array,
     finite_scalar,
-    fro_norm,
     frozen,
     hermitian_eig,
     max_count,
@@ -92,26 +91,27 @@ class RelationCheck:
     kraus_link_ok: bool | None = None
 
 
-def estimate_pair(m: Measurement, s: int) -> EstimatePair:
-    """Both optimal estimates for outcome ``s``: the one place they are computed.
+def estimate_pairs(m: Measurement) -> list[EstimatePair]:
+    """Both optimal estimates for every outcome, in order, from one stacked pass: the one place they are computed.
 
     ``chi_pre`` is the ``top_eigenvector`` of ``E_s`` and ``a_max`` its eigenvalue, clipped at zero. ``chi_post``,
     the top eigenvector of ``M_s M_s^dag``, follows from the link ``M_s chi_pre = sqrt(a_max) chi_post``: it is
     the phase-canonical ``M_s chi_pre`` normalized, or ``chi_pre`` itself when ``||M_s chi_pre||^2 <= A_MAX_FLOOR``
-    (a vanishing top, or a tie-broken ``chi_pre`` in the kernel of ``M_s``).
+    (a vanishing top, or a tie-broken ``chi_pre`` in the kernel of ``M_s``). The vectors are read-only rows.
     """
+    chi_pre, degenerate = top_eigenvector(m.spectrum.eigenvalues, m.spectrum.eigenvectors)
+    v = (m.kraus @ chi_pre[:, :, None])[:, :, 0]
+    norms = np.sqrt(np.sum(v.real**2 + v.imag**2, axis=1))
+    vanishing = (norms * norms <= A_MAX_FLOOR)[:, None]
+    chi_post = np.where(vanishing, chi_pre, canonicalize_phase(v / np.where(vanishing, 1.0, norms[:, None])))
+    rows = zip(_a_maxes(m).tolist(), frozen(chi_pre), frozen(chi_post), degenerate.tolist())
+    return [EstimatePair(s, *row) for s, row in enumerate(rows, 1)]
+
+
+def estimate_pair(m: Measurement, s: int) -> EstimatePair:
+    """Both optimal estimates for outcome ``s``: its row of :func:`estimate_pairs`."""
     i = m._index(s)
-    values = m.spectrum.eigenvalues[i]
-    chi_pre, degenerate = top_eigenvector(values, m.spectrum.eigenvectors[i])
-    v = m.kraus[i] @ chi_pre
-    norm = fro_norm(v)
-    return EstimatePair(
-        outcome=s,
-        a_max=max(float(values[0]), 0.0),
-        chi_pre=frozen(chi_pre),
-        chi_post=frozen(chi_pre if norm * norm <= A_MAX_FLOOR else canonicalize_phase(v / norm)),
-        degenerate=degenerate,
-    )
+    return estimate_pairs(m)[i]
 
 
 def best_post_estimate(m: Measurement, s: int) -> np.ndarray:
@@ -184,10 +184,15 @@ def tradeoff_bound(d: int, g_post_value: float) -> tuple[float, float]:
     return saturating, (1.0 + saturating * saturating) / float(d + 1)
 
 
+def _a_maxes(m: Measurement) -> np.ndarray:
+    """Every outcome's top effect eigenvalue ``a_max``, clipped at zero."""
+    return np.maximum(m.spectrum.eigenvalues[:, 0], 0.0)
+
+
 def check_bound(m: Measurement) -> FidelityReport:
     """Assemble all mean fidelities and check the information-disturbance bound."""
     d = m.dim
-    a_maxes = np.maximum(m.spectrum.eigenvalues[:, 0], 0.0)
+    a_maxes = _a_maxes(m)
     gp = float(a_maxes.sum()) / d
     f = operation_fidelity(m)
     lhs = math.sqrt(max((d + 1) * f - 1.0, 0.0))
@@ -206,13 +211,13 @@ def check_bound(m: Measurement) -> FidelityReport:
 def pure_part(m: Measurement) -> Measurement:
     """The device with each ``M_s`` replaced by ``sqrt(E_s)``.
 
-    Effects, outcome statistics and both estimation fidelities are unchanged;
-    only the unitary kicks (and with them the operation fidelity) are stripped.
+    Effects, outcome statistics and both estimation fidelities are unchanged; only the unitary kicks (and with
+    them the operation fidelity) are stripped. The rebuilt set is checked at ``m``'s slack, as its effects are.
     """
     v = m.spectrum.eigenvectors
     roots = np.sqrt(floored_psd_eigenvalues(m.spectrum.eigenvalues))
     sqrt_e = (v * roots[:, None, :]) @ v.conj().swapaxes(1, 2)
-    return Measurement(0.5 * (sqrt_e + sqrt_e.conj().swapaxes(1, 2)), labels=m.labels, tolerance=m.tolerance)
+    return Measurement(0.5 * (sqrt_e + sqrt_e.conj().swapaxes(1, 2)), labels=m.labels, tolerance=m._slack)
 
 
 def is_pure_measurement(m: Measurement) -> bool:

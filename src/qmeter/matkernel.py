@@ -10,8 +10,9 @@ numerics are thin layers over LAPACK:
 
 What this module adds is a fixed output convention: eigenvalues descending,
 eigenvector phases canonicalized, and one vector for a degenerate top group
-that depends only on its eigenspace (``top_eigenvector``). Results are
-bit-reproducible within one numpy/BLAS build and agree to rounding across builds.
+that depends only on its eigenspace (``top_eigenvector``, on a whole stack of
+spectra at once). Results are bit-reproducible within one numpy/BLAS build and
+agree to rounding across builds.
 """
 
 from __future__ import annotations
@@ -145,21 +146,27 @@ class EigenSystem:
     eigenvectors: np.ndarray
 
 
-def top_eigenvector(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, bool]:
-    """``(vector, degenerate)`` for the top eigenspace of one descending ``(values, vectors)`` pair.
+def top_eigenvector(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top-eigenspace vectors ``(n, d)`` and ``degenerate`` flags ``(n,)`` of a descending ``(values, vectors)`` stack.
 
-    The top group is the values linked by gaps below ``EIG_GAP_TOL``; ``degenerate`` is true when it has more than
+    A row's top group is the values linked by gaps below ``EIG_GAP_TOL``; it is degenerate when it has more than
     one (never for d = 1). A gapped top gives its own column. A group gives the largest column of its projector
     ``B B^dag`` (the lowest index on a relative tie of ``EIG_GAP_TOL``), normalized and phase-canonicalized: a
-    vector that depends only on the group's span.
+    vector that depends only on the group's span. Only the degenerate rows form a projector.
     """
-    width = int(np.argmax(np.append(values[:-1] - values[1:] >= EIG_GAP_TOL, True))) + 1
-    if width == 1:
-        return vectors[:, 0], False
-    projector = vectors[:, :width] @ vectors[:, :width].conj().T
-    norms = np.sqrt(np.sum(projector.real**2 + projector.imag**2, axis=0))
-    j = int(np.argmax(norms >= (1.0 - EIG_GAP_TOL) * norms.max()))
-    return canonicalize_phase(projector[:, j] / norms[j]), True
+    gaps = np.concatenate([values[:, :-1] - values[:, 1:], np.full((len(values), 1), np.inf)], axis=1)
+    width = np.argmax(gaps >= EIG_GAP_TOL, axis=1) + 1
+    degenerate = width > 1
+    top = vectors[:, :, 0].copy()
+    if degenerate.any():
+        # Columns past a row's group are zeroed; they add exact zeros to B B^dag.
+        b = vectors[degenerate] * (np.arange(values.shape[1]) < width[degenerate, None])[:, None, :]
+        projector = b @ b.conj().swapaxes(1, 2)
+        norms = np.sqrt(np.sum(projector.real**2 + projector.imag**2, axis=1))
+        j = np.argmax(norms >= (1.0 - EIG_GAP_TOL) * norms.max(axis=1, keepdims=True), axis=1)
+        rows = np.arange(j.size)
+        top[degenerate] = canonicalize_phase(projector[rows, :, j] / norms[rows, j, None])
+    return top, degenerate
 
 
 def hermitian_eig(m) -> EigenSystem:

@@ -4,6 +4,7 @@ import pytest
 from qmeter import catalog, estimator as est, haar
 from qmeter.errors import NotUnitary, OutOfDomain
 from qmeter.matkernel import frobenius_distance
+from qmeter.measurement import DEFAULT_COMPLETENESS_TOL, validate
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -128,6 +129,18 @@ class TestWithKicks:
                 for s in range(m.n_outcomes)
             ]
             assert est.check_bound(catalog.with_kicks(m, kicks)).bound_satisfied
+
+    def test_device_accepted_at_its_own_tolerance_can_be_kicked(self):
+        # Kicking moves the completeness defect by rounding; the kicked set keeps the default slack at least.
+        devices = [validate(catalog.projective(3).kraus, tolerance=0.0)]
+        for seed in range(300):
+            m = catalog.random_device(4, 3, seed)
+            devices.append(validate(m.kraus, tolerance=m.completeness_defect))
+        for i, m in enumerate(devices):
+            kicks = [haar.haar_isometry(m.dim, m.dim, haar.RngStream(600 + i, s)) for s in range(m.n_outcomes)]
+            kicked = catalog.with_kicks(m, kicks)
+            assert kicked.tolerance == max(m.tolerance, DEFAULT_COMPLETENESS_TOL)
+            assert np.allclose(kicked.effects, m.effects, rtol=0.0, atol=1e-12)
 
     def test_non_unitary_kick_rejected(self):
         m = catalog.unsharp_qubit(0.6)

@@ -158,23 +158,28 @@ class TestFidelities:
             assert abs(mc[name]["mean"] - mc[name]["analytic"]) <= window
 
     def test_montecarlo_reuses_the_estimate_pairs(self, capsys, tmp_path, monkeypatch):
-        # Each outcome's estimates are built once and serve both the report and the MC guesses.
+        # All outcomes' estimates come from one stacked pass that serves both the report and the MC guesses.
         path = write_catalog(capsys, tmp_path, "kid.json", "identity", "--d", "3", "--kick-seed", "2")
         m = cli.load_device(path)
         post = [estimator.best_post_estimate(m, s) for s in range(1, m.n_outcomes + 1)]
         pre = [estimator.best_pre_estimate(m, s) for s in range(1, m.n_outcomes + 1)]
         expected = haar.mc_fidelities(m, post, pre, 500, 4)
         calls = []
-        original = estimator.estimate_pair
+        original_pairs, original_pair = estimator.estimate_pairs, estimator.estimate_pair
 
-        def counting(m, s):
-            calls.append(s)
-            return original(m, s)
+        def counting_pairs(m):
+            calls.append("estimate_pairs")
+            return original_pairs(m)
 
-        monkeypatch.setattr(estimator, "estimate_pair", counting)
+        def counting_pair(m, s):
+            calls.append("estimate_pair")
+            return original_pair(m, s)
+
+        monkeypatch.setattr(estimator, "estimate_pairs", counting_pairs)
+        monkeypatch.setattr(estimator, "estimate_pair", counting_pair)
         code, out, _ = run(capsys, "fidelities", path, "--montecarlo", "500", "--seed", "4", "--json")
         assert code == 0
-        assert calls == list(range(1, m.n_outcomes + 1))
+        assert calls == ["estimate_pairs"]
         mc = json.loads(out)["montecarlo"]
         for name, result in zip(("g_post", "g_pre", "f"), expected):
             assert (mc[name]["mean"], mc[name]["std_error"]) == (result.mean, result.std_error)

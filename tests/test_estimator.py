@@ -6,10 +6,11 @@ import pytest
 
 from conftest import corpus_params, overlap2, rand_complex
 from qmeter import catalog, estimator as est, haar, measurement
-from qmeter.errors import DimensionMismatch, IncompleteDevice, OutOfDomain
+from qmeter.errors import DimensionMismatch, IncompleteDevice, OutcomeOutOfRange, OutOfDomain
 from qmeter.matkernel import (
     EIG_GAP_TOL,
     PHASE_TOL,
+    canonicalize_phase,
     finite_scalar,
     fro_norm,
     frobenius_distance,
@@ -143,8 +144,21 @@ class TestBestEstimates:
             assert np.allclose(pair.chi_post, [1.0, 0.0], rtol=0.0, atol=1e-12)
 
 
+def mixed_top_device():
+    """d = 4, three outcomes: a kicked rank-2 top (``E_1 = 0.7 P``) next to two gapped ones."""
+    rng = np.random.default_rng(31)
+    span = np.linalg.qr(rand_complex(rng, 4, 2))[0]
+    p = span @ span.conj().T
+    rest = np.eye(4) - 0.7 * p
+    values, vectors = np.linalg.eigh(rest)
+    root = (vectors * np.sqrt(values)) @ vectors.conj().T
+    split = haar.haar_isometry(8, 4, haar.RngStream(32)).reshape(2, 4, 4)
+    kick = haar.haar_isometry(4, 4, haar.RngStream(33))
+    return validate([kick @ (np.sqrt(0.7) * p), *(split @ root)])
+
+
 def one_path_devices():
-    """Random, kicked, degenerate, vanishing and d = 1 devices: every branch of ``estimate_pair``."""
+    """Random, kicked, degenerate, vanishing, d = 1 and mixed-top devices: every branch of ``estimate_pairs``."""
     kick = [haar.haar_isometry(3, 3, haar.RngStream(5, 0))]
     return [
         catalog.random_device(3, 4, seed=81),
@@ -155,11 +169,13 @@ def one_path_devices():
         validate([np.diag([0.0, np.sqrt(5e-11)]), np.diag([1.0, np.sqrt(1.0 - 5e-11)])]),
         validate([np.zeros((2, 2)), np.eye(2)]),
         validate([[[0.6]], [[0.8]]]),
+        validate([X @ np.diag([1e-7, 0.0]), np.diag([np.sqrt(1.0 - 1e-14), 1.0])]),  # ||M_1 chi_pre||^2 = 1e-14
+        mixed_top_device(),
     ]
 
 
 class TestOnePath:
-    """``estimate_pair`` is the one computation; the single-estimate functions only copy its fields."""
+    """``estimate_pairs`` is the one computation; the single-estimate functions only copy its fields."""
 
     @pytest.mark.parametrize("m", one_path_devices())
     def test_wrappers_return_the_pair_fields_bit_for_bit(self, m, monkeypatch):
@@ -180,6 +196,7 @@ class TestOnePath:
                 assert not np.shares_memory(guess, frozen_field)
 
     def test_one_top_eigenvector_per_pair(self, monkeypatch):
+        # Every entry point makes one stacked pass over all outcomes, whichever outcome it asks for.
         calls = []
 
         def counting(values, vectors):
@@ -187,12 +204,16 @@ class TestOnePath:
             return top_eigenvector(values, vectors)
 
         monkeypatch.setattr(est, "top_eigenvector", counting)
+        entry_points = (est.estimate_pair, est.best_post_estimate, est.best_pre_estimate, est.verify_estimate_relations)
         for m in one_path_devices():
             for s in range(1, m.n_outcomes + 1):
-                for call in (est.estimate_pair, est.best_post_estimate, est.verify_estimate_relations):
+                for call in entry_points:
                     calls.clear()
                     call(m, s)
-                    assert calls == [(m.dim,)]
+                    assert calls == [(m.n_outcomes, m.dim)]
+            calls.clear()
+            est.estimate_pairs(m)
+            assert calls == [(m.n_outcomes, m.dim)]
 
     def test_vanishing_top_keeps_chi_pre(self):
         m = validate([np.zeros((2, 2)), np.eye(2)])
@@ -200,6 +221,65 @@ class TestOnePath:
         assert pair.a_max == 0.0 and pair.degenerate
         assert np.array_equal(pair.chi_post, pair.chi_pre)
         assert est.verify_estimate_relations(m, 1).reason == "a_max is numerically zero"
+
+
+def per_outcome_pair(m, s):
+    """The per-outcome rule the stacked pass replaced, kept as its reference: ``(a_max, chi_pre, chi_post, flag)``.
+
+    Column 0 for a gapped top, else the largest column of the group-slice projector; ``M_s chi_pre`` normalized
+    by ``fro_norm``; each vector phase-fixed on its own.
+    """
+    values, vectors = m.spectrum.eigenvalues[s - 1], m.spectrum.eigenvectors[s - 1]
+    width = int(np.argmax(np.append(values[:-1] - values[1:] >= EIG_GAP_TOL, True))) + 1
+    if width == 1:
+        chi_pre = vectors[:, 0]
+    else:
+        projector = vectors[:, :width] @ vectors[:, :width].conj().T
+        norms = np.sqrt(np.sum(projector.real**2 + projector.imag**2, axis=0))
+        j = int(np.argmax(norms >= (1.0 - EIG_GAP_TOL) * norms.max()))
+        chi_pre = canonicalize_phase(projector[:, j] / norms[j])
+    v = m.kraus[s - 1] @ chi_pre
+    norm = fro_norm(v)
+    chi_post = chi_pre if norm * norm <= est.A_MAX_FLOOR else canonicalize_phase(v / norm)
+    return max(float(values[0]), 0.0), chi_pre, chi_post, width > 1
+
+
+class TestStackedPass:
+    """``estimate_pairs`` against the per-outcome rule, bit for bit."""
+
+    @pytest.mark.parametrize("m", one_path_devices())
+    def test_matches_the_per_outcome_rule_bit_for_bit(self, m):
+        pairs = est.estimate_pairs(m)
+        assert [p.outcome for p in pairs] == list(range(1, m.n_outcomes + 1))
+        for pair in pairs:
+            a_max, chi_pre, chi_post, degenerate = per_outcome_pair(m, pair.outcome)
+            assert np.float64(pair.a_max).tobytes() == np.float64(a_max).tobytes()
+            assert pair.chi_pre.tobytes() == chi_pre.tobytes()
+            assert pair.chi_post.tobytes() == chi_post.tobytes()
+            assert pair.degenerate is degenerate
+            again = est.estimate_pair(m, pair.outcome)
+            assert (again.a_max, again.degenerate) == (pair.a_max, pair.degenerate)
+            assert again.chi_pre.tobytes() == chi_pre.tobytes() and again.chi_post.tobytes() == chi_post.tobytes()
+
+    def test_mixed_stack_has_gapped_and_degenerate_rows(self):
+        m = mixed_top_device()
+        assert [p.degenerate for p in est.estimate_pairs(m)] == [True, False, False]
+        values = m.spectrum.eigenvalues[0]
+        assert values[1] - values[2] > 0.5 and values[0] - values[1] < EIG_GAP_TOL  # the top group has width 2
+
+    def test_vectors_are_read_only_rows_of_one_stack(self):
+        pairs = est.estimate_pairs(catalog.random_device(3, 4, seed=84))
+        for field in ("chi_pre", "chi_post"):
+            rows = [getattr(p, field) for p in pairs]
+            assert all(not row.flags.writeable and row.base is rows[0].base for row in rows)
+            assert rows[0].base.shape == (4, 3)
+
+    def test_outcome_is_gated_before_the_pass(self, monkeypatch):
+        m = catalog.random_device(3, 2, seed=85)
+        monkeypatch.setattr(est, "estimate_pairs", lambda m: pytest.fail("computed before the gate"))
+        for s in (0, 3, 1.5, True):
+            with pytest.raises(OutcomeOutOfRange):
+                est.estimate_pair(m, s)
 
 
 class TestMeanFidelities:
@@ -464,6 +544,15 @@ class TestPureMeasurements:
         p = est.pure_part(m)
         for s in (1, 2):
             assert frobenius_distance(p.kraus_op(s), m.kraus_op(s)) <= 1e-15
+
+    def test_pure_part_of_a_device_accepted_at_its_own_tolerance(self):
+        # Rebuilding sqrt(E_s) moves the completeness defect by rounding; the pure part keeps the default slack.
+        for seed in range(300):
+            m = catalog.random_device(4, 3, seed)
+            m = validate(m.kraus, tolerance=m.completeness_defect)
+            p = est.pure_part(m)
+            assert p.tolerance == max(m.tolerance, measurement.DEFAULT_COMPLETENESS_TOL)
+            assert np.allclose(p.effects, m.effects, rtol=0.0, atol=1e-12)
 
     def test_pure_part_generally_changes_operation_fidelity(self):
         m = bit_flip_unsharp()

@@ -24,11 +24,9 @@ for i, (name, device) in enumerate(devices):
     report = estimator.check_bound(device)
     pairs = estimator.estimate_pairs(device)  # every outcome's estimates from one stacked pass
     post, pre = [p.chi_post for p in pairs], [p.chi_pre for p in pairs]
-    rows = [
-        ("g_post", haar.mc_g_post(device, post, SAMPLES, seed=100 + i), report.g_post),
-        ("g_pre", haar.mc_g_pre(device, pre, SAMPLES, seed=100 + i), report.g_pre),
-        ("F", haar.mc_operation_fidelity(device, SAMPLES, seed=100 + i), report.f_op),
-    ]
+    # All three averages from one Haar ensemble, as mc_g_post, mc_g_pre and mc_operation_fidelity give them.
+    results = haar.mc_fidelities(device, post, pre, SAMPLES, seed=100 + i)
+    rows = zip(("g_post", "g_pre", "F"), results, (report.g_post, report.g_pre, report.f_op))
     for quantity, mc, analytic in rows:
         std_error = mc.std_error
         if std_error > 1e-12:

@@ -91,27 +91,32 @@ class RelationCheck:
     kraus_link_ok: bool | None = None
 
 
-def estimate_pairs(m: Measurement) -> list[EstimatePair]:
-    """Both optimal estimates for every outcome, in order, from one stacked pass: the one place they are computed.
+def _estimate_rows(m: Measurement, rows: slice) -> list[EstimatePair]:
+    """Both optimal estimates for the outcomes in row range ``rows``, from one stacked pass: the one place for them.
 
     ``chi_pre`` is the ``top_eigenvector`` of ``E_s`` and ``a_max`` its eigenvalue, clipped at zero. ``chi_post``,
     the top eigenvector of ``M_s M_s^dag``, follows from the link ``M_s chi_pre = sqrt(a_max) chi_post``: it is
     the phase-canonical ``M_s chi_pre`` normalized, or ``chi_pre`` itself when ``||M_s chi_pre||^2 <= A_MAX_FLOOR``
     (a vanishing top, or a tie-broken ``chi_pre`` in the kernel of ``M_s``). The vectors are read-only rows.
     """
-    chi_pre, degenerate = top_eigenvector(m.spectrum.eigenvalues, m.spectrum.eigenvectors)
-    v = (m.kraus @ chi_pre[:, :, None])[:, :, 0]
+    chi_pre, degenerate = top_eigenvector(m.spectrum.eigenvalues[rows], m.spectrum.eigenvectors[rows])
+    v = (m.kraus[rows] @ chi_pre[:, :, None])[:, :, 0]
     norms = np.sqrt(np.sum(v.real**2 + v.imag**2, axis=1))
     vanishing = (norms * norms <= A_MAX_FLOOR)[:, None]
     chi_post = np.where(vanishing, chi_pre, canonicalize_phase(v / np.where(vanishing, 1.0, norms[:, None])))
-    rows = zip(_a_maxes(m).tolist(), frozen(chi_pre), frozen(chi_post), degenerate.tolist())
-    return [EstimatePair(s, *row) for s, row in enumerate(rows, 1)]
+    fields = zip(_a_maxes(m)[rows].tolist(), frozen(chi_pre), frozen(chi_post), degenerate.tolist())
+    return [EstimatePair(s, *row) for s, row in zip(range(1, m.n_outcomes + 1)[rows], fields)]
+
+
+def estimate_pairs(m: Measurement) -> list[EstimatePair]:
+    """Both optimal estimates for every outcome, in order, from one stacked pass over all outcomes."""
+    return _estimate_rows(m, slice(None))
 
 
 def estimate_pair(m: Measurement, s: int) -> EstimatePair:
-    """Both optimal estimates for outcome ``s``: its row of :func:`estimate_pairs`."""
+    """Both optimal estimates for outcome ``s``: the same pass as :func:`estimate_pairs`, over its one row."""
     i = m._index(s)
-    return estimate_pairs(m)[i]
+    return _estimate_rows(m, slice(i, i + 1))[0]
 
 
 def best_post_estimate(m: Measurement, s: int) -> np.ndarray:

@@ -3,8 +3,9 @@
 A :class:`Measurement` is an ordered set of Kraus operators ``M_1..M_n`` acting
 on dimension ``d``, held as one ``(n, d, d)`` array and validated against the
 completeness relation ``sum_s M_s^dag M_s = 1``. Reading outcome ``s``
-collapses a pure state to ``M_s |psi> / sqrt(<psi|E_s|psi>)`` where
-``E_s = M_s^dag M_s`` is the effect (POVM element) of the outcome.
+collapses a pure state to ``M_s |psi> / sqrt(p_s)``; one stacked product ``M_s psi``
+gives that state and the Born probability ``p_s = ||M_s psi||^2``. The effects
+``E_s = M_s^dag M_s`` (POVM elements) feed only ``spectrum`` and the defect.
 
 Outcome indices are 1-based throughout. Devices are immutable after validation;
 the spectra of all effects are one stacked eigensystem, ``Measurement.spectrum``,
@@ -43,7 +44,7 @@ DEFAULT_COMPLETENESS_TOL = 1e-10
 # Below this, an outcome probability counts as "impossible for this state"
 # and conditioning on it is refused rather than amplified from noise.
 PROBABILITY_FLOOR = 1e-14
-# Round-off can push <psi|E|psi> slightly negative; anything worse is corrupt input.
+# Round-off can push an effect eigenvalue slightly negative; anything worse is corrupt input.
 NEGATIVITY_TOL = 1e-12
 # Effect eigenvalues this far below the top one (relatively) are rounding noise
 # and are zeroed before square roots enter any reconstruction.
@@ -203,30 +204,25 @@ class Measurement:
             raise InternalConsistencyError(f"effect {i + 1} spectrum [{lo[i]:.3e}, {hi[i]:.3e}] outside [0, 1]")
         return spectrum
 
-    def outcome_distribution(self, psi) -> np.ndarray:
-        """Outcome probabilities ``p_s = <psi|E_s|psi>`` for a normalized state."""
-        return self._probabilities(as_state(psi, self.dim))
-
-    def _probabilities(self, psi: np.ndarray) -> np.ndarray:
-        p = np.vecdot(psi, self._effects @ psi).real
-        if np.any(p < -NEGATIVITY_TOL):
-            raise InternalConsistencyError(f"probability {p.min():.3e} below -{NEGATIVITY_TOL:.0e}")
-        p = np.clip(p, 0.0, None)
+    def _born(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The Born rule, the one place it is computed: every ``M_s psi`` and ``p_s = ||M_s psi||^2``, row ``s - 1``."""
+        amps = self._kraus @ psi
+        p = np.sum(amps.real**2 + amps.imag**2, axis=1)
         if abs(p.sum() - 1.0) > self._slack:
             raise InternalConsistencyError(f"probabilities sum to {p.sum():.12f}, not 1")
-        return p
+        return amps, p
+
+    def outcome_distribution(self, psi) -> np.ndarray:
+        """Outcome probabilities ``p_s = ||M_s psi||^2`` for a normalized state."""
+        return self._born(as_state(psi, self.dim))[1]
 
     def collapse(self, psi, s: int) -> np.ndarray:
         """Conditional post-measurement state ``M_s|psi> / sqrt(p_s)``."""
         i = self._index(s)
-        return self._collapse(as_state(psi, self.dim), i)
-
-    def _collapse(self, psi: np.ndarray, i: int) -> np.ndarray:
-        out = self._kraus[i] @ psi
-        p = float(np.sum(out.real**2 + out.imag**2))
-        if p <= PROBABILITY_FLOOR:
-            raise ZeroProbabilityOutcome(f"outcome {i + 1} has probability {p:.3e} <= {PROBABILITY_FLOOR:.0e}")
-        return out / np.sqrt(p)
+        amps, p = self._born(as_state(psi, self.dim))
+        if p[i] <= PROBABILITY_FLOOR:
+            raise ZeroProbabilityOutcome(f"outcome {i + 1} has probability {p[i]:.3e} <= {PROBABILITY_FLOOR:.0e}")
+        return amps[i] / np.sqrt(p[i])
 
     def sample_outcome(self, psi, rng):
         """Draw one outcome: the ``shots=1`` case of :meth:`sample_outcomes`.
@@ -254,8 +250,7 @@ class Measurement:
         """
         shots = finite_scalar(shots, int, "shots", 1, max_count(8))  # one float64 uniform per shot
         gen = rng.generator() if hasattr(rng, "generator") else rng
-        psi = as_state(psi, self.dim)
-        p = self._probabilities(psi)
+        amps, p = self._born(as_state(psi, self.dim))
         n = self.n_outcomes
         # Rounding can leave the total mass below a uniform: clamp to outcome n.
         drawn = np.minimum(np.searchsorted(np.cumsum(p), gen.random(shots), side="right"), n - 1)
@@ -265,7 +260,7 @@ class Measurement:
         # nearest[i]: the first viable index >= i, else the last viable one.
         nearest = viable[np.minimum(np.searchsorted(viable, np.arange(n)), viable.size - 1)]
         outcomes = nearest[drawn] + 1
-        posts = {s: self._collapse(psi, s - 1) for s in np.unique(outcomes).tolist()}
+        posts = {s: amps[s - 1] / np.sqrt(p[s - 1]) for s in np.unique(outcomes).tolist()}
         return outcomes, posts
 
     def bi_orthogonal_factors(self, s: int) -> BiOrthogonalFactors:

@@ -196,7 +196,7 @@ class TestOnePath:
                 assert not np.shares_memory(guess, frozen_field)
 
     def test_one_top_eigenvector_per_pair(self, monkeypatch):
-        # Every entry point makes one stacked pass over all outcomes, whichever outcome it asks for.
+        # A per-outcome entry point makes the stacked pass over its one row; estimate_pairs over all outcomes.
         calls = []
 
         def counting(values, vectors):
@@ -210,7 +210,7 @@ class TestOnePath:
                 for call in entry_points:
                     calls.clear()
                     call(m, s)
-                    assert calls == [(m.n_outcomes, m.dim)]
+                    assert calls == [(1, m.dim)]
             calls.clear()
             est.estimate_pairs(m)
             assert calls == [(m.n_outcomes, m.dim)]
@@ -276,7 +276,7 @@ class TestStackedPass:
 
     def test_outcome_is_gated_before_the_pass(self, monkeypatch):
         m = catalog.random_device(3, 2, seed=85)
-        monkeypatch.setattr(est, "estimate_pairs", lambda m: pytest.fail("computed before the gate"))
+        monkeypatch.setattr(est, "_estimate_rows", lambda m, rows: pytest.fail("computed before the gate"))
         for s in (0, 3, 1.5, True):
             with pytest.raises(OutcomeOutOfRange):
                 est.estimate_pair(m, s)

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -140,15 +141,19 @@ class TestStackedStorage:
             m = catalog.random_device(d, n, seed=61)
             psi = haar.haar_state(d, haar.RngStream(62))
             total = np.zeros((d, d), dtype=np.complex128)
-            probabilities = []
+            probabilities, effects_form = [], []
             for k, e in zip(m.kraus, m.effects):
                 ref = k.conj().T @ k
                 ref = 0.5 * (ref + ref.conj().T)
                 assert np.array_equal(e, ref)
                 total += ref
-                probabilities.append(np.vdot(psi, ref @ psi).real)
+                amp = k @ psi
+                probabilities.append(np.sum(amp.real**2 + amp.imag**2))
+                effects_form.append(np.vdot(psi, ref @ psi).real)
             assert m.completeness_defect == frobenius_distance(total, np.eye(d))
-            assert np.array_equal(m.outcome_distribution(psi), np.clip(probabilities, 0.0, None))
+            p = m.outcome_distribution(psi)
+            assert p.tobytes() == np.array(probabilities).tobytes()
+            assert np.allclose(p, effects_form, rtol=0.0, atol=1e-15)
 
     def test_arrays_are_read_only_and_not_aliased(self):
         ops = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
@@ -201,7 +206,40 @@ class TestEffects:
         assert m.spectrum.eigenvectors.shape == (2, 2, 2)
 
 
+def rank_one_split(rng, d, p):
+    """``[P, 1 - P]`` for a random rank-one projector ``P = |u><u|``, and a state with ``<psi|P|psi> = p``."""
+    u, w = np.linalg.qr(rand_complex(rng, d, d))[0].T[:2]
+    proj = np.outer(u, u.conj())
+    return Measurement([proj, np.eye(d) - proj]), np.sqrt(p) * u + np.sqrt(1.0 - p) * w
+
+
+def exact_born(kraus, psi):
+    """``||M_s psi||^2`` of every outcome, evaluated exactly on the float entries as Fractions."""
+    out = []
+    for k in kraus:
+        total = Fraction(0)
+        for row in k:
+            pairs = [(Fraction(a.real), Fraction(a.imag), Fraction(b.real), Fraction(b.imag)) for a, b in zip(row, psi)]
+            re = sum(ar * br - ai * bi for ar, ai, br, bi in pairs)
+            im = sum(ar * bi + ai * br for ar, ai, br, bi in pairs)
+            total += re * re + im * im
+        out.append(total)
+    return out
+
+
 class TestOutcomeDistribution:
+    @pytest.mark.parametrize("target", [1e-12, 1e-14])
+    def test_small_probabilities_are_accurate(self, target):
+        # The effects form <psi|E_s|psi> loses ~1e-16 absolutely, a relative 1e-2 at p = 1e-14.
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for _ in range(100):
+            m, psi = rank_one_split(rng, 3, target)
+            p = m.outcome_distribution(psi)
+            for got, exact in zip(p.tolist(), exact_born(m.kraus, psi)):
+                worst = max(worst, float(abs(Fraction(got) - exact) / exact))
+        assert worst <= 1e-8
+
     def test_projective_eigenstate(self):
         m = catalog.projective(2)
         p = m.outcome_distribution([1.0, 0.0])
@@ -454,6 +492,23 @@ class TestSampleOutcomes:
         assert outcomes.tolist() == [scalar_rule(p, u) for u in uniforms] == [2] * len(uniforms)
         assert list(posts) == [2]
         assert overlap2(posts[2], [0.0, 1.0, 0.0]) == pytest.approx(1.0, abs=1e-14)
+
+    def test_viability_and_collapse_share_one_probability(self):
+        # A state with <psi|E_1|psi> above the floor but ||M_1 psi||^2 at or below it: a draw on outcome 1
+        # must move on to outcome 2, not reach a collapse that refuses outcome 1.
+        rng = np.random.default_rng(0)
+        floor = measurement.PROBABILITY_FLOOR
+        for _ in range(1000):
+            m, psi = rank_one_split(rng, 3, floor)
+            amp = m.kraus[0] @ psi
+            if np.vdot(psi, m.effects[0] @ psi).real > floor >= np.sum(amp.real**2 + amp.imag**2):
+                break
+        else:
+            pytest.fail("no draw separates the two forms at the floor")
+        outcomes, posts = m.sample_outcomes(psi, StubGenerator([0.0]), 1)
+        assert outcomes.tolist() == [2] and set(posts) == {2}
+        with pytest.raises(ZeroProbabilityOutcome):
+            m.collapse(psi, 1)
 
     def test_no_viable_outcome_is_typed(self, monkeypatch):
         # A tolerance <= 1/2 keeps sum(p) >= 1/2, so only a floor above every p = 1/2 reaches the guard.

@@ -47,7 +47,7 @@ base = catalog.unsharp_qubit(0.6)
 kick = np.array([[0, 1], [1, 0]], dtype=complex)
 kicked = catalog.with_kicks(base, [kick, np.eye(2)])
 print("\nbit-flip kick on one outcome:")
-print("  g_post unchanged:", estimator.g_post(base), "->", estimator.g_post(kicked))
+print("  g_post unchanged:", estimator.check_bound(base).g_post, "->", estimator.check_bound(kicked).g_post)
 print("  F drops:         ", round(estimator.operation_fidelity(base), 6),
       "->", round(estimator.operation_fidelity(kicked), 6))
 print("  pure part recovers it:",

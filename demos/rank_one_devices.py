@@ -16,14 +16,16 @@ from qmeter import catalog, estimator, haar
 device = catalog.tetrahedron_rank_one()
 print("tetrahedron device:", device)
 print("effects sum to identity, defect:", device.completeness_defect)
-print("g_post =", estimator.g_post(device), " g_pre =", estimator.g_pre(device))
+report = estimator.check_bound(device)
+print("g_post =", report.g_post, " g_pre =", report.g_pre)
 
 # Swap in arbitrary post-states; the information about the input (g_pre) and
 # the certainty about the output (g_post) do not move.
 posts = list(haar.haar_states(2, 4, seed=21))
 redirected = catalog.tetrahedron_rank_one(posts)
 print("\nwith Haar-random post-states:")
-print("g_post =", estimator.g_post(redirected), " g_pre =", estimator.g_pre(redirected))
+report = estimator.check_bound(redirected)
+print("g_post =", report.g_post, " g_pre =", report.g_pre)
 
 # Shot-by-shot confirmation: the collapsed state is the declared post-state.
 gen = haar.RngStream(22).generator()
@@ -40,5 +42,5 @@ angles = [0.0, 2 * np.pi / 3, 4 * np.pi / 3]
 pres = [np.array([np.cos(a / 2), np.sin(a / 2)]) for a in angles]
 # Bloch vectors in the x-z plane at the three angles sum to zero.
 trine = estimator.make_rank_one_device(pres, pres, weights=[2.0 / 3] * 3)
-print("\ntrine device: n =", trine.n_outcomes, " g_post =", estimator.g_post(trine),
-      " g_pre =", round(estimator.g_pre(trine), 6))
+report = estimator.check_bound(trine)
+print("\ntrine device: n =", trine.n_outcomes, " g_post =", report.g_post, " g_pre =", round(report.g_pre, 6))

@@ -32,9 +32,7 @@ from .estimator import (
     check_bound,
     domain_boundary,
     estimate_pair,
-    g_post,
     g_post_of_guess,
-    g_pre,
     g_pre_of_guess,
     is_pure_measurement,
     make_rank_one_device,
@@ -54,7 +52,7 @@ from .haar import (
     mc_g_pre,
     mc_operation_fidelity,
 )
-from .matkernel import EigenSystem, frobenius_distance, hermitian_eig, polar_decompose
-from .measurement import BiOrthogonalFactors, Measurement, as_state, validate
+from .matkernel import EigenSystem, hermitian_eig, polar_decompose
+from .measurement import BiOrthogonalFactors, Measurement, as_state
 
 __version__ = "0.1.0"

@@ -62,7 +62,8 @@ def with_kicks(m: Measurement, unitaries) -> Measurement:
 
     Effects (hence outcome statistics and both estimation fidelities) are
     unchanged; the operation fidelity generally is not. The kicked set is
-    checked at ``m``'s slack, as its effects are.
+    checked at ``m``'s slack, as its effects are: its tolerance plus the
+    rounding allowance, capped at 0.5.
     """
     kicks = finite_array(unitaries, np.complex128, ShapeMismatch, "kicks must be an (n, d, d) unitary array", ndim=3)
     if kicks.shape != m.kraus.shape:
@@ -72,7 +73,7 @@ def with_kicks(m: Measurement, unitaries) -> Measurement:
         defect = float(np.linalg.norm(gram - np.eye(m.dim), axis=(1, 2)).max())
     if not defect <= 1e-10:
         raise NotUnitary(f"kick unitarity defect {defect:.3e} exceeds 1e-10")
-    return Measurement(kicks @ m.kraus, labels=m.labels, tolerance=m._slack)
+    return Measurement(kicks @ m.kraus, labels=m.labels, tolerance=min(m._slack, 0.5))
 
 
 def bloch_state(direction) -> np.ndarray:

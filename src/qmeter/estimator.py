@@ -148,20 +148,10 @@ def g_post_of_guess(m: Measurement, guesses) -> float:
     return _sum_squared_norms(m.kraus.conj().swapaxes(1, 2), _check_guesses(m, guesses)) / m.dim
 
 
-def g_post(m: Measurement) -> float:
-    """Maximal mean post-measurement estimation fidelity, ``(1/d) sum_s a_max``."""
-    return check_bound(m).g_post
-
-
 def g_pre_of_guess(m: Measurement, guesses) -> float:
     """Mean pre-measurement estimation fidelity of arbitrary per-outcome guesses."""
     d = m.dim
     return (d + _sum_squared_norms(m.kraus, _check_guesses(m, guesses))) / (d * (d + 1))
-
-
-def g_pre(m: Measurement) -> float:
-    """Maximal mean pre-measurement estimation fidelity, ``(1 + g_post)/(d + 1)``."""
-    return check_bound(m).g_pre
 
 
 def operation_fidelity(m: Measurement) -> float:
@@ -217,12 +207,13 @@ def pure_part(m: Measurement) -> Measurement:
     """The device with each ``M_s`` replaced by ``sqrt(E_s)``.
 
     Effects, outcome statistics and both estimation fidelities are unchanged; only the unitary kicks (and with
-    them the operation fidelity) are stripped. The rebuilt set is checked at ``m``'s slack, as its effects are.
+    them the operation fidelity) are stripped. The rebuilt set is checked at ``m``'s slack, as its effects are: its
+    tolerance plus the rounding allowance, capped at 0.5.
     """
     v = m.spectrum.eigenvectors
     roots = np.sqrt(floored_psd_eigenvalues(m.spectrum.eigenvalues))
     sqrt_e = (v * roots[:, None, :]) @ v.conj().swapaxes(1, 2)
-    return Measurement(0.5 * (sqrt_e + sqrt_e.conj().swapaxes(1, 2)), labels=m.labels, tolerance=m._slack)
+    return Measurement(0.5 * (sqrt_e + sqrt_e.conj().swapaxes(1, 2)), labels=m.labels, tolerance=min(m._slack, 0.5))
 
 
 def is_pure_measurement(m: Measurement) -> bool:

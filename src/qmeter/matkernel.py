@@ -96,23 +96,8 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def frobenius_distance(a, b) -> float:
-    """sqrt(sum |a_ij - b_ij|^2); zero iff the matrices are equal."""
-    a, b = (finite_array(x, np.complex128, ShapeMismatch, "expected a 2-D matrix", ndim=2) for x in (a, b))
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"cannot compare a {a.shape} matrix with a {b.shape} one")
-    return fro_norm(a - b)
-
-
-def fro_norm(m) -> float:
-    """sqrt(sum |m_ij|^2), or inf when the squares overflow float64."""
-    m = np.asarray(m)
-    with np.errstate(over="ignore"):
-        return float(np.sqrt(np.sum(m.real**2 + m.imag**2)))
-
-
 def _fro_norms(stack: np.ndarray) -> np.ndarray:
-    """``fro_norm`` of each slice of an ``(n, d, d)`` stack, bit-equal to the per-slice call."""
+    """The Frobenius norm ``sqrt(sum |m_ij|^2)`` of each slice of an ``(n, d, d)`` stack: inf where squares overflow."""
     squares = stack.real**2 + stack.imag**2
     n, rows, cols = squares.shape
     return np.sqrt(np.sum(squares.reshape(n, rows * cols), axis=1))

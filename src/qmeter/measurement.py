@@ -31,9 +31,9 @@ from .errors import (
 )
 from .matkernel import (
     EigenSystem,
+    _fro_norms,
     finite_array,
     finite_scalar,
-    frobenius_distance,
     frozen,
     hermitian_eig,
     max_count,
@@ -124,7 +124,7 @@ class Measurement:
             effects = kraus.conj().swapaxes(1, 2) @ kraus
             effects = 0.5 * (effects + effects.conj().swapaxes(1, 2))
             total = effects.sum(axis=0)
-            defect = frobenius_distance(total, np.eye(d)) if np.isfinite(total).all() else math.inf
+            defect = float(_fro_norms((total - np.eye(d))[None])[0]) if np.isfinite(total).all() else math.inf
         if math.isinf(defect):
             raise OutOfDomain(
                 "effects M_s^dag M_s or their defect overflow float64: the Kraus entries are too large"
@@ -145,9 +145,9 @@ class Measurement:
         self._effects = effects
         self._labels = labels
         self._tolerance = tolerance
-        # Effects and probabilities of an accepted device may exceed 1 by up to
-        # its tolerance; never hold them to less slack than the default.
-        self._slack = max(tolerance, DEFAULT_COMPLETENESS_TOL)
+        # Effects and probabilities of an accepted device may exceed 1 by up to its
+        # tolerance, and by rounding on top of it: one allowance of the default size.
+        self._slack = tolerance + DEFAULT_COMPLETENESS_TOL
         self._defect = defect
 
     def __repr__(self):
@@ -236,8 +236,7 @@ class Measurement:
     def sample_outcomes(self, psi, rng, shots: int):
         """Draw ``shots`` outcomes by inverse CDF, one uniform variate per shot.
 
-        ``rng`` is a ``numpy.random.Generator`` (or anything with a
-        ``.generator()`` method producing one, e.g. :class:`qmeter.haar.RngStream`);
+        ``rng`` is a ``numpy.random.Generator``, e.g. ``RngStream(seed).generator()``;
         the caller owns its state, so fixed streams reproduce bit-identically.
         All uniforms come from one ``random(shots)`` call, which consumes the
         stream exactly as ``shots`` single draws do. A draw that lands on an
@@ -249,11 +248,10 @@ class Measurement:
         state (computed once per distinct outcome).
         """
         shots = finite_scalar(shots, int, "shots", 1, max_count(8))  # one float64 uniform per shot
-        gen = rng.generator() if hasattr(rng, "generator") else rng
         amps, p = self._born(as_state(psi, self.dim))
         n = self.n_outcomes
         # Rounding can leave the total mass below a uniform: clamp to outcome n.
-        drawn = np.minimum(np.searchsorted(np.cumsum(p), gen.random(shots), side="right"), n - 1)
+        drawn = np.minimum(np.searchsorted(np.cumsum(p), rng.random(shots), side="right"), n - 1)
         viable = np.flatnonzero(p > PROBABILITY_FLOOR)
         if not viable.size:  # a guard only: a tolerance <= 1/2 leaves sum(p) >= 1/2
             raise ZeroProbabilityOutcome(f"every outcome has probability <= {PROBABILITY_FLOOR:.0e}")
@@ -274,15 +272,3 @@ class Measurement:
             left_basis=frozen(unitary @ right),
             unitary=frozen(unitary),
         )
-
-
-def validate(kraus_ops, dim: int | None = None, tolerance: float | None = None) -> Measurement:
-    """Validate a Kraus set and return the immutable device.
-
-    Raises :class:`IncompleteDevice` (carrying the Frobenius defect) when the
-    effects do not sum to the identity within ``tolerance``.
-    """
-    m = Measurement(kraus_ops, tolerance=tolerance)
-    if dim is not None and m.dim != dim:
-        raise ShapeMismatch(f"device dimension {m.dim} does not match declared {dim}")
-    return m

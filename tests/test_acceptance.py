@@ -28,8 +28,8 @@ def test_criterion_1_projective_closed_forms():
     started = time.perf_counter()
     for d in (2, 3, 4, 8):
         m = catalog.projective(d)
-        assert abs(est.g_post(m) - 1.0) <= 1e-10
-        assert abs(est.g_pre(m) - 2.0 / (d + 1)) <= 1e-10
+        assert abs(est.check_bound(m).g_post - 1.0) <= 1e-10
+        assert abs(est.check_bound(m).g_pre - 2.0 / (d + 1)) <= 1e-10
         assert abs(est.operation_fidelity(m) - 2.0 / (d + 1)) <= 1e-10
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -41,8 +41,8 @@ def test_criterion_2_identity_closed_forms():
     for d in (2, 3, 4):
         m = catalog.identity_device(d)
         assert abs(est.operation_fidelity(m) - 1.0) <= 1e-10
-        assert abs(est.g_post(m) - 1.0 / d) <= 1e-10
-        assert abs(est.g_pre(m) - 1.0 / d) <= 1e-10
+        assert abs(est.check_bound(m).g_post - 1.0 / d) <= 1e-10
+        assert abs(est.check_bound(m).g_pre - 1.0 / d) <= 1e-10
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     _passed(2, started, "identity devices d in {2,3,4}: F=1, G_post=G_pre=1/d")
@@ -54,7 +54,7 @@ def test_criterion_3_pre_post_relation_on_corpus(device_corpus):
     for m in device_corpus:
         pre = [est.best_pre_estimate(m, s) for s in range(1, m.n_outcomes + 1)]
         direct_max = est.g_pre_of_guess(m, pre)
-        relation = (1.0 + est.g_post(m)) / (m.dim + 1)
+        relation = (1.0 + est.check_bound(m).g_post) / (m.dim + 1)
         worst = max(worst, abs(direct_max - relation))
         assert abs(direct_max - relation) <= 1e-10
     elapsed = time.perf_counter() - started
@@ -158,8 +158,8 @@ def test_criterion_8_rank_one_devices():
     started = time.perf_counter()
     posts = list(haar.haar_states(2, 4, seed=60_000))
     m = catalog.tetrahedron_rank_one(posts)
-    assert abs(est.g_post(m) - 1.0) <= 1e-10
-    assert abs(est.g_pre(m) - 2.0 / 3.0) <= 1e-10
+    assert abs(est.check_bound(m).g_post - 1.0) <= 1e-10
+    assert abs(est.check_bound(m).g_pre - 2.0 / 3.0) <= 1e-10
     gen = haar.RngStream(60_001).generator()
     for psi in haar.haar_states(2, 1000, seed=60_002):
         s, collapsed = m.sample_outcome(psi, gen)

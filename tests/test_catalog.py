@@ -3,8 +3,7 @@ import pytest
 
 from qmeter import catalog, estimator as est, haar
 from qmeter.errors import NotUnitary, OutOfDomain
-from qmeter.matkernel import frobenius_distance
-from qmeter.measurement import DEFAULT_COMPLETENESS_TOL, validate
+from qmeter.measurement import DEFAULT_COMPLETENESS_TOL, Measurement
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -12,12 +11,12 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 class TestProjective:
     def test_qubit_operators(self):
         m = catalog.projective(2)
-        assert frobenius_distance(m.kraus_op(1), np.diag([1.0, 0.0])) == 0.0
-        assert frobenius_distance(m.kraus_op(2), np.diag([0.0, 1.0])) == 0.0
+        assert np.linalg.norm(m.kraus_op(1) - np.diag([1.0, 0.0])) == 0.0
+        assert np.linalg.norm(m.kraus_op(2) - np.diag([0.0, 1.0])) == 0.0
 
     def test_fidelities_d3(self):
         m = catalog.projective(3)
-        assert est.g_post(m) == pytest.approx(1.0, abs=1e-12)
+        assert est.check_bound(m).g_post == pytest.approx(1.0, abs=1e-12)
         assert est.operation_fidelity(m) == pytest.approx(0.5, abs=1e-14)
 
     def test_is_pure(self):
@@ -32,8 +31,8 @@ class TestIdentityDevice:
     def test_fidelities(self):
         m = catalog.identity_device(2)
         assert est.operation_fidelity(m) == pytest.approx(1.0, abs=1e-14)
-        assert est.g_post(m) == pytest.approx(0.5, abs=1e-12)
-        assert est.g_pre(m) == pytest.approx(0.5, abs=1e-12)
+        assert est.check_bound(m).g_post == pytest.approx(0.5, abs=1e-12)
+        assert est.check_bound(m).g_pre == pytest.approx(0.5, abs=1e-12)
 
     def test_collapse_is_identity(self):
         m = catalog.identity_device(3)
@@ -45,17 +44,17 @@ class TestUnsharpQubit:
     def test_zero_strength_is_scaled_identity(self):
         m = catalog.unsharp_qubit(0.0)
         for s in (1, 2):
-            assert frobenius_distance(m.kraus_op(s), np.eye(2) / np.sqrt(2)) < 1e-15
-        assert est.g_post(m) == pytest.approx(0.5, abs=1e-12)
+            assert np.linalg.norm(m.kraus_op(s) - np.eye(2) / np.sqrt(2)) < 1e-15
+        assert est.check_bound(m).g_post == pytest.approx(0.5, abs=1e-12)
 
     def test_full_strength_is_projective(self):
         m = catalog.unsharp_qubit(1.0)
-        assert frobenius_distance(m.kraus_op(1), np.diag([1.0, 0.0])) < 1e-15
-        assert frobenius_distance(m.kraus_op(2), np.diag([0.0, 1.0])) < 1e-15
+        assert np.linalg.norm(m.kraus_op(1) - np.diag([1.0, 0.0])) < 1e-15
+        assert np.linalg.norm(m.kraus_op(2) - np.diag([0.0, 1.0])) < 1e-15
 
     def test_intermediate_values(self):
         m = catalog.unsharp_qubit(0.6)
-        assert est.g_post(m) == pytest.approx(0.8, abs=1e-12)
+        assert est.check_bound(m).g_post == pytest.approx(0.8, abs=1e-12)
         assert est.operation_fidelity(m) == pytest.approx(2.8 / 3, abs=1e-12)
         report = est.check_bound(m)
         assert abs(report.bound_lhs - report.bound_rhs) <= 1e-9
@@ -63,7 +62,7 @@ class TestUnsharpQubit:
     def test_analytic_identities_on_grid(self):
         for lam in np.linspace(0.0, 1.0, 11):
             m = catalog.unsharp_qubit(lam)
-            assert est.g_post(m) == pytest.approx((1 + lam) / 2, abs=1e-10)
+            assert est.check_bound(m).g_post == pytest.approx((1 + lam) / 2, abs=1e-10)
             assert est.operation_fidelity(m) == pytest.approx((2 + np.sqrt(1 - lam * lam)) / 3, abs=1e-10)
 
     def test_domain(self):
@@ -88,12 +87,12 @@ class TestRandomDevice:
     def test_distinct_seeds_differ(self):
         a = catalog.random_device(2, 2, seed=1)
         b = catalog.random_device(2, 2, seed=2)
-        assert frobenius_distance(a.kraus_op(1), b.kraus_op(1)) > 1e-3
+        assert np.linalg.norm(a.kraus_op(1) - b.kraus_op(1)) > 1e-3
 
     def test_g_post_in_bounds_for_1000_seeds(self):
         for seed in range(1000):
             m = catalog.random_device(2, 2, seed=seed)
-            g = est.g_post(m)
+            g = est.check_bound(m).g_post
             assert 0.5 - 1e-10 <= g <= 1.0 + 1e-10
 
 
@@ -102,12 +101,12 @@ class TestWithKicks:
         m = catalog.unsharp_qubit(0.6)
         kicked = catalog.with_kicks(m, [np.eye(2), np.eye(2)])
         for s in (1, 2):
-            assert frobenius_distance(kicked.kraus_op(s), m.kraus_op(s)) == 0.0
+            assert np.linalg.norm(kicked.kraus_op(s) - m.kraus_op(s)) == 0.0
 
     def test_bit_flip_kick_changes_f_not_g(self):
         m = catalog.unsharp_qubit(0.6)
         kicked = catalog.with_kicks(m, [X, np.eye(2)])
-        assert est.g_post(kicked) == pytest.approx(0.8, abs=1e-12)
+        assert est.check_bound(kicked).g_post == pytest.approx(0.8, abs=1e-12)
         assert est.operation_fidelity(kicked) < 2.8 / 3 - 0.1
 
     def test_effects_exactly_preserved(self):
@@ -119,7 +118,7 @@ class TestWithKicks:
             ]
             kicked = catalog.with_kicks(m, kicks)
             for s in range(1, m.n_outcomes + 1):
-                assert frobenius_distance(kicked.effects[s - 1], m.effects[s - 1]) <= 1e-12
+                assert np.linalg.norm(kicked.effects[s - 1] - m.effects[s - 1]) <= 1e-12
 
     def test_kicked_devices_respect_bound(self):
         for i in range(30):
@@ -131,15 +130,15 @@ class TestWithKicks:
             assert est.check_bound(catalog.with_kicks(m, kicks)).bound_satisfied
 
     def test_device_accepted_at_its_own_tolerance_can_be_kicked(self):
-        # Kicking moves the completeness defect by rounding; the kicked set keeps the default slack at least.
-        devices = [validate(catalog.projective(3).kraus, tolerance=0.0)]
+        # Kicking moves the completeness defect by rounding; the kicked set is checked at m's slack.
+        devices = [Measurement(catalog.projective(3).kraus, tolerance=0.0)]
         for seed in range(300):
             m = catalog.random_device(4, 3, seed)
-            devices.append(validate(m.kraus, tolerance=m.completeness_defect))
+            devices.append(Measurement(m.kraus, tolerance=m.completeness_defect))
         for i, m in enumerate(devices):
             kicks = [haar.haar_isometry(m.dim, m.dim, haar.RngStream(600 + i, s)) for s in range(m.n_outcomes)]
             kicked = catalog.with_kicks(m, kicks)
-            assert kicked.tolerance == max(m.tolerance, DEFAULT_COMPLETENESS_TOL)
+            assert kicked.tolerance == min(m.tolerance + DEFAULT_COMPLETENESS_TOL, 0.5)
             assert np.allclose(kicked.effects, m.effects, rtol=0.0, atol=1e-12)
 
     def test_non_unitary_kick_rejected(self):
@@ -152,7 +151,7 @@ class TestTetrahedron:
     def test_effects_resolve_identity(self):
         m = catalog.tetrahedron_rank_one()
         total = m.effects.sum(axis=0)
-        assert frobenius_distance(total, np.eye(2)) <= 1e-10
+        assert np.linalg.norm(total - np.eye(2)) <= 1e-10
 
     def test_more_outcomes_than_dimensions(self):
         m = catalog.tetrahedron_rank_one()
@@ -160,13 +159,13 @@ class TestTetrahedron:
         assert m.dim == 2
 
     def test_g_pre_value(self):
-        assert est.g_pre(catalog.tetrahedron_rank_one()) == pytest.approx(2.0 / 3, abs=1e-10)
+        assert est.check_bound(catalog.tetrahedron_rank_one()).g_pre == pytest.approx(2.0 / 3, abs=1e-10)
 
     def test_g_post_is_one_for_any_posts(self):
         for seed in (1, 2, 3):
             posts = list(haar.haar_states(2, 4, seed=seed))
             m = catalog.tetrahedron_rank_one(posts)
-            assert est.g_post(m) == pytest.approx(1.0, abs=1e-10)
+            assert est.check_bound(m).g_post == pytest.approx(1.0, abs=1e-10)
 
     def test_default_posts_make_it_pure(self):
         assert est.is_pure_measurement(catalog.tetrahedron_rank_one())

@@ -11,7 +11,7 @@ import pytest
 from conftest import build_note, overlap2
 from qmeter import catalog, cli, estimator, haar
 from qmeter.errors import IncompleteDevice
-from qmeter.matkernel import canonicalize_phase, frobenius_distance
+from qmeter.matkernel import canonicalize_phase
 from qmeter.measurement import Measurement, as_state
 
 
@@ -553,7 +553,7 @@ class TestCatalogCommand:
             loaded = cli.load_device(str(path))
             assert loaded.dim == m.dim and loaded.n_outcomes == m.n_outcomes
             for s in range(1, m.n_outcomes + 1):
-                assert frobenius_distance(loaded.kraus_op(s), m.kraus_op(s)) == 0.0
+                assert np.linalg.norm(loaded.kraus_op(s) - m.kraus_op(s)) == 0.0
 
     def test_unknown_family_rejected(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exit_info:
@@ -667,6 +667,47 @@ class TestToleranceSource:
         assert out == f"INCOMPLETE: completeness defect {defect:.17g}\n"
         code, out, _ = run(capsys, "validate", path, "--json")
         assert json.loads(out) == {"command": "validate", "ok": False, "defect": defect}
+
+
+class TestAcceptedAtItsOwnTolerance:
+    """A spec whose ``tolerance`` is the defect ``validate`` printed runs through every command."""
+
+    # One operator 1 + ~1e-3 |u><u| plus rounding: the top effect eigenvalue lies a rounding step past 1 + defect.
+    SPECTRUM_EDGE = {
+        "dim": 2,
+        "kraus": [[
+            [[1.0003587382080774, -1.0631733013735185e-20], [0.00012549792317490351, 0.00018676577179462032]],
+            [[0.00012549792317490351, -0.00018676577179462032], [1.0001411368543836, -9.604985584705743e-22]],
+        ]],
+        "tolerance": 0.0009999999999999983,
+    }
+    # Three equal scalars whose squares sum a rounding step past 1 + tolerance for this state.
+    BORN_EDGE = {"dim": 1, "kraus": [[[[0.57735144751483, 0.0]]]] * 3, "tolerance": 4.0818424085209415e-06}
+    BORN_EDGE_STATE = {"dim": 1, "amplitudes": [[0.08277720600833575, 0.9965680780385521]]}
+
+    def write(self, tmp_path, name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    def test_spectrum_edge(self, capsys, tmp_path):
+        path = self.write(tmp_path, "edge.json", self.SPECTRUM_EDGE)
+        code, out, _ = run(capsys, "validate", path, "--json")
+        assert code == 0 and json.loads(out)["defect"] == self.SPECTRUM_EDGE["tolerance"]
+        kraus = np.array(self.SPECTRUM_EDGE["kraus"][0]) @ [1.0, 1j]
+        u = np.linalg.eigh(kraus.conj().T @ kraus)[1][:, -1]
+        state = self.write(tmp_path, "u.json", {"dim": 2, "amplitudes": [[z.real, z.imag] for z in u]})
+        for argv in (["fidelities"], ["estimate", "--outcome", "1"], ["simulate", "--state", state]):
+            code, _, err = run(capsys, argv[0], path, *argv[1:])
+            assert (code, err) == (0, ""), argv
+
+    def test_born_total_edge(self, capsys, tmp_path):
+        path = self.write(tmp_path, "edge.json", self.BORN_EDGE)
+        state = self.write(tmp_path, "state.json", self.BORN_EDGE_STATE)
+        assert run(capsys, "validate", path)[0] == 0
+        code, out, err = run(capsys, "simulate", path, "--state", state, "--json")
+        assert (code, err) == (0, "")
+        assert sum(json.loads(out)["counts"]) == 1
 
 
 class TestInputOutputHardening:

@@ -228,7 +228,7 @@ def scalar_slots(seed):
 
 def constructor_call(rng):
     """A random library call with mutated arguments, as a thunk."""
-    kind = rng.randrange(12)
+    kind = rng.randrange(11)
     if kind == 0:
         m = catalog.random_device(rng.choice((2, 3)), rng.choice((1, 2, 4)), seed=rng.randrange(100))
         kraus = junk_or_mutant(m.kraus, rng)
@@ -267,21 +267,17 @@ def constructor_call(rng):
         matrix = junk_or_mutant(rand_complex(gen, d, d), rng)
         return lambda: matkernel.polar_decompose(matrix)
     if kind == 5:
-        pair = [rand_complex(gen, d, d), junk_or_mutant(rand_complex(gen, d, d), rng)]
-        rng.shuffle(pair)
-        return lambda: matkernel.frobenius_distance(*pair)
-    if kind == 6:
         psi = junk_or_mutant(haar.haar_state(d, haar.RngStream(rng.randrange(100))), rng)
         dim = rng.choice([None, d, d + 1])
         return lambda: as_state(psi, dim)
-    if kind == 7:
+    if kind == 6:
         direction = junk_or_mutant(gen.normal(size=3), rng)
         return lambda: catalog.bloch_state(direction)
-    if kind == 8:
+    if kind == 7:
         _, call = rng.choice(scalar_slots(rng.randrange(100)))
         x = rng.choice(SCALAR_JUNK)
         return lambda: call(x)
-    if kind == 9:
+    if kind == 8:
         # A valid array written as (numeric) strings, which a numpy conversion would parse.
         m = catalog.random_device(max(d, 2), 2, seed=rng.randrange(100))
         call, value = rng.choice(
@@ -296,7 +292,7 @@ def constructor_call(rng):
         elif rng.random() < 0.5:
             strings = strings.astype(object)
         return lambda: call(strings)
-    if kind == 10:
+    if kind == 9:
         vectors = junk_or_mutant(rand_complex(gen, rng.choice((1, 3)), d), rng)
         return lambda: matkernel.canonicalize_phase(vectors)
     m = catalog.random_device(rng.choice((2, 3)), rng.choice((1, 2, 4)), seed=rng.randrange(100))

@@ -13,11 +13,12 @@ from qmeter.errors import (
     NotUnitary,
     OutcomeOutOfRange,
     OutOfDomain,
+    QmeterError,
     ShapeMismatch,
     ZeroProbabilityOutcome,
 )
-from qmeter.matkernel import EigenSystem, frobenius_distance, hermitian_eig
-from qmeter.measurement import Measurement, validate
+from qmeter.matkernel import EigenSystem, hermitian_eig
+from qmeter.measurement import Measurement
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 BASIS = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
@@ -25,17 +26,17 @@ BASIS = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
 
 class TestValidate:
     def test_single_unitary_kraus(self):
-        m = validate([np.eye(2)])
+        m = Measurement([np.eye(2)])
         assert m.n_outcomes == 1 and m.dim == 2
 
     def test_projective_pair(self):
-        m = validate([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dim=2)
-        assert m.n_outcomes == 2
+        m = Measurement([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        assert m.n_outcomes == 2 and m.dim == 2
         assert m.completeness_defect < 1e-15
 
     def test_incomplete_device_defect(self):
         with pytest.raises(IncompleteDevice) as err:
-            validate([0.9 * np.eye(2)])
+            Measurement([0.9 * np.eye(2)])
         assert err.value.defect == pytest.approx(0.19 * np.sqrt(2), abs=1e-12)
 
     def test_incomplete_device_names_tolerance(self):
@@ -48,13 +49,11 @@ class TestValidate:
 
     def test_shape_errors(self):
         with pytest.raises(ShapeMismatch):
-            validate([np.zeros((2, 3))])
+            Measurement([np.zeros((2, 3))])
         with pytest.raises(ShapeMismatch):
-            validate([np.eye(2), np.eye(3)])
+            Measurement([np.eye(2), np.eye(3)])
         with pytest.raises(ShapeMismatch):
-            validate([np.eye(2)], dim=3)
-        with pytest.raises(ShapeMismatch):
-            validate([])
+            Measurement([])
         for stack in (np.eye(2), np.zeros((1, 1, 2, 2)), np.zeros((0, 2, 2))):
             with pytest.raises(ShapeMismatch):
                 Measurement(stack)
@@ -68,8 +67,8 @@ class TestValidate:
     def test_tolerance_loosening(self):
         ops = [np.sqrt(0.999) * np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
         with pytest.raises(IncompleteDevice):
-            validate(ops)
-        m = validate(ops, tolerance=1e-2)
+            Measurement(ops)
+        m = Measurement(ops, tolerance=1e-2)
         assert m.completeness_defect == pytest.approx(0.001, abs=1e-12)
 
     def test_tolerance_must_be_finite_and_nonnegative(self):
@@ -127,6 +126,48 @@ class TestValidate:
         assert m.outcome_distribution([1.0, 0.0]) == pytest.approx([1.0, 0.0], abs=1e-6)
 
 
+class TestAcceptedAtItsOwnDefect:
+    """A device validated at exactly its own defect passes every later check: the slack adds a rounding allowance."""
+
+    @staticmethod
+    def stretched(d, n, seed, delta):
+        """``random_device`` with each ``M_s`` times ``1 + (sqrt(1 + delta) - 1)|u><u|``, validated at its own defect.
+
+        The effects then sum to ``1 + delta |u><u|``: the top effect eigenvalue and the Born total for ``psi = u``
+        sit at the edge of the tolerance, where rounding decides.
+        """
+        u = haar.haar_state(d, haar.RngStream(seed, 1))
+        stretch = np.eye(d) + (np.sqrt(1.0 + delta) - 1.0) * np.outer(u, u.conj())
+        kraus = catalog.random_device(d, n, seed).kraus @ stretch
+        return Measurement(kraus, tolerance=Measurement(kraus, tolerance=0.5).completeness_defect), u
+
+    @pytest.mark.parametrize("delta", [1e-9, 1e-6, 1e-3, 0.1])
+    def test_seeded_sweep_raises_nothing(self, delta):
+        refused = {}
+        for i in range(100):
+            d, n, seed = 2 + i % 4, 1 + (i // 4) % 3, 5000 + i
+            m, u = self.stretched(d, n, seed, delta)
+            near = u + 1e-3 * haar.haar_state(d, haar.RngStream(seed, 2))
+            near /= np.linalg.norm(near)
+            kicks = [haar.haar_isometry(d, d, haar.RngStream(seed, 3 + s)) for s in range(n)]
+            steps = {
+                "spectrum": lambda: m.spectrum,
+                "check_bound": lambda: est.check_bound(m),
+                "estimate_pairs": lambda: est.estimate_pairs(m),
+                "outcome_distribution": lambda: [m.outcome_distribution(psi) for psi in (u, near)],
+                "sample_outcomes": lambda: [m.sample_outcomes(psi, haar.RngStream(seed, 4).generator(), 10)
+                                            for psi in (u, near)],
+                "pure_part": lambda: est.pure_part(m),
+                "with_kicks": lambda: catalog.with_kicks(m, kicks),
+            }
+            for name, step in steps.items():
+                try:
+                    step()
+                except QmeterError:
+                    refused[name] = refused.get(name, 0) + 1
+        assert refused == {}
+
+
 class TestStackedStorage:
     def test_list_and_stacked_array_agree(self):
         ops = [np.array(k) for k in catalog.random_device(3, 9, seed=60).kraus]
@@ -150,7 +191,8 @@ class TestStackedStorage:
                 amp = k @ psi
                 probabilities.append(np.sum(amp.real**2 + amp.imag**2))
                 effects_form.append(np.vdot(psi, ref @ psi).real)
-            assert m.completeness_defect == frobenius_distance(total, np.eye(d))
+            defect = total - np.eye(d)
+            assert m.completeness_defect == np.sqrt(np.sum(defect.real**2 + defect.imag**2))
             p = m.outcome_distribution(psi)
             assert p.tobytes() == np.array(probabilities).tobytes()
             assert np.allclose(p, effects_form, rtol=0.0, atol=1e-15)
@@ -173,17 +215,17 @@ class TestEffects:
         for s in range(1, 4):
             expected = np.zeros((3, 3))
             expected[s - 1, s - 1] = 1.0
-            assert frobenius_distance(m.effects[s - 1], expected) < 1e-14
+            assert np.linalg.norm(m.effects[s - 1] - expected) < 1e-14
             assert m.spectrum.eigenvalues[s - 1, 0] == pytest.approx(1.0)
 
     def test_unsharp_effect(self):
         m = catalog.unsharp_qubit(0.6)
-        assert frobenius_distance(m.effects[0], np.diag([0.8, 0.2])) < 1e-14
+        assert np.linalg.norm(m.effects[0] - np.diag([0.8, 0.2])) < 1e-14
 
     def test_unitary_kraus_effect_is_identity(self):
         x = np.array([[0, 1], [1, 0]], dtype=complex)
-        m = validate([x])
-        assert frobenius_distance(m.effects[0], np.eye(2)) < 1e-14
+        m = Measurement([x])
+        assert np.linalg.norm(m.effects[0] - np.eye(2)) < 1e-14
 
     def test_outcome_out_of_range(self):
         m = catalog.projective(2)
@@ -346,11 +388,6 @@ class TestSampleOutcome:
         for (_, a), (_, b) in zip(runs[0], runs[1]):
             assert np.array_equal(a, b)
 
-    def test_accepts_rng_stream_directly(self):
-        m = catalog.projective(2)
-        s, _ = m.sample_outcome([1.0, 0.0], haar.RngStream(4))
-        assert s == 1
-
     def test_validates_the_state_once(self, monkeypatch):
         calls = []
         as_state = measurement.as_state
@@ -362,7 +399,7 @@ class TestSampleOutcome:
         m = catalog.random_device(3, 4, seed=34)
         psi = haar.haar_state(3, haar.RngStream(35))
         monkeypatch.setattr(measurement, "as_state", counting_as_state)
-        m.sample_outcome(psi, haar.RngStream(36))
+        m.sample_outcome(psi, haar.RngStream(36).generator())
         assert len(calls) == 1
 
     def test_matches_public_distribution_and_collapse(self):
@@ -379,9 +416,9 @@ class TestSampleOutcome:
     def test_rejects_invalid_state(self):
         m = catalog.projective(2)
         with pytest.raises(OutOfDomain, match="state norm"):
-            m.sample_outcome([1.0, 1.0], haar.RngStream(4))
+            m.sample_outcome([1.0, 1.0], haar.RngStream(4).generator())
         with pytest.raises(DimensionMismatch):
-            m.sample_outcome([1.0, 0.0, 0.0], haar.RngStream(4))
+            m.sample_outcome([1.0, 0.0, 0.0], haar.RngStream(4).generator())
 
 
 def scalar_rule(p, u, floor=measurement.PROBABILITY_FLOOR):
@@ -441,21 +478,14 @@ class TestSampleOutcomes:
         m = catalog.random_device(3, 4, seed=43)
         psi = haar.haar_state(3, haar.RngStream(44))
         monkeypatch.setattr(measurement, "as_state", counting_as_state)
-        m.sample_outcomes(psi, haar.RngStream(45), 1000)
+        m.sample_outcomes(psi, haar.RngStream(45).generator(), 1000)
         assert len(calls) == 1
 
     def test_rejects_nonpositive_shots(self):
         m = catalog.projective(2)
         for shots in (0, -3):
             with pytest.raises(OutOfDomain):
-                m.sample_outcomes(PLUS, haar.RngStream(4), shots)
-
-    def test_accepts_rng_stream_directly(self):
-        m = catalog.random_device(3, 4, seed=46)
-        psi = haar.haar_state(3, haar.RngStream(47))
-        direct, _ = m.sample_outcomes(psi, haar.RngStream(48, 2), 100)
-        via_gen, _ = m.sample_outcomes(psi, haar.RngStream(48, 2).generator(), 100)
-        assert np.array_equal(direct, via_gen)
+                m.sample_outcomes(PLUS, haar.RngStream(4).generator(), shots)
 
     def test_floor_skip_first_middle_last(self):
         # Outcomes 1, 3 and 5 have 0 < p <= floor; 2 and 4 share the rest.
@@ -516,21 +546,21 @@ class TestSampleOutcomes:
         m = catalog.projective(2)
         for shots in (1, 5):
             with pytest.raises(ZeroProbabilityOutcome):
-                m.sample_outcomes(PLUS, haar.RngStream(4), shots)
+                m.sample_outcomes(PLUS, haar.RngStream(4).generator(), shots)
 
 
 class TestBiOrthogonalFactors:
     def test_positive_kraus_gives_identity_unitary(self):
         m = catalog.unsharp_qubit(0.6)
         fac = m.bi_orthogonal_factors(1)
-        assert frobenius_distance(fac.unitary, np.eye(2)) < 1e-12
-        assert frobenius_distance(fac.left_basis, fac.right_basis) < 1e-12
+        assert np.linalg.norm(fac.unitary - np.eye(2)) < 1e-12
+        assert np.linalg.norm(fac.left_basis - fac.right_basis) < 1e-12
 
     def test_bit_flip_kick_by_hand(self):
         x = np.array([[0, 1], [1, 0]], dtype=complex)
-        m = validate([x @ np.diag([np.sqrt(0.8), np.sqrt(0.2)]), np.diag([np.sqrt(0.2), np.sqrt(0.8)])])
+        m = Measurement([x @ np.diag([np.sqrt(0.8), np.sqrt(0.2)]), np.diag([np.sqrt(0.2), np.sqrt(0.8)])])
         fac = m.bi_orthogonal_factors(1)
-        assert frobenius_distance(fac.unitary, x) < 1e-12
+        assert np.linalg.norm(fac.unitary - x) < 1e-12
         assert np.allclose(fac.eigenvalues, [0.8, 0.2])
         assert overlap2(fac.right_basis[:, 0], [1.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
         assert overlap2(fac.left_basis[:, 0], [0.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
@@ -543,17 +573,17 @@ class TestBiOrthogonalFactors:
                 fac = m.bi_orthogonal_factors(s)
                 k = m.kraus_op(s)
                 d = m.dim
-                assert frobenius_distance(fac.left_basis, fac.unitary @ fac.right_basis) <= 1e-10
+                assert np.linalg.norm(fac.left_basis - fac.unitary @ fac.right_basis) <= 1e-10
                 rec_m = sum(
                     np.sqrt(a) * np.outer(fac.left_basis[:, j], fac.right_basis[:, j].conj())
                     for j, a in enumerate(fac.eigenvalues)
                 )
-                assert frobenius_distance(rec_m, k) <= 1e-10
+                assert np.linalg.norm(rec_m - k) <= 1e-10
                 rec_left = sum(
                     a * np.outer(fac.left_basis[:, j], fac.left_basis[:, j].conj())
                     for j, a in enumerate(fac.eigenvalues)
                 )
-                assert frobenius_distance(rec_left, k @ k.conj().T) <= 1e-10
+                assert np.linalg.norm(rec_left - k @ k.conj().T) <= 1e-10
 
     def test_kicked_rank_one_outcomes(self):
         # Rank-deficient effects: noise eigenvalues must not pollute the sqrt.
@@ -569,19 +599,19 @@ class TestBiOrthogonalFactors:
                 np.sqrt(a) * np.outer(fac.left_basis[:, j], fac.right_basis[:, j].conj())
                 for j, a in enumerate(fac.eigenvalues)
             )
-            assert frobenius_distance(rec, m.kraus_op(s)) <= 1e-10
-            assert frobenius_distance(fac.unitary.conj().T @ fac.unitary, np.eye(2)) <= 1e-10
+            assert np.linalg.norm(rec - m.kraus_op(s)) <= 1e-10
+            assert np.linalg.norm(fac.unitary.conj().T @ fac.unitary - np.eye(2)) <= 1e-10
 
     def test_near_degenerate_group_reconstructs(self):
         # E_1 = diag(0, 9e-11) has one group of two values; M_1 = sum sqrt(a_j) |left_j><right_j| still holds.
         m = catalog.with_kicks(
-            validate([np.diag([0.0, np.sqrt(9e-11)]), np.diag([1.0, np.sqrt(1.0 - 9e-11)])]),
+            Measurement([np.diag([0.0, np.sqrt(9e-11)]), np.diag([1.0, np.sqrt(1.0 - 9e-11)])]),
             [haar.haar_isometry(2, 2, haar.RngStream(7, s)) for s in range(2)],
         )
         for s in (1, 2):
             fac = m.bi_orthogonal_factors(s)
             rec = (fac.left_basis * np.sqrt(fac.eigenvalues)) @ fac.right_basis.conj().T
-            assert frobenius_distance(rec, m.kraus_op(s)) <= 1e-14
+            assert np.linalg.norm(rec - m.kraus_op(s)) <= 1e-14
 
     def test_same_spectrum_left_and_right(self):
         # M M^dag and E share their eigenvalue list.
@@ -603,7 +633,7 @@ class TestOneEigensolvePerDevice:
         ),
         "tetrahedron": lambda: catalog.tetrahedron_rank_one(),
         "degenerate_unsharp": lambda: catalog.unsharp_qubit(0.0),
-        "dimension_one": lambda: validate([[[0.6]], [[0.8]]]),
+        "dimension_one": lambda: Measurement([[[0.6]], [[0.8]]]),
     }
 
     @staticmethod
@@ -627,7 +657,6 @@ class TestOneEigensolvePerDevice:
             est.estimate_pair(m, s)
             est.verify_estimate_relations(m, s)
             m.bi_orthogonal_factors(s)
-        est.g_pre(m)
         est.pure_part(m)
         assert calls == [m.effects.shape]
 
@@ -646,7 +675,7 @@ class TestOneEigensolvePerDevice:
 
     def test_not_needed_for_validation_or_sampling(self, monkeypatch):
         calls = self.counted(monkeypatch)
-        m = validate(catalog.random_device(4, 4, seed=3).kraus)
+        m = Measurement(catalog.random_device(4, 4, seed=3).kraus)
         psi = haar.haar_state(4, haar.RngStream(5))
         m.outcome_distribution(psi)
         m.sample_outcomes(psi, np.random.default_rng(6), 100)
@@ -680,7 +709,7 @@ class TestConcurrentSharing:
 
         m = catalog.random_device(4, 6, seed=55)
         with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(lambda _: est.g_post(m), range(32)))
+            results = list(pool.map(lambda _: est.check_bound(m).g_post, range(32)))
         assert len(set(results)) == 1
         assert not m.kraus_op(1).flags.writeable
         assert not m.spectrum.eigenvalues.flags.writeable

@@ -31,9 +31,9 @@ print("g_post =", report.g_post, " g_pre =", report.g_pre)
 gen = haar.RngStream(22).generator()
 print("\nfive shots on a random input:")
 psi = haar.haar_state(2, haar.RngStream(23))
-for shot in range(1, 6):
-    s, collapsed = redirected.sample_outcome(psi, gen)
-    fidelity = abs(np.vdot(posts[s - 1], collapsed)) ** 2
+outcomes, collapsed = redirected.sample_outcomes(psi, gen, 5)
+for shot, s in enumerate(outcomes.tolist(), 1):
+    fidelity = abs(np.vdot(posts[s - 1], collapsed[s])) ** 2
     print(f"  shot {shot}: outcome {s}, overlap with declared post-state = {fidelity:.12f}")
 
 # Build your own: any overcomplete pre-basis works. Here, three equatorial

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import NotUnitary, OutOfDomain, ShapeMismatch
 from .estimator import make_rank_one_device
 from .haar import RngStream, haar_isometry
-from .matkernel import finite_array, finite_scalar, max_count
+from .matkernel import _fro_norms, finite_array, finite_scalar, max_count
 from .measurement import Measurement
 
 # Bloch vectors of a regular tetrahedron (pairwise overlap -1/3, summing to 0).
@@ -61,19 +61,18 @@ def with_kicks(m: Measurement, unitaries) -> Measurement:
     """Left-multiply each Kraus operator by a unitary kick ``V_s``.
 
     Effects (hence outcome statistics and both estimation fidelities) are
-    unchanged; the operation fidelity generally is not. The kicked set is
-    checked at ``m``'s slack, as its effects are: its tolerance plus the
-    rounding allowance, capped at 0.5.
+    unchanged; the operation fidelity generally is not. The kicked device keeps
+    ``m``'s labels and tolerance (:meth:`Measurement.with_kraus`).
     """
     kicks = finite_array(unitaries, np.complex128, ShapeMismatch, "kicks must be an (n, d, d) unitary array", ndim=3)
     if kicks.shape != m.kraus.shape:
         raise ShapeMismatch(f"kicks of shape {kicks.shape} for Kraus operators of shape {m.kraus.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # huge kicks give a defect of inf or nan
         gram = kicks.conj().swapaxes(1, 2) @ kicks
-        defect = float(np.linalg.norm(gram - np.eye(m.dim), axis=(1, 2)).max())
+        defect = float(_fro_norms(gram - np.eye(m.dim)).max())
     if not defect <= 1e-10:
         raise NotUnitary(f"kick unitarity defect {defect:.3e} exceeds 1e-10")
-    return Measurement(kicks @ m.kraus, labels=m.labels, tolerance=min(m._slack, 0.5))
+    return m.with_kraus(kicks @ m.kraus)
 
 
 def bloch_state(direction) -> np.ndarray:

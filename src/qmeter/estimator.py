@@ -207,13 +207,13 @@ def pure_part(m: Measurement) -> Measurement:
     """The device with each ``M_s`` replaced by ``sqrt(E_s)``.
 
     Effects, outcome statistics and both estimation fidelities are unchanged; only the unitary kicks (and with
-    them the operation fidelity) are stripped. The rebuilt set is checked at ``m``'s slack, as its effects are: its
-    tolerance plus the rounding allowance, capped at 0.5.
+    them the operation fidelity) are stripped. The result keeps ``m``'s labels and tolerance
+    (:meth:`Measurement.with_kraus`).
     """
     v = m.spectrum.eigenvectors
     roots = np.sqrt(floored_psd_eigenvalues(m.spectrum.eigenvalues))
     sqrt_e = (v * roots[:, None, :]) @ v.conj().swapaxes(1, 2)
-    return Measurement(0.5 * (sqrt_e + sqrt_e.conj().swapaxes(1, 2)), labels=m.labels, tolerance=min(m._slack, 0.5))
+    return m.with_kraus(0.5 * (sqrt_e + sqrt_e.conj().swapaxes(1, 2)))
 
 
 def is_pure_measurement(m: Measurement) -> bool:

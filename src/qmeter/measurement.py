@@ -113,6 +113,10 @@ class Measurement:
         # At most 1/2: every state keeps a total probability >= 1/2, and fidelities exceed 1 by at most the defect.
         tolerance = DEFAULT_COMPLETENESS_TOL if tolerance is None else tolerance
         tolerance = finite_scalar(tolerance, float, "completeness tolerance", 0.0, 0.5)
+        self._accept(kraus_ops, labels, tolerance, tolerance)
+
+    def _accept(self, kraus_ops, labels, tolerance: float, limit: float):
+        """Validate and store a device of the given tolerance whose completeness defect is at most ``limit``."""
         ops = list(kraus_ops) if np.iterable(kraus_ops) else kraus_ops
         what = "Kraus operators must form one non-empty (n, d, d) array of numbers"
         kraus = finite_array(ops, np.complex128, ShapeMismatch, what, ndim=3)
@@ -129,8 +133,8 @@ class Measurement:
             raise OutOfDomain(
                 "effects M_s^dag M_s or their defect overflow float64: the Kraus entries are too large"
             )
-        if defect > tolerance:
-            raise IncompleteDevice(defect, tolerance=tolerance)
+        if defect > limit:
+            raise IncompleteDevice(defect, tolerance=limit)
 
         if labels is not None:
             if not np.iterable(labels):
@@ -149,6 +153,16 @@ class Measurement:
         # tolerance, and by rounding on top of it: one allowance of the default size.
         self._slack = tolerance + DEFAULT_COMPLETENESS_TOL
         self._defect = defect
+
+    def with_kraus(self, kraus_ops) -> Measurement:
+        """A device with this one's labels and tolerance on new Kraus operators with the same effects.
+
+        Rebuilding the operators moves the completeness defect by rounding, so it is
+        checked against this device's slack, the allowance its effects already get.
+        """
+        rebuilt = Measurement.__new__(Measurement)
+        rebuilt._accept(kraus_ops, self._labels, self._tolerance, self._slack)
+        return rebuilt
 
     def __repr__(self):
         return f"Measurement(dim={self.dim}, n_outcomes={self.n_outcomes})"
@@ -248,10 +262,13 @@ class Measurement:
         state (computed once per distinct outcome).
         """
         shots = finite_scalar(shots, int, "shots", 1, max_count(8))  # one float64 uniform per shot
+        uniforms = getattr(rng, "random", None)
+        if not callable(uniforms):
+            raise OutOfDomain(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
         amps, p = self._born(as_state(psi, self.dim))
         n = self.n_outcomes
         # Rounding can leave the total mass below a uniform: clamp to outcome n.
-        drawn = np.minimum(np.searchsorted(np.cumsum(p), rng.random(shots), side="right"), n - 1)
+        drawn = np.minimum(np.searchsorted(np.cumsum(p), uniforms(shots), side="right"), n - 1)
         viable = np.flatnonzero(p > PROBABILITY_FLOOR)
         if not viable.size:  # a guard only: a tolerance <= 1/2 leaves sum(p) >= 1/2
             raise ZeroProbabilityOutcome(f"every outcome has probability <= {PROBABILITY_FLOOR:.0e}")

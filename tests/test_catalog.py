@@ -3,7 +3,7 @@ import pytest
 
 from qmeter import catalog, estimator as est, haar
 from qmeter.errors import NotUnitary, OutOfDomain
-from qmeter.measurement import DEFAULT_COMPLETENESS_TOL, Measurement
+from qmeter.measurement import Measurement
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -130,7 +130,8 @@ class TestWithKicks:
             assert est.check_bound(catalog.with_kicks(m, kicks)).bound_satisfied
 
     def test_device_accepted_at_its_own_tolerance_can_be_kicked(self):
-        # Kicking moves the completeness defect by rounding; the kicked set is checked at m's slack.
+        # Kicking moves the completeness defect by rounding; the kicked set keeps m's tolerance and is checked
+        # at m's slack.
         devices = [Measurement(catalog.projective(3).kraus, tolerance=0.0)]
         for seed in range(300):
             m = catalog.random_device(4, 3, seed)
@@ -138,7 +139,7 @@ class TestWithKicks:
         for i, m in enumerate(devices):
             kicks = [haar.haar_isometry(m.dim, m.dim, haar.RngStream(600 + i, s)) for s in range(m.n_outcomes)]
             kicked = catalog.with_kicks(m, kicks)
-            assert kicked.tolerance == min(m.tolerance + DEFAULT_COMPLETENESS_TOL, 0.5)
+            assert kicked.tolerance == m.tolerance
             assert np.allclose(kicked.effects, m.effects, rtol=0.0, atol=1e-12)
 
     def test_non_unitary_kick_rejected(self):

@@ -974,6 +974,22 @@ class TestModuleEntryPoints:
         assert proc.stdout == expected
 
 
+class TestPackage:
+    """``import qmeter`` gives its six modules, and the README's Quick start runs as written."""
+
+    def test_public_names_are_the_modules(self):
+        # A fresh interpreter: this one has already imported qmeter.cli, which binds ``qmeter.cli``.
+        proc = run_module("-c", "import qmeter; print(*sorted(n for n in vars(qmeter) if not n.startswith('_')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["catalog", "errors", "estimator", "haar", "matkernel", "measurement"]
+
+    def test_readme_quick_start_runs(self):
+        with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+            block = fh.read().split("```python\n", 1)[1].split("```", 1)[0]
+        *body, last = block.strip().splitlines()
+        exec("\n".join(body + ["assert " + last.split("#", 1)[0]]), {})
+
+
 class TestHugeEntries:
     """A finite Kraus entry so large that ``M^dag M`` overflows is a domain error, reported once."""
 

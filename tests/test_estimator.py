@@ -547,13 +547,34 @@ class TestPureMeasurements:
             assert np.linalg.norm(p.kraus_op(s) - m.kraus_op(s)) <= 1e-15
 
     def test_pure_part_of_a_device_accepted_at_its_own_tolerance(self):
-        # Rebuilding sqrt(E_s) moves the completeness defect by rounding; the pure part is checked at m's slack.
+        # Rebuilding sqrt(E_s) moves the completeness defect by rounding; the pure part keeps m's tolerance and is
+        # checked at m's slack.
         for seed in range(300):
             m = catalog.random_device(4, 3, seed)
             m = Measurement(m.kraus, tolerance=m.completeness_defect)
             p = est.pure_part(m)
-            assert p.tolerance == min(m.tolerance + measurement.DEFAULT_COMPLETENESS_TOL, 0.5)
+            assert p.tolerance == m.tolerance
             assert np.allclose(p.effects, m.effects, rtol=0.0, atol=1e-12)
+
+    def test_devices_accepted_at_the_tolerance_cap_can_be_rebuilt(self):
+        # A defect just below the 0.5 cap can round above it in a rebuild; each rebuild is checked at the slack.
+        accepted = 0
+        for seed in range(300):
+            d, n = 2 + seed % 3, 1 + seed % 2
+            u = haar.haar_state(d, haar.RngStream(seed, 5))
+            delta = np.nextafter(0.5, 0.0) if seed % 2 else 0.5 - 1e-15
+            stretch = np.eye(d) + (np.sqrt(1.0 + delta) - 1.0) * np.outer(u, u.conj())
+            try:
+                m = Measurement(catalog.random_device(d, n, seed).kraus @ stretch, tolerance=0.5)
+            except IncompleteDevice:
+                continue
+            accepted += 1
+            kicks = [haar.haar_isometry(d, d, haar.RngStream(seed, 10 + s)) for s in range(n)]
+            for derived in (est.pure_part(m), catalog.with_kicks(m, kicks), est.pure_part(est.pure_part(m))):
+                assert derived.tolerance == 0.5
+                est.check_bound(derived)
+                est.estimate_pairs(derived)
+        assert accepted == 280
 
     def test_pure_part_generally_changes_operation_fidelity(self):
         m = bit_flip_unsharp()

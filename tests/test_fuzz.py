@@ -8,8 +8,9 @@ non-finite entries, extra nesting, ragged rows, a wrong ``dim``, bad
 commands, a state file through ``simulate --state``. Every run exits 0, 1 or 2.
 
 Library entry points: ``Measurement``, ``make_rank_one_device``,
-``catalog.with_kicks``, ``catalog.bloch_state``, ``as_state``, the public
-``matkernel`` functions, the ``haar`` integrands' guesses and states, and every
+``catalog.with_kicks``, ``catalog.bloch_state``, ``as_state``, the RNG of
+``Measurement.sample_outcomes``, the public ``matkernel`` functions, the
+``haar`` integrands' guesses and states, and every
 scalar argument that ``matkernel.finite_scalar`` gates (seeds and sizes beyond
 numpy's index range included), on mutated arguments or on arrays of numeric
 strings, either return a result or raise a ``QmeterError``. A ``RuntimeWarning`` fails
@@ -228,7 +229,7 @@ def scalar_slots(seed):
 
 def constructor_call(rng):
     """A random library call with mutated arguments, as a thunk."""
-    kind = rng.randrange(11)
+    kind = rng.randrange(12)
     if kind == 0:
         m = catalog.random_device(rng.choice((2, 3)), rng.choice((1, 2, 4)), seed=rng.randrange(100))
         kraus = junk_or_mutant(m.kraus, rng)
@@ -295,6 +296,13 @@ def constructor_call(rng):
     if kind == 9:
         vectors = junk_or_mutant(rand_complex(gen, rng.choice((1, 3)), d), rng)
         return lambda: matkernel.canonicalize_phase(vectors)
+    if kind == 10:
+        m = catalog.random_device(max(d, 2), rng.choice((1, 3)), seed=rng.randrange(100))
+        psi = haar.haar_state(m.dim, haar.RngStream(rng.randrange(100)))
+        sampler = rng.choice([haar.RngStream(1), haar.RngStream(1).generator(), haar.RngStream(1).generator])
+        sampler = sampler if rng.random() < 0.5 else rng.choice(ARGUMENT_JUNK)
+        shots = rng.choice((1, 5))
+        return lambda: m.sample_outcomes(psi, sampler, shots)
     m = catalog.random_device(rng.choice((2, 3)), rng.choice((1, 2, 4)), seed=rng.randrange(100))
     integrand, estimate = rng.choice(
         [(haar.g_post_integrand, estimator.best_post_estimate), (haar.g_pre_integrand, estimator.best_pre_estimate)]

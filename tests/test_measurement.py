@@ -487,6 +487,14 @@ class TestSampleOutcomes:
             with pytest.raises(OutOfDomain):
                 m.sample_outcomes(PLUS, haar.RngStream(4).generator(), shots)
 
+    @pytest.mark.parametrize("rng", [haar.RngStream(1), None, 7], ids=["RngStream", "None", "int"])
+    def test_rejects_an_rng_that_is_not_a_generator(self, rng):
+        m = catalog.random_device(2, 2, 1)
+        with pytest.raises(OutOfDomain, match=f"rng must be a numpy.random.Generator, got {type(rng).__name__}"):
+            m.sample_outcomes([1, 0], rng, 1)
+        with pytest.raises(OutOfDomain):
+            m.sample_outcome([1, 0], rng)
+
     def test_floor_skip_first_middle_last(self):
         # Outcomes 1, 3 and 5 have 0 < p <= floor; 2 and 4 share the rest.
         tiny = 4e-15

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import NotUnitary, OutOfDomain, ShapeMismatch
 from .estimator import make_rank_one_device
 from .haar import RngStream, haar_isometry
-from .matkernel import _fro_norms, finite_array, finite_scalar, max_count
+from .matkernel import _fro_norms, _max_count, finite_array, finite_scalar
 from .measurement import Measurement
 
 # Bloch vectors of a regular tetrahedron (pairwise overlap -1/3, summing to 0).
@@ -25,14 +25,14 @@ TETRAHEDRON_DIRECTIONS = np.array(
 
 def projective(d: int) -> Measurement:
     """The d-outcome projective measurement onto the computational basis."""
-    d = finite_scalar(d, int, "projective dimension", 2, max_count(16, 3))  # the (d, d, d) complex Kraus stack
+    d = finite_scalar(d, int, "projective dimension", 2, _max_count(16, 3))  # the (d, d, d) complex Kraus stack
     eye = np.eye(d, dtype=np.complex128)
     return Measurement(eye[:, :, None] * eye[:, None, :], labels=[str(s + 1) for s in range(d)])
 
 
 def identity_device(d: int) -> Measurement:
     """The trivial single-outcome device that leaves every state untouched."""
-    d = finite_scalar(d, int, "dimension", 1, max_count(16, 2))
+    d = finite_scalar(d, int, "dimension", 1, _max_count(16, 2))
     return Measurement([np.eye(d, dtype=np.complex128)], labels=["1"])
 
 

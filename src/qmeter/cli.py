@@ -394,9 +394,8 @@ def cmd_domain(args) -> int:
     rows = ["d,g_post,max_f"]
     for d in dims:
         table = estimator.domain_boundary(d, args.steps)
-        token = "inf" if isinstance(d, float) and math.isinf(d) else str(d)
         for g, f in table:
-            rows.append(f"{token},{float(g)!r},{float(f)!r}")
+            rows.append(f"{d},{float(g)!r},{float(f)!r}")
     text = "\n".join(rows) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

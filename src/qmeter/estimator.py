@@ -29,15 +29,15 @@ import numpy as np
 from .errors import DimensionMismatch, OutOfDomain
 from .matkernel import (
     _fro_norms,
+    _max_count,
+    _top_eigenvector,
     canonicalize_phase,
     finite_array,
     finite_scalar,
     frozen,
     hermitian_eig,
-    max_count,
-    top_eigenvector,
 )
-from .measurement import Measurement, as_state, as_states, floored_psd_eigenvalues
+from .measurement import Measurement, _check_guesses, _floored_psd_eigenvalues, as_state
 
 # Phase-insensitive overlap criteria count as satisfied above 1 - OVERLAP_TOL.
 OVERLAP_TOL = 1e-9
@@ -53,7 +53,7 @@ PURITY_TOL = 1e-10
 class EstimatePair:
     """Optimal pre/post estimates for one outcome, plus degeneracy flag.
 
-    ``degenerate`` is the flag of :func:`matkernel.top_eigenvector`: the estimates
+    ``degenerate`` is the flag of :func:`matkernel._top_eigenvector`: the estimates
     are then one deterministic choice out of a whole eigenspace of equally good ones.
     """
 
@@ -94,12 +94,12 @@ class RelationCheck:
 def _estimate_rows(m: Measurement, rows: slice) -> list[EstimatePair]:
     """Both optimal estimates for the outcomes in row range ``rows``, from one stacked pass: the one place for them.
 
-    ``chi_pre`` is the ``top_eigenvector`` of ``E_s`` and ``a_max`` its eigenvalue, clipped at zero. ``chi_post``,
+    ``chi_pre`` is the ``_top_eigenvector`` of ``E_s`` and ``a_max`` its eigenvalue, clipped at zero. ``chi_post``,
     the top eigenvector of ``M_s M_s^dag``, follows from the link ``M_s chi_pre = sqrt(a_max) chi_post``: it is
     the phase-canonical ``M_s chi_pre`` normalized, or ``chi_pre`` itself when ``||M_s chi_pre||^2 <= A_MAX_FLOOR``
     (a vanishing top, or a tie-broken ``chi_pre`` in the kernel of ``M_s``). The vectors are read-only rows.
     """
-    chi_pre, degenerate = top_eigenvector(m.spectrum.eigenvalues[rows], m.spectrum.eigenvectors[rows])
+    chi_pre, degenerate = _top_eigenvector(m.spectrum.eigenvalues[rows], m.spectrum.eigenvectors[rows])
     v = (m.kraus[rows] @ chi_pre[:, :, None])[:, :, 0]
     norms = np.sqrt(np.sum(v.real**2 + v.imag**2, axis=1))
     vanishing = (norms * norms <= A_MAX_FLOOR)[:, None]
@@ -127,14 +127,6 @@ def best_post_estimate(m: Measurement, s: int) -> np.ndarray:
 def best_pre_estimate(m: Measurement, s: int) -> np.ndarray:
     """Top eigenvector of ``E_s``: the optimal pre-measurement guess, as a writable copy."""
     return estimate_pair(m, s).chi_pre.copy()
-
-
-def _check_guesses(m: Measurement, guesses) -> np.ndarray:
-    """One normalized state of dimension ``m.dim`` per outcome, stacked; anything else raises a QmeterError."""
-    states = as_states(list(guesses) if np.iterable(guesses) else guesses, m.dim)
-    if len(states) != m.n_outcomes:
-        raise DimensionMismatch(f"{len(states)} guesses for {m.n_outcomes} outcomes")
-    return states
 
 
 def _sum_squared_norms(ops: np.ndarray, states: np.ndarray) -> float:
@@ -211,7 +203,7 @@ def pure_part(m: Measurement) -> Measurement:
     (:meth:`Measurement.with_kraus`).
     """
     v = m.spectrum.eigenvectors
-    roots = np.sqrt(floored_psd_eigenvalues(m.spectrum.eigenvalues))
+    roots = np.sqrt(_floored_psd_eigenvalues(m.spectrum.eigenvalues))
     sqrt_e = (v * roots[:, None, :]) @ v.conj().swapaxes(1, 2)
     return m.with_kraus(0.5 * (sqrt_e + sqrt_e.conj().swapaxes(1, 2)))
 
@@ -282,7 +274,7 @@ def domain_boundary(d, steps: int) -> np.ndarray:
     ``max_f = 1 - g_post`` sampled on (0, 1]. Returns an array of shape
     ``(steps, 2)``, monotone non-increasing in its second column.
     """
-    steps = finite_scalar(steps, int, "steps", 2, max_count(16))  # the (steps, 2) float table
+    steps = finite_scalar(steps, int, "steps", 2, _max_count(16))  # the (steps, 2) float table
     if isinstance(d, float) and d == math.inf:
         g = np.arange(1, steps + 1, dtype=np.float64) / steps
         return np.column_stack([g, 1.0 - g])

@@ -8,14 +8,17 @@ measure) and averages the relevant integrands empirically.
 Reproducibility scheme
 ----------------------
 All randomness flows through counter-based Philox streams. A
-:class:`RngStream` is the pair ``(seed, stream_index)``; distinct stream
-indices are separated by 2**128 counter blocks and can never overlap. Within
-stream 0 of a seed, sample ``i`` of a d-dimensional ensemble owns the uniform
-words ``[2*d*i, 2*d*(i+1))`` of the stream (one word per double, two words per
-complex amplitude via Box-Muller), so every sample is a pure function of
-``(seed, i)``. Any contiguous block of samples can therefore be regenerated
-bit-exactly in isolation: partitioning work across workers cannot change the
-result, and reductions use numpy's deterministic pairwise summation.
+:class:`RngStream` is the pair ``(seed, stream_index)``; its generator starts
+at counter block ``stream_index * 2**128`` (four words per block), so distinct
+streams never overlap. Within stream 0 of a seed, sample ``i`` of a
+d-dimensional ensemble owns the uniform words ``[2*d*i, 2*d*(i+1))`` of the
+stream (one word per double, two words per complex amplitude via Box-Muller),
+so every sample is a pure function of ``(seed, i)``. :func:`haar_states`
+reaches sample ``start`` by advancing stream 0 ``d*start // 2`` blocks, then
+two words if ``d*start`` is odd. Any contiguous block of samples can therefore
+be regenerated bit-exactly in isolation: partitioning work across workers
+cannot change the result, and reductions use numpy's deterministic pairwise
+summation.
 
 Monte Carlo evaluation
 ----------------------
@@ -39,9 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import _check_guesses
-from .matkernel import finite_scalar, max_count
-from .measurement import Measurement, as_state, as_states
+from .matkernel import _max_count, finite_scalar
+from .measurement import Measurement, _check_guesses, as_state, as_states
 
 DEFAULT_SAMPLES = 100_000
 # Most Haar samples drawn and integrated at a time by one Monte Carlo call.
@@ -63,15 +65,11 @@ class RngStream:
         object.__setattr__(self, "seed", finite_scalar(self.seed, int, "seed", -math.inf))
         object.__setattr__(self, "stream_index", finite_scalar(self.stream_index, int, "stream index", 0, 2**64 - 1))
 
-    def generator(self, word_offset: int = 0) -> np.random.Generator:
-        """Generator positioned ``word_offset`` uniform doubles into the stream."""
-        block, rem = divmod(int(word_offset), 4)
+    def generator(self) -> np.random.Generator:
+        """Generator at the start of the stream: Philox counter block ``stream_index * 2**128``."""
         # One int, not a list of words: numpy casts a list through float64 above 2**63.
-        bg = np.random.Philox(key=self.seed & (2**64 - 1), counter=block + (self.stream_index << 128))
-        gen = np.random.Generator(bg)
-        if rem:
-            gen.random(rem)
-        return gen
+        bg = np.random.Philox(key=self.seed & (2**64 - 1), counter=self.stream_index << 128)
+        return np.random.Generator(bg)
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,7 @@ def _gaussian_amplitudes(uniforms: np.ndarray) -> np.ndarray:
 
 def haar_state(d: int, stream: RngStream) -> np.ndarray:
     """One Haar-random pure state of dimension ``d`` from the stream's origin."""
-    d = finite_scalar(d, int, "dimension", 1, max_count(16))
+    d = finite_scalar(d, int, "dimension", 1, _max_count(16))
     amps = _gaussian_amplitudes(stream.generator().random((d, 2)))
     return amps / np.sqrt(np.sum(amps.real**2 + amps.imag**2))
 
@@ -108,11 +106,14 @@ def haar_states(d: int, count: int, seed: int, start: int = 0) -> np.ndarray:
     ``haar_states(d, n, seed)`` is bit-identical to concatenating any partition.
     """
     # 16 bytes per amplitude (two uniform doubles, then one complex), in a block numpy can index;
-    # the first Philox block, 2 * d * start // 4, must fit one 64-bit counter word.
-    d = finite_scalar(d, int, "dimension", 1, max_count(16))
-    count = finite_scalar(count, int, "sample count", 0, max_count(16 * d))
+    # the first Philox block, d * start // 2, must fit one 64-bit counter word.
+    d = finite_scalar(d, int, "dimension", 1, _max_count(16))
+    count = finite_scalar(count, int, "sample count", 0, _max_count(16 * d))
     start = finite_scalar(start, int, "first sample index", 0, (2**66 - 1) // (2 * d))
-    gen = RngStream(seed, 0).generator(word_offset=2 * d * start)
+    gen = RngStream(seed, 0).generator()
+    gen.bit_generator.advance(d * start // 2)  # four words per block
+    if d * start % 2:
+        gen.random(2)
     amps = _gaussian_amplitudes(gen.random((count, d, 2)))
     norms = np.sqrt(np.sum(amps.real**2 + amps.imag**2, axis=1))
     return amps / norms[:, None]
@@ -120,8 +121,8 @@ def haar_states(d: int, count: int, seed: int, start: int = 0) -> np.ndarray:
 
 def haar_isometry(rows: int, cols: int, stream: RngStream) -> np.ndarray:
     """Haar-distributed isometry (orthonormal columns) of shape (rows, cols)."""
-    rows = finite_scalar(rows, int, "isometry rows", 1, max_count(16))
-    cols = finite_scalar(cols, int, "isometry columns", 1, min(rows, max_count(16 * rows)))
+    rows = finite_scalar(rows, int, "isometry rows", 1, _max_count(16))
+    cols = finite_scalar(cols, int, "isometry columns", 1, min(rows, _max_count(16 * rows)))
     gauss = _gaussian_amplitudes(stream.generator().random((rows, cols, 2)))
     q, r = np.linalg.qr(gauss)
     diag = np.diagonal(r).copy()
@@ -214,7 +215,7 @@ def _monte_carlo(
     m: Measurement, samples: int, seed: int, post=None, pre=None, operation=False
 ) -> list[MonteCarloResult]:
     """Average the :func:`_block_values` rows over one Haar ensemble drawn in blocks."""
-    samples = finite_scalar(samples, int, "Monte Carlo samples", 100, max_count(24))  # up to 3 float rows
+    samples = finite_scalar(samples, int, "Monte Carlo samples", 100, _max_count(24))  # up to 3 float rows
     values = np.empty(((post is not None) + (pre is not None) + operation, samples))
     for start, count in _blocks(samples):
         states = haar_states(m.dim, count, seed, start)

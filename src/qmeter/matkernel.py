@@ -10,7 +10,7 @@ numerics are thin layers over LAPACK:
 
 What this module adds is a fixed output convention: eigenvalues descending,
 eigenvector phases canonicalized, and one vector for a degenerate top group
-that depends only on its eigenspace (``top_eigenvector``, on a whole stack of
+that depends only on its eigenspace (``_top_eigenvector``, on a whole stack of
 spectra at once). Results are bit-reproducible within one numpy/BLAS build and
 agree to rounding across builds.
 """
@@ -78,7 +78,7 @@ def finite_scalar(x, kind, what: str, lo, hi=math.inf, error=OutOfDomain):
     raise error(f"{what} must be {noun} {span}, got {got}")
 
 
-def max_count(item_bytes: int, power: int = 1) -> int:
+def _max_count(item_bytes: int, power: int = 1) -> int:
     """The largest ``n`` with ``item_bytes * n**power <= sys.maxsize``: the size bound of an array numpy can index."""
     limit = sys.maxsize // item_bytes
     n = limit if power == 1 else round(limit ** (1.0 / power))  # a float guess, corrected in integers
@@ -124,14 +124,14 @@ class EigenSystem:
     ``eigenvalues`` are real and sorted descending; column ``eigenvectors[:, i]``
     belongs to ``eigenvalues[i]`` (a stack adds a leading matrix axis to both).
     Vectors are orthonormal and phase-canonicalized; inside a degenerate group
-    they are LAPACK's basis, and ``top_eigenvector`` picks the top group's one.
+    they are LAPACK's basis, and ``_top_eigenvector`` picks the top group's one.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
-def top_eigenvector(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _top_eigenvector(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Top-eigenspace vectors ``(n, d)`` and ``degenerate`` flags ``(n,)`` of a descending ``(values, vectors)`` stack.
 
     A row's top group is the values linked by gaps below ``EIG_GAP_TOL``; it is degenerate when it has more than

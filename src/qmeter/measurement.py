@@ -32,11 +32,11 @@ from .errors import (
 from .matkernel import (
     EigenSystem,
     _fro_norms,
+    _max_count,
     finite_array,
     finite_scalar,
     frozen,
     hermitian_eig,
-    max_count,
     polar_decompose,
 )
 
@@ -65,6 +65,14 @@ def as_states(rows, dim: int) -> np.ndarray:
     return _normalized(finite_array(rows, np.complex128, DimensionMismatch, what, ndim=2), dim)
 
 
+def _check_guesses(m: Measurement, guesses) -> np.ndarray:
+    """One normalized state of dimension ``m.dim`` per outcome, stacked; anything else raises a QmeterError."""
+    states = as_states(list(guesses) if np.iterable(guesses) else guesses, m.dim)
+    if len(states) != m.n_outcomes:
+        raise DimensionMismatch(f"{len(states)} guesses for {m.n_outcomes} outcomes")
+    return states
+
+
 def _normalized(a: np.ndarray, dim: int | None) -> np.ndarray:
     """``a`` if its last axis has length ``dim`` (when given) and every vector along it norm 1."""
     if dim is not None and a.shape[-1] != dim:
@@ -77,7 +85,7 @@ def _normalized(a: np.ndarray, dim: int | None) -> np.ndarray:
     return a
 
 
-def floored_psd_eigenvalues(values: np.ndarray) -> np.ndarray:
+def _floored_psd_eigenvalues(values: np.ndarray) -> np.ndarray:
     """Clip descending positive-semidefinite spectra along the last axis: negatives and relative noise -> 0."""
     a = np.clip(np.asarray(values, dtype=np.float64), 0.0, None)
     a[a < EIGENVALUE_FLOOR_FACTOR * a[..., :1]] = 0.0
@@ -137,7 +145,7 @@ class Measurement:
             raise IncompleteDevice(defect, tolerance=limit)
 
         if labels is not None:
-            if not np.iterable(labels):
+            if isinstance(labels, (str, bytes)) or not np.iterable(labels):
                 raise ShapeMismatch(f"labels must be an iterable of {n} names, got {type(labels).__name__}")
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:
@@ -261,7 +269,7 @@ class Measurement:
         int array, and a dict from each outcome that occurs to its collapsed
         state (computed once per distinct outcome).
         """
-        shots = finite_scalar(shots, int, "shots", 1, max_count(8))  # one float64 uniform per shot
+        shots = finite_scalar(shots, int, "shots", 1, _max_count(8))  # one float64 uniform per shot
         uniforms = getattr(rng, "random", None)
         if not callable(uniforms):
             raise OutOfDomain(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
@@ -284,7 +292,7 @@ class Measurement:
         unitary, _ = polar_decompose(self._kraus[i])
         right = self.spectrum.eigenvectors[i]
         return BiOrthogonalFactors(
-            eigenvalues=frozen(floored_psd_eigenvalues(self.spectrum.eigenvalues[i])),
+            eigenvalues=frozen(_floored_psd_eigenvalues(self.spectrum.eigenvalues[i])),
             right_basis=right,
             left_basis=frozen(unitary @ right),
             unitary=frozen(unitary),

@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -975,7 +977,7 @@ class TestModuleEntryPoints:
 
 
 class TestPackage:
-    """``import qmeter`` gives its six modules, and the README's Quick start runs as written."""
+    """``import qmeter`` gives its six modules, each module's public names are pinned, and the README runs."""
 
     def test_public_names_are_the_modules(self):
         # A fresh interpreter: this one has already imported qmeter.cli, which binds ``qmeter.cli``.
@@ -988,6 +990,31 @@ class TestPackage:
             block = fh.read().split("```python\n", 1)[1].split("```", 1)[0]
         *body, last = block.strip().splitlines()
         exec("\n".join(body + ["assert " + last.split("#", 1)[0]]), {})
+
+    # A new public helper is added here on purpose, together with its gate (finite_array or finite_scalar).
+    PUBLIC_NAMES = {
+        "matkernel": "EigenSystem canonicalize_phase finite_array finite_scalar frozen hermitian_eig polar_decompose",
+        "measurement": "BiOrthogonalFactors Measurement as_state as_states",
+    }
+
+    @pytest.mark.parametrize("module_name", sorted(PUBLIC_NAMES))
+    def test_module_public_names_are_pinned(self, module_name):
+        module = importlib.import_module(f"qmeter.{module_name}")
+        own = {
+            name
+            for name, obj in vars(module).items()
+            if not name.startswith("_") and getattr(obj, "__module__", None) == module.__name__
+        }
+        assert own == set(self.PUBLIC_NAMES[module_name].split())
+
+    def test_haar_imports_only_from_matkernel_and_measurement(self):
+        # The Monte Carlo oracle stays independent of the estimator whose closed forms it checks.
+        with open(haar.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        nodes = list(ast.walk(tree))
+        sources = {"." * node.level + (node.module or "") for node in nodes if isinstance(node, ast.ImportFrom)}
+        sources |= {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+        assert {name for name in sources if name.startswith((".", "qmeter"))} == {".matkernel", ".measurement"}
 
 
 class TestHugeEntries:

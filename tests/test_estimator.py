@@ -13,7 +13,7 @@ from qmeter.matkernel import (
     canonicalize_phase,
     finite_scalar,
     hermitian_eig,
-    top_eigenvector,
+    _top_eigenvector,
 )
 from qmeter.measurement import Measurement
 
@@ -200,9 +200,9 @@ class TestOnePath:
 
         def counting(values, vectors):
             calls.append(values.shape)
-            return top_eigenvector(values, vectors)
+            return _top_eigenvector(values, vectors)
 
-        monkeypatch.setattr(est, "top_eigenvector", counting)
+        monkeypatch.setattr(est, "_top_eigenvector", counting)
         entry_points = (est.estimate_pair, est.best_post_estimate, est.best_pre_estimate, est.verify_estimate_relations)
         for m in one_path_devices():
             for s in range(1, m.n_outcomes + 1):
@@ -501,7 +501,7 @@ class TestPureMeasurements:
         for m in devices:
             roots, a_maxes, pure = [], [], True
             for values, v, k in zip(m.spectrum.eigenvalues, m.spectrum.eigenvectors, m.kraus):
-                root = (v * np.sqrt(measurement.floored_psd_eigenvalues(values))) @ v.conj().T
+                root = (v * np.sqrt(measurement._floored_psd_eigenvalues(values))) @ v.conj().T
                 roots.append(0.5 * (root + root.conj().T))
                 a_maxes.append(max(float(values[0]), 0.0))
                 if np.linalg.norm(k - k.conj().T) > est.PURITY_TOL * max(1.0, np.linalg.norm(k)):

@@ -118,6 +118,31 @@ class TestHaarStates:
         assert not np.array_equal(pair[:1], haar.haar_states(2, 1, seed=5, start=0))
 
 
+class TestStreamLayout:
+    """Sample ``i`` is the Box-Muller transform of words ``[2d i, 2d (i+1))`` of stream 0, from plain numpy."""
+
+    @staticmethod
+    def words(seed, first, count):
+        """``count`` uniform words of stream 0 from word ``first`` on: Philox makes four words per counter block."""
+        gen = np.random.Generator(np.random.Philox(key=seed % 2**64, counter=first // 4))
+        return gen.random(first % 4 + count)[first % 4 :]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("seed", [0, 7, -1, 2**64 + 5])
+    def test_rows_are_box_muller_of_their_own_words(self, d, seed):
+        last = (2**66 - 1) // (2 * d)
+        for start in (0, 1, 3, 123, last - 2):
+            u = self.words(seed, 2 * d * start, 3 * 2 * d).reshape(3, d, 2)
+            amps = np.sqrt(-2.0 * np.log(1.0 - u[..., 0])) * np.exp(2j * np.pi * u[..., 1])
+            oracle = amps / np.linalg.norm(amps, axis=1, keepdims=True)
+            assert np.max(np.abs(haar.haar_states(d, 3, seed, start) - oracle)) <= 1e-15
+
+    @pytest.mark.parametrize("index", [0, 1, 2**64 - 1])
+    def test_stream_starts_at_its_own_counter_block(self, index):
+        philox = np.random.Generator(np.random.Philox(key=11, counter=index << 128))
+        assert np.array_equal(haar.RngStream(11, index).generator().random(9), philox.random(9))
+
+
 class TestSeeds:
     def test_any_integer_seed_keys_its_low_64_bits(self):
         base = haar.haar_states(2, 3, 3)

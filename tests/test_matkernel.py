@@ -83,14 +83,14 @@ class TestHermitianEig:
         for _ in range(50):
             b = span @ np.linalg.qr(rand_complex(rng, 2, 2))[0]
             es = mk.hermitian_eig(0.9 * (b @ b.conj().T))
-            top, degenerate = mk.top_eigenvector(es.eigenvalues[None], es.eigenvectors[None])
+            top, degenerate = mk._top_eigenvector(es.eigenvalues[None], es.eigenvectors[None])
             assert degenerate.tolist() == [True]
             tops.append(top[0])
         assert max(1.0 - abs(np.vdot(tops[0], top)) ** 2 for top in tops) <= 1e-12
 
     def test_gapped_top_eigenvector_is_the_first_column(self):
         es = mk.hermitian_eig(rand_hermitian(np.random.default_rng(26), 4))
-        top, degenerate = mk.top_eigenvector(es.eigenvalues[None], es.eigenvectors[None])
+        top, degenerate = mk._top_eigenvector(es.eigenvalues[None], es.eigenvectors[None])
         assert np.array_equal(top, es.eigenvectors[None, :, 0]) and degenerate.tolist() == [False]
 
     @pytest.mark.parametrize("gap", [0.0, mk.EIG_GAP_TOL / 2, mk.EIG_GAP_TOL, 2 * mk.EIG_GAP_TOL])
@@ -98,12 +98,12 @@ class TestHermitianEig:
         vectors = np.linalg.qr(rand_complex(np.random.default_rng(28), 3, 3))[0]
         for base in (0.5, 0.0):
             values = np.array([base + gap, base, base - 0.25])
-            (degenerate,) = mk.top_eigenvector(values[None], vectors[None])[1].tolist()
+            (degenerate,) = mk._top_eigenvector(values[None], vectors[None])[1].tolist()
             assert degenerate == bool(values[0] - values[1] < mk.EIG_GAP_TOL)
         assert degenerate == (gap < mk.EIG_GAP_TOL)  # at base 0.0 the gap is exact
 
     def test_dimension_one_is_never_degenerate(self):
-        top, degenerate = mk.top_eigenvector(np.array([[0.7]]), np.eye(1, dtype=complex)[None])
+        top, degenerate = mk._top_eigenvector(np.array([[0.7]]), np.eye(1, dtype=complex)[None])
         assert top.tolist() == [[1.0]] and degenerate.tolist() == [False]
 
     def test_stack_rows_match_one_row_calls(self):
@@ -113,10 +113,10 @@ class TestHermitianEig:
         spectra = [[0.9, 0.5, 0.3, 0.2, 0.1], [0.7, 0.7, 0.2, 0.1, 0.0], [0.4, 0.4, 0.4, 0.1, 0.1]]
         spectra += [[0.6] * 5, [0.8, 0.8, 0.8, 0.8, 0.3], [0.5, 0.2, 0.2, 0.2, 0.0]]
         es = mk.hermitian_eig(np.array([(q * w) @ q.conj().T for q, w in zip(u, spectra)]))
-        top, degenerate = mk.top_eigenvector(es.eigenvalues, es.eigenvectors)
+        top, degenerate = mk._top_eigenvector(es.eigenvalues, es.eigenvectors)
         assert degenerate.tolist() == [False, True, True, True, True, False]
         for i in range(len(spectra)):
-            one, flag = mk.top_eigenvector(es.eigenvalues[i : i + 1], es.eigenvectors[i : i + 1])
+            one, flag = mk._top_eigenvector(es.eigenvalues[i : i + 1], es.eigenvectors[i : i + 1])
             assert one.tobytes() == top[i : i + 1].tobytes() and flag.tolist() == [degenerate[i]]
 
     def test_near_degenerate_group_keeps_each_value_with_its_vector(self):
@@ -397,7 +397,7 @@ class TestFiniteScalar:
 
     @pytest.mark.parametrize("item_bytes, power", [(8, 1), (16, 1), (24, 1), (16, 2), (16, 3)])
     def test_max_count_is_the_exact_integer_bound(self, item_bytes, power):
-        n = mk.max_count(item_bytes, power)
+        n = mk._max_count(item_bytes, power)
         assert item_bytes * n**power <= sys.maxsize < item_bytes * (n + 1) ** power
 
     @pytest.mark.parametrize("x", [2, 64, np.int64(7), np.uint8(3)])

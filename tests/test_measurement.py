@@ -64,6 +64,12 @@ class TestValidate:
         with pytest.raises(ShapeMismatch):
             Measurement([np.eye(2)], labels=["a", "b"])
 
+    @pytest.mark.parametrize("labels", ["up", b"up"], ids=["str", "bytes"])
+    def test_string_labels_are_not_split_into_characters(self, labels):
+        message = f"^labels must be an iterable of 2 names, got {type(labels).__name__}$"
+        with pytest.raises(ShapeMismatch, match=message):
+            Measurement([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=labels)
+
     def test_tolerance_loosening(self):
         ops = [np.sqrt(0.999) * np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
         with pytest.raises(IncompleteDevice):

@@ -24,6 +24,7 @@ file wins over it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -69,40 +70,34 @@ def _number(x, where: str) -> float:
     return value
 
 
-def _complex_from_pair(x, where: str) -> complex:
-    if not isinstance(x, list) or len(x) != 2:
-        raise DeviceSpecError(f"{where}: expected an [re, im] pair, got {x!r}")
-    return complex(_number(x[0], where), _number(x[1], where))
+def _decode_pairs(rows: list, d: int, where) -> np.ndarray:
+    """``rows`` as a ``(len(rows), d)`` complex128 array, each entry a finite ``[re, im]`` pair.
 
-
-def _vector_from_pairs(raw, d: int, where: str) -> np.ndarray:
-    if not isinstance(raw, list) or len(raw) != d:
-        raise DeviceSpecError(f"{where}: expected {d} [re, im] pairs")
-    return np.array([_complex_from_pair(x, where) for x in raw], dtype=np.complex128)
-
-
-def _matrix_from_pairs(raw, d: int, where: str) -> np.ndarray:
-    if not isinstance(raw, list) or len(raw) != d:
-        raise DeviceSpecError(f"{where}: expected {d} rows")
-    return np.array([_vector_from_pairs(row, d, f"{where}, row {i + 1}") for i, row in enumerate(raw)])
-
-
-def _decode_pairs(raw, shape: tuple, parse) -> np.ndarray:
-    """``raw`` as a complex128 array of ``shape``, each entry a finite ``[re, im]`` pair.
-
-    Well-formed input is decoded by one numpy conversion. Anything that
-    conversion rejects goes to ``parse()``, the element-by-element parser, which
-    raises the error naming the first bad entry.
+    One walk, in document order, checks that each row is a list of ``d``
+    pairs and gathers their numbers; one numpy conversion then decodes them
+    all. On any fault, ``_number`` re-reads the numbers gathered so far, so
+    the error names the first bad entry. ``where(i)`` labels row ``i``.
     """
-    obj = np.array(raw, dtype=object)
-    if obj.shape == shape + (2,) and set(map(type, obj.ravel().tolist())) <= {int, float}:
-        try:
-            pairs = obj.astype(np.float64)
-        except OverflowError:  # integers beyond the float range
-            return parse()
-        if np.isfinite(pairs).all():
-            return pairs.view(np.complex128).reshape(shape)
-    return parse()
+    numbers = []
+
+    def reject(fault):
+        for j, x in enumerate(numbers):
+            _number(x, where(j // (2 * d)))
+        raise DeviceSpecError(fault)
+
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != d:
+            reject(f"{where(i)}: expected {d} [re, im] pairs")
+        for x in row:
+            if not isinstance(x, list) or len(x) != 2:
+                reject(f"{where(i)}: expected an [re, im] pair, got {x!r}")
+            numbers += x
+    if set(map(type, numbers)) <= {int, float}:
+        with contextlib.suppress(OverflowError):  # an integer beyond the float range, named by _number
+            values = np.array(numbers, dtype=np.float64)
+            if np.isfinite(values).all():
+                return values.view(np.complex128).reshape(len(rows), d)
+    reject(None)  # unreached: _number refuses every number the conversion refuses
 
 
 def _load_json(path: str):
@@ -121,16 +116,6 @@ def _load_json(path: str):
         raise DeviceSpecError(f"{path}: {e}") from e
 
 
-def default_tolerance() -> float:
-    raw = os.environ.get("QMETER_DEFAULT_TOLERANCE")
-    if raw is None:
-        return DEFAULT_COMPLETENESS_TOL
-    try:
-        return float(raw)
-    except ValueError as e:
-        raise DeviceSpecError(f"QMETER_DEFAULT_TOLERANCE={raw!r} is not a number") from e
-
-
 def load_device(path: str, tolerance: float | None = None) -> Measurement:
     """Parse and validate a device spec file.
 
@@ -146,26 +131,33 @@ def load_device(path: str, tolerance: float | None = None) -> Measurement:
     raw_kraus = obj["kraus"]
     if not isinstance(raw_kraus, list) or not raw_kraus:
         raise DeviceSpecError(f"{path}: 'kraus' must be a non-empty list of matrices")
-    ops = _decode_pairs(
-        raw_kraus,
-        (len(raw_kraus), dim, dim),
-        lambda: [
-            _matrix_from_pairs(k, dim, f"{path}: kraus operator {s + 1}")
-            for s, k in enumerate(raw_kraus)
-        ],
-    )
+
+    def where(i):
+        return f"{path}: kraus operator {i // dim + 1}, row {i % dim + 1}"
+
+    rows = []
+    for s, k in enumerate(raw_kraus):
+        if not isinstance(k, list) or len(k) != dim:
+            _decode_pairs(rows, dim, where)  # a bad entry ahead of this operator comes first
+            raise DeviceSpecError(f"{path}: kraus operator {s + 1}: expected {dim} rows")
+        rows += k
+    ops = _decode_pairs(rows, dim, where).reshape(-1, dim, dim)
     labels = obj.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != len(ops):
             raise DeviceSpecError(f"{path}: 'labels' must list one name per operator")
-    source = "--tolerance"
-    if tolerance is None:
-        tolerance = obj.get("tolerance")
-        if tolerance is not None:
-            tolerance, source = _number(tolerance, f"{path}: tolerance"), "the spec file"
-        else:
-            tolerance = default_tolerance()
-            source = "QMETER_DEFAULT_TOLERANCE" if "QMETER_DEFAULT_TOLERANCE" in os.environ else "the default"
+    env = os.environ.get("QMETER_DEFAULT_TOLERANCE")
+    if tolerance is not None:
+        source = "--tolerance"
+    elif obj.get("tolerance") is not None:
+        tolerance, source = _number(obj["tolerance"], f"{path}: tolerance"), "the spec file"
+    elif env is not None:
+        try:
+            tolerance, source = float(env), "QMETER_DEFAULT_TOLERANCE"
+        except ValueError as e:
+            raise DeviceSpecError(f"QMETER_DEFAULT_TOLERANCE={env!r} is not a number") from e
+    else:
+        tolerance, source = DEFAULT_COMPLETENESS_TOL, "the default"
     try:
         return Measurement(ops, labels=labels, tolerance=tolerance)
     except IncompleteDevice as e:
@@ -181,8 +173,7 @@ def load_state(path: str, dim: int) -> np.ndarray:
         raise DimensionMismatch(
             f"{path}: state dimension {declared} does not match device dimension {dim}"
         )
-    raw = obj["amplitudes"]
-    return _decode_pairs(raw, (dim,), lambda: _vector_from_pairs(raw, dim, f"{path}: amplitudes"))
+    return _decode_pairs([obj["amplitudes"]], dim, lambda i: f"{path}: amplitudes")[0]
 
 
 def _indented(texts, level: int) -> str:

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import OutOfDomain
 from .matkernel import _max_count, finite_scalar
 from .measurement import Measurement, _check_guesses, as_state, as_states
 
@@ -92,10 +93,16 @@ def _gaussian_amplitudes(uniforms: np.ndarray) -> np.ndarray:
     return radius * np.cos(angle) + 1j * (radius * np.sin(angle))
 
 
+def _stream_generator(stream) -> np.random.Generator:
+    if not isinstance(stream, RngStream):
+        raise OutOfDomain(f"stream must be a haar.RngStream, got {type(stream).__name__}")
+    return stream.generator()
+
+
 def haar_state(d: int, stream: RngStream) -> np.ndarray:
     """One Haar-random pure state of dimension ``d`` from the stream's origin."""
     d = finite_scalar(d, int, "dimension", 1, _max_count(16))
-    amps = _gaussian_amplitudes(stream.generator().random((d, 2)))
+    amps = _gaussian_amplitudes(_stream_generator(stream).random((d, 2)))
     return amps / np.sqrt(np.sum(amps.real**2 + amps.imag**2))
 
 
@@ -123,7 +130,7 @@ def haar_isometry(rows: int, cols: int, stream: RngStream) -> np.ndarray:
     """Haar-distributed isometry (orthonormal columns) of shape (rows, cols)."""
     rows = finite_scalar(rows, int, "isometry rows", 1, _max_count(16))
     cols = finite_scalar(cols, int, "isometry columns", 1, min(rows, _max_count(16 * rows)))
-    gauss = _gaussian_amplitudes(stream.generator().random((rows, cols, 2)))
+    gauss = _gaussian_amplitudes(_stream_generator(stream).random((rows, cols, 2)))
     q, r = np.linalg.qr(gauss)
     diag = np.diagonal(r).copy()
     diag[diag == 0] = 1.0
@@ -173,6 +180,9 @@ def _block_values(m: Measurement, states: np.ndarray, post=None, pre=None, opera
     ``g_pre`` (if ``pre`` guesses are given), ``F`` (if ``operation``). The
     guesses are used as given; the public callers validate them. The stacked
     collapse product ``M_s psi`` is made once, and only for ``g_pre`` or ``F``.
+    The ``g_post`` row's product form ``|<chi_s|M_s|psi>|^2`` is the same
+    integral as the fidelity-times-probability sum but never divides by a
+    near-zero outcome probability.
     """
     rows = []
     if post is not None:
@@ -193,11 +203,7 @@ def _block_values(m: Measurement, states: np.ndarray, post=None, pre=None, opera
 
 
 def g_post_integrand(m: Measurement, guesses, states) -> np.ndarray:
-    """Per-state values of ``sum_s |<chi_s|M_s|psi>|^2`` on ``(N, d)`` states, one guess per outcome (all checked).
-
-    This product form is the same integral as the fidelity-times-probability
-    sum but never divides by a near-zero outcome probability.
-    """
+    """Per-state values of ``sum_s |<chi_s|M_s|psi>|^2`` on ``(N, d)`` states, one guess per outcome (all checked)."""
     return _block_values(m, as_states(states, m.dim), post=_check_guesses(m, guesses))[0]
 
 

@@ -258,8 +258,9 @@ class Measurement:
     def sample_outcomes(self, psi, rng, shots: int):
         """Draw ``shots`` outcomes by inverse CDF, one uniform variate per shot.
 
-        ``rng`` is a ``numpy.random.Generator``, e.g. ``RngStream(seed).generator()``;
-        the caller owns its state, so fixed streams reproduce bit-identically.
+        ``rng`` is any object whose ``random(size)`` returns the uniforms, such as
+        ``RngStream(seed).generator()``; a failing draw raises ``OutOfDomain``. The
+        caller owns its state, so fixed streams reproduce bit-identically.
         All uniforms come from one ``random(shots)`` call, which consumes the
         stream exactly as ``shots`` single draws do. A draw that lands on an
         outcome with ``p <= PROBABILITY_FLOOR`` moves to the next outcome above
@@ -270,13 +271,14 @@ class Measurement:
         state (computed once per distinct outcome).
         """
         shots = finite_scalar(shots, int, "shots", 1, _max_count(8))  # one float64 uniform per shot
-        uniforms = getattr(rng, "random", None)
-        if not callable(uniforms):
-            raise OutOfDomain(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
         amps, p = self._born(as_state(psi, self.dim))
+        try:
+            uniforms = rng.random(shots)
+        except (AttributeError, TypeError) as e:  # no callable random(size)
+            raise OutOfDomain(f"rng must be a numpy.random.Generator, got {type(rng).__name__}") from e
         n = self.n_outcomes
         # Rounding can leave the total mass below a uniform: clamp to outcome n.
-        drawn = np.minimum(np.searchsorted(np.cumsum(p), uniforms(shots), side="right"), n - 1)
+        drawn = np.minimum(np.searchsorted(np.cumsum(p), uniforms, side="right"), n - 1)
         viable = np.flatnonzero(p > PROBABILITY_FLOOR)
         if not viable.size:  # a guard only: a tolerance <= 1/2 leaves sum(p) >= 1/2
             raise ZeroProbabilityOutcome(f"every outcome has probability <= {PROBABILITY_FLOOR:.0e}")

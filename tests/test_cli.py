@@ -866,6 +866,52 @@ class TestRejectionCorpus:
         assert (code, out) == (1, "")
         assert err == f"error: {path}: amplitudes: {tail}\n"
 
+    # Two faults in one block: the message names the one that comes first in the document.
+    TWO_FAULT_DEVICES = {
+        "nan_then_short_operator": (
+            "[[[[1.0, 0.0], [0.0, 0.0]], [[NaN, 0.0], [1.0, 0.0]]], [[[1.0, 0.0], [0.0, 0.0]]]]",
+            "kraus operator 1, row 2: expected a finite number, got nan",
+        ),
+        "short_row_then_bool": (
+            "[[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]], [[[true, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]",
+            "kraus operator 1, row 2: expected 2 [re, im] pairs",
+        ),
+        "triple_then_null": (
+            "[[[[0.0, 0.0, 0.0], [null, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]",
+            "kraus operator 1, row 1: expected an [re, im] pair, got [0.0, 0.0, 0.0]",
+        ),
+        "null_then_triple": (
+            "[[[[null, 0.0], [0.0, 0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]",
+            "kraus operator 1, row 1: expected a number, got None",
+        ),
+        "short_operator_then_string": (
+            '[[[[1.0, 0.0], [0.0, 0.0]]], [[["x", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]',
+            "kraus operator 1: expected 2 rows",
+        ),
+    }
+    TWO_FAULT_STATES = {
+        "string_then_short_pair": ('[["x", 0.0], [0.0]]', "expected a number, got 'x'"),
+        "short_pair_then_string": ('[[0.0], ["x", 0.0]]', "expected an [re, im] pair, got [0.0]"),
+    }
+
+    @pytest.mark.parametrize("case", list(TWO_FAULT_DEVICES))
+    def test_first_of_two_faults_in_a_device(self, capsys, tmp_path, case):
+        kraus, tail = self.TWO_FAULT_DEVICES[case]
+        path = tmp_path / "bad.json"
+        path.write_text('{"dim": 2, "kraus": ' + kraus + "}")
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out, err) == (1, "", f"error: {path}: {tail}\n")
+
+    @pytest.mark.parametrize("case", list(TWO_FAULT_STATES))
+    def test_first_of_two_faults_in_a_state(self, capsys, tmp_path, case):
+        amplitudes, tail = self.TWO_FAULT_STATES[case]
+        device = tmp_path / "identity.json"
+        device.write_text(self.device_text("[[0.0, 0.0], [1.0, 0.0]]"))
+        path = tmp_path / "bad_state.json"
+        path.write_text('{"dim": 2, "amplitudes": ' + amplitudes + "}")
+        code, out, err = run(capsys, "simulate", str(device), "--state", str(path))
+        assert (code, out, err) == (1, "", f"error: {path}: amplitudes: {tail}\n")
+
     def test_not_utf8_is_malformed(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"dim": 1, "kraus": [[[[1.0, 0.0]]]], "labels": ["\xe9"]}')
@@ -919,21 +965,21 @@ class TestRejectionCorpus:
 
 
 class TestDecodePairs:
-    """The one-conversion decode returns the element parser's bits and never falls back on valid input."""
+    """The one decode routine returns the bits of ``complex(float(re), float(im))`` for every entry."""
 
     @staticmethod
     def bits(a):
         return np.asarray(a, dtype=np.complex128).view(np.uint64)
 
     @staticmethod
-    def no_fallback():
-        pytest.fail("well-formed input reached the element parser")
+    def expected(rows):
+        return [[complex(float(re), float(im)) for re, im in row] for row in rows]
 
     def check_kraus(self, raw, d):
-        decoded = cli._decode_pairs(raw, (len(raw), d, d), self.no_fallback)
-        parsed = [cli._matrix_from_pairs(k, d, "kraus") for k in raw]
-        assert decoded.dtype == np.complex128 and decoded.shape == (len(raw), d, d)
-        assert np.array_equal(self.bits(decoded), self.bits(parsed))
+        rows = [row for k in raw for row in k]
+        decoded = cli._decode_pairs(rows, d, lambda i: f"kraus row {i + 1}")
+        assert decoded.dtype == np.complex128 and decoded.shape == (len(rows), d)
+        assert np.array_equal(self.bits(decoded), self.bits(self.expected(rows)))
 
     @pytest.mark.parametrize(
         "argv",
@@ -958,9 +1004,8 @@ class TestDecodePairs:
         assert raw[0][1][0][0] == big and isinstance(raw[0][0][0][0], int)
         self.check_kraus(raw, 2)
         amplitudes = raw[0][0] + raw[0][1]
-        decoded = cli._decode_pairs(amplitudes, (4,), self.no_fallback)
-        parsed = cli._vector_from_pairs(amplitudes, 4, "amplitudes")
-        assert np.array_equal(self.bits(decoded), self.bits(parsed))
+        decoded = cli._decode_pairs([amplitudes], 4, lambda i: "amplitudes")[0]
+        assert np.array_equal(self.bits(decoded), self.bits(self.expected([amplitudes])[0]))
         assert np.signbit(decoded[1].real) and decoded[1].imag == 5e-324 and decoded[2].real == 2.0**53
 
 
@@ -993,6 +1038,17 @@ class TestPackage:
 
     # A new public helper is added here on purpose, together with its gate (finite_array or finite_scalar).
     PUBLIC_NAMES = {
+        "catalog": "bloch_state identity_device projective random_device tetrahedron_rank_one unsharp_qubit "
+        "with_kicks",
+        "cli": "cmd_catalog cmd_domain cmd_estimate cmd_fidelities cmd_simulate cmd_validate load_device "
+        "load_state main write_device",
+        "errors": "DeviceSpecError DimensionMismatch IncompleteDevice InternalConsistencyError NoConvergence "
+        "NotHermitian NotUnitary OutOfDomain OutcomeOutOfRange QmeterError ShapeMismatch ZeroProbabilityOutcome",
+        "estimator": "EstimatePair FidelityReport RelationCheck best_post_estimate best_pre_estimate check_bound "
+        "domain_boundary estimate_pair estimate_pairs g_post_of_guess g_pre_of_guess is_pure_measurement "
+        "make_rank_one_device operation_fidelity pure_part tradeoff_bound verify_estimate_relations",
+        "haar": "MonteCarloResult RngStream g_post_integrand g_pre_integrand haar_isometry haar_state haar_states "
+        "mc_estimation_fidelity mc_fidelities mc_g_post mc_g_pre mc_operation_fidelity operation_integrand",
         "matkernel": "EigenSystem canonicalize_phase finite_array finite_scalar frozen hermitian_eig polar_decompose",
         "measurement": "BiOrthogonalFactors Measurement as_state as_states",
     }
@@ -1008,13 +1064,15 @@ class TestPackage:
         assert own == set(self.PUBLIC_NAMES[module_name].split())
 
     def test_haar_imports_only_from_matkernel_and_measurement(self):
-        # The Monte Carlo oracle stays independent of the estimator whose closed forms it checks.
+        # The Monte Carlo oracle stays independent of the estimator whose closed forms it checks;
+        # ``errors`` holds only the exception classes.
         with open(haar.__file__, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         nodes = list(ast.walk(tree))
         sources = {"." * node.level + (node.module or "") for node in nodes if isinstance(node, ast.ImportFrom)}
         sources |= {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
-        assert {name for name in sources if name.startswith((".", "qmeter"))} == {".matkernel", ".measurement"}
+        own = {name for name in sources if name.startswith((".", "qmeter"))}
+        assert own == {".errors", ".matkernel", ".measurement"}
 
 
 class TestHugeEntries:

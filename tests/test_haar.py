@@ -186,6 +186,20 @@ class TestHaarIsometry:
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize(
+    "call, type_name",
+    [
+        (lambda: haar.haar_state(2, 5), "int"),
+        (lambda: haar.haar_isometry(2, 2, None), "NoneType"),
+        (lambda: haar.haar_state(2, np.random.default_rng(1)), "Generator"),
+    ],
+    ids=["state_int", "isometry_None", "state_Generator"],
+)
+def test_sampler_stream_must_be_an_rng_stream(call, type_name):
+    with pytest.raises(OutOfDomain, match=f"^stream must be a haar.RngStream, got {type_name}$"):
+        call()
+
+
 class TestEstimationFidelity:
     def test_perfect_guess(self):
         m = catalog.unsharp_qubit(0.6)

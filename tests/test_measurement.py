@@ -1,3 +1,4 @@
+import random
 import warnings
 from fractions import Fraction
 
@@ -493,7 +494,9 @@ class TestSampleOutcomes:
             with pytest.raises(OutOfDomain):
                 m.sample_outcomes(PLUS, haar.RngStream(4).generator(), shots)
 
-    @pytest.mark.parametrize("rng", [haar.RngStream(1), None, 7], ids=["RngStream", "None", "int"])
+    @pytest.mark.parametrize(
+        "rng", [haar.RngStream(1), None, 7, random.Random(1)], ids=["RngStream", "None", "int", "random.Random"]
+    )
     def test_rejects_an_rng_that_is_not_a_generator(self, rng):
         m = catalog.random_device(2, 2, 1)
         with pytest.raises(OutOfDomain, match=f"rng must be a numpy.random.Generator, got {type(rng).__name__}"):

@@ -29,15 +29,27 @@ one of them is asked for), and row-wise ``einsum`` reductions. The public
 integrands and every ``mc_*`` function call it, after checking that their
 guesses (and the integrands' states) are normalized states of dimension d. A
 Monte Carlo call draws its Haar ensemble once, in ``ceil(samples / MC_CHUNK)``
-near-equal blocks (``MC_CHUNK`` = 4096; no block has a single row), so
+near-equal blocks (``MC_CHUNK`` = 2048; no block has a single row), so
 :func:`mc_fidelities` checks all three on one set of states. Per-sample values
-depend only on their own row, not on the block size. Memory is O(samples)
-floats plus O(``MC_CHUNK`` * n * d) complex amplitudes.
+depend only on their own row, not on the block size.
+
+The blocks run on two workers, the caller and one thread, dealt in turn, when
+there are at least two blocks and two usable CPUs and ``n * d**2 <= 1024``.
+Each worker then makes its three products by ``_rows_matmul``: stacked calls of
+``32768 // (inner * columns)`` rows, each small enough that OpenBLAS runs it on
+the calling thread, never of one row, and bit-equal to the whole-block product.
+(A whole-block product above OpenBLAS's threading cut wakes its second thread,
+which then spins between calls and takes the second CPU.) Otherwise one worker
+takes every block with whole-block products. Either way, the output is the
+same. Memory is O(samples) floats plus O(2 * ``MC_CHUNK`` * n * d) complex
+amplitudes, the same bound as one block of 4096.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +59,16 @@ from .matkernel import _max_count, finite_scalar
 from .measurement import Measurement, _check_guesses, as_state, as_states
 
 DEFAULT_SAMPLES = 100_000
-# Most Haar samples drawn and integrated at a time by one Monte Carlo call.
-# The block's stacked collapse product is MC_CHUNK * n * d complex numbers.
-MC_CHUNK = 4096
+# Most Haar samples drawn and integrated at a time by one Monte Carlo worker.
+# A block's stacked collapse product is MC_CHUNK * n * d complex numbers.
+MC_CHUNK = 2048
+# Most multiply-adds (rows * inner * columns) in one matrix product of a
+# two-worker Monte Carlo call: OpenBLAS runs a product this small on the
+# calling thread, so each worker keeps to one core.
+_CALL_MACS = 32768
+# Fewest rows per call that the collapse product may be split into before a
+# second worker stops paying: at d = 64 on 2 vCPUs, 2-row calls made an op 1.8x slower.
+_MIN_CALL_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -167,13 +186,39 @@ def _blocks(samples: int):
         start += count
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _rows_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` as stacked products of ``_CALL_MACS // b.size`` rows of ``a`` each, bit-equal to ``a @ b``.
+
+    Each product is under OpenBLAS's threading cut, so it runs on the calling
+    thread. A row's value depends only on that row, except in a one-row
+    product, which numpy routes through a matrix-vector kernel that rounds
+    differently; so the last product takes the 2 to ``rows + 1`` rows left.
+    """
+    rows = _CALL_MACS // b.size
+    (m, k), n = a.shape, b.shape[1]
+    head = max(m - 2, 0) // rows * rows
+    out = np.empty((m, n), np.result_type(a, b))
+    np.matmul(a[:head].reshape(-1, rows, k), b, out=out[:head].reshape(-1, rows, n))
+    np.matmul(a[head:], b, out=out[head:])
+    return out
+
+
 def _row_norms_squared(amp: np.ndarray) -> np.ndarray:
     """``sum_s |amp[i, s]|^2`` for each row of a C-contiguous complex (N, n) array."""
     flat = amp.view(np.float64)
     return np.einsum("ij,ij->i", flat, flat)
 
 
-def _block_values(m: Measurement, states: np.ndarray, post=None, pre=None, operation=False) -> list[np.ndarray]:
+def _block_values(
+    m: Measurement, states: np.ndarray, post=None, pre=None, operation=False, matmul=np.matmul
+) -> list[np.ndarray]:
     """Per-state integrand values on one block of states, one row per integrand asked for.
 
     The rows come in the order ``g_post`` (if ``post`` guesses are given),
@@ -182,20 +227,21 @@ def _block_values(m: Measurement, states: np.ndarray, post=None, pre=None, opera
     collapse product ``M_s psi`` is made once, and only for ``g_pre`` or ``F``.
     The ``g_post`` row's product form ``|<chi_s|M_s|psi>|^2`` is the same
     integral as the fidelity-times-probability sum but never divides by a
-    near-zero outcome probability.
+    near-zero outcome probability. ``matmul`` makes the three state products:
+    ``np.matmul`` or the bit-equal :func:`_rows_matmul`.
     """
     rows = []
     if post is not None:
         # Column s is M_s^T conj(chi_s), so column s of the product is <chi_s|M_s|psi>.
         weights = (m.kraus.transpose(0, 2, 1) @ post.conj()[:, :, None])[:, :, 0].T
-        rows.append(_row_norms_squared(states @ weights))
+        rows.append(_row_norms_squared(matmul(states, weights)))
     if pre is not None or operation:
         n, d = m.n_outcomes, m.dim
-        collapsed = (states @ m.kraus.reshape(n * d, d).T).reshape(states.shape[0], n, d)
+        collapsed = matmul(states, m.kraus.reshape(n * d, d).T).reshape(states.shape[0], n, d)
     if pre is not None:
         flat = collapsed.view(np.float64)
         p = np.einsum("isk,isk->is", flat, flat)
-        amp = states @ pre.conj().T
+        amp = matmul(states, pre.conj().T)
         rows.append(np.einsum("is,is->i", p, amp.real**2 + amp.imag**2))
     if operation:
         rows.append(_row_norms_squared(np.einsum("ik,isk->is", states.conj(), collapsed)))
@@ -220,13 +266,42 @@ def operation_integrand(m: Measurement, states) -> np.ndarray:
 def _monte_carlo(
     m: Measurement, samples: int, seed: int, post=None, pre=None, operation=False
 ) -> list[MonteCarloResult]:
-    """Average the :func:`_block_values` rows over one Haar ensemble drawn in blocks."""
+    """Average the :func:`_block_values` rows over one Haar ensemble drawn in blocks.
+
+    Each block fills its own columns of ``values``, so the two-worker schedule
+    (see the module docstring) cannot change the result. An exception from
+    either worker is raised here once both have stopped.
+    """
     samples = finite_scalar(samples, int, "Monte Carlo samples", 100, _max_count(24))  # up to 3 float rows
     values = np.empty(((post is not None) + (pre is not None) + operation, samples))
-    for start, count in _blocks(samples):
-        states = haar_states(m.dim, count, seed, start)
-        values[:, start : start + count] = _block_values(m, states, post, pre, operation)
-        del states  # holding it while the next block is drawn would raise peak memory
+    blocks = list(_blocks(samples))
+    n, d = m.n_outcomes, m.dim
+    split = len(blocks) >= 2 and _CALL_MACS // (n * d * d) >= _MIN_CALL_ROWS and _usable_cpus() >= 2
+    shares = [blocks[0::2], blocks[1::2]] if split else [blocks]
+    matmul = _rows_matmul if split else np.matmul
+    failures = []
+
+    def run(share):
+        try:
+            for start, count in share:
+                if failures:  # the other worker failed: its exception is raised
+                    return
+                states = haar_states(d, count, seed, start)
+                values[:, start : start + count] = _block_values(m, states, post, pre, operation, matmul)
+                del states  # holding it while the next block is drawn would raise peak memory
+        except BaseException as exc:  # re-raised by the caller once both workers stopped
+            failures.append(exc)
+
+    threads = [threading.Thread(target=run, args=(share,), name="qmeter-mc") for share in shares[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        run(shares[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
     return [_summarize(row) for row in values]
 
 

@@ -259,7 +259,8 @@ class Measurement:
         """Draw ``shots`` outcomes by inverse CDF, one uniform variate per shot.
 
         ``rng`` is any object whose ``random(size)`` returns the uniforms, such as
-        ``RngStream(seed).generator()``; a failing draw raises ``OutOfDomain``. The
+        ``RngStream(seed).generator()``; a failing draw, or one that is not
+        ``shots`` finite floats in ``[0, 1]``, raises ``OutOfDomain``. The
         caller owns its state, so fixed streams reproduce bit-identically.
         All uniforms come from one ``random(shots)`` call, which consumes the
         stream exactly as ``shots`` single draws do. A draw that lands on an
@@ -273,9 +274,12 @@ class Measurement:
         shots = finite_scalar(shots, int, "shots", 1, _max_count(8))  # one float64 uniform per shot
         amps, p = self._born(as_state(psi, self.dim))
         try:
-            uniforms = rng.random(shots)
+            raw = rng.random(shots)
         except (AttributeError, TypeError) as e:  # no callable random(size)
             raise OutOfDomain(f"rng must be a numpy.random.Generator, got {type(rng).__name__}") from e
+        uniforms = finite_array(raw, np.float64, OutOfDomain, "rng.random(shots)", 1)
+        if uniforms.shape != (shots,) or not (uniforms.min() >= 0.0 and uniforms.max() <= 1.0):
+            raise OutOfDomain(f"rng.random({shots}) must give {shots} uniforms in [0, 1], got {raw!r:.80}")
         n = self.n_outcomes
         # Rounding can leave the total mass below a uniform: clamp to outcome n.
         drawn = np.minimum(np.searchsorted(np.cumsum(p), uniforms, side="right"), n - 1)

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -404,7 +407,7 @@ class TestBlockDriver:
 
     @pytest.mark.parametrize(
         "samples",
-        [100, haar.MC_CHUNK - 1, haar.MC_CHUNK, haar.MC_CHUNK + 1, 5 * haar.MC_CHUNK // 2],
+        [100, *(k * haar.MC_CHUNK + e for k in (1, 2) for e in (-1, 0, 1)), 5 * haar.MC_CHUNK // 2, 5 * haar.MC_CHUNK],
     )
     def test_blocks_match_one_block(self, samples):
         m = catalog.random_device(5, 4, seed=42)
@@ -496,6 +499,100 @@ class TestBlockDriver:
         assert len(rows) == 3
         for row, expected in zip(rows, whole):
             assert np.array_equal(row, expected)
+
+
+class TestThreadedDriver:
+    """Two block workers, each making its products in calls under the BLAS threading cut."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # The schedule then depends on the shape alone, on any machine.
+        monkeypatch.setattr(haar, "_usable_cpus", lambda: 2)
+
+    @pytest.mark.parametrize("samples", [haar.MC_CHUNK - 1, haar.MC_CHUNK + 1, 2 * haar.MC_CHUNK + 1])
+    @pytest.mark.parametrize("d", [2, 8, 16, 64])
+    def test_matches_one_block_evaluation(self, monkeypatch, d, samples):
+        m = catalog.random_device(d, 4, seed=60 + d)
+        post, pre = optimal_post(m), optimal_pre(m)
+        calls = []
+        rows_matmul = haar._rows_matmul
+
+        def counting_rows_matmul(a, b):
+            calls.append(threading.current_thread())
+            return rows_matmul(a, b)
+
+        monkeypatch.setattr(haar, "_rows_matmul", counting_rows_matmul)
+        got = haar.mc_fidelities(m, post, pre, samples=samples, seed=61)
+        states = haar.haar_states(d, samples, seed=61)
+        expected = (
+            haar._summarize(haar.g_post_integrand(m, post, states)),
+            haar._summarize(haar.g_pre_integrand(m, pre, states)),
+            haar._summarize(haar.operation_integrand(m, states)),
+        )
+        assert got == expected
+        # Two workers iff there are two blocks and the collapse product, n d^2 = 4 d^2, gets 32 rows per call.
+        two_workers = samples > haar.MC_CHUNK and 4 * d * d <= 1024
+        assert len(set(calls)) == (2 if two_workers else 0)
+
+    @pytest.mark.parametrize("d, n, guesses", [(8, 4, False), (16, 4, False), (8, 4, True), (3, 5, False)])
+    def test_rows_matmul_is_bit_equal_to_matmul(self, d, n, guesses):
+        m = catalog.random_device(d, n, seed=62)
+        b = haar.haar_states(d, n, seed=63).conj().T if guesses else m.kraus.reshape(n * d, d).T
+        rows = haar._CALL_MACS // b.size
+        a = haar.haar_states(d, 3 * rows + 1, seed=64)
+        for count in range(2, 3 * rows + 2):
+            assert np.array_equal(haar._rows_matmul(a[:count], b).view(np.uint64), (a[:count] @ b).view(np.uint64))
+
+    @pytest.mark.parametrize("failing", [0, 1, 4])
+    def test_a_failing_block_is_raised_and_no_thread_outlives_the_call(self, monkeypatch, failing):
+        # Blocks are dealt in turn: blocks 0 and 4 go to the caller, block 1 to the second worker.
+        m = catalog.random_device(4, 3, seed=65)
+        post, pre = optimal_post(m), optimal_pre(m)
+        samples = 5 * haar.MC_CHUNK
+        start = list(haar._blocks(samples))[failing][0]
+        marker = haar.haar_states(4, 1, seed=66, start=start)[0]
+        error = RuntimeError("block failed")
+        raised_in = []
+        block_values = haar._block_values
+
+        def failing_block_values(m, states, *args):
+            if np.array_equal(states[0], marker):
+                raised_in.append(threading.current_thread())
+                raise error
+            return block_values(m, states, *args)
+
+        monkeypatch.setattr(haar, "_block_values", failing_block_values)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            haar.mc_fidelities(m, post, pre, samples=samples, seed=66)
+        assert info.value is error
+        assert threading.active_count() == before
+        assert len(raised_in) == 1 and (raised_in[0] is threading.current_thread()) == (failing % 2 == 0)
+
+    def test_concurrent_calls_under_fast_switching(self, monkeypatch):
+        # Three calls at once, six workers on a small machine, with the interpreter switching threads every
+        # microsecond: a block lost or written twice would move a mean away from the serial result.
+        monkeypatch.setattr(haar, "MC_CHUNK", 128)
+        m = catalog.random_device(4, 3, seed=67)
+        post, pre = optimal_post(m), optimal_pre(m)
+        expected = [haar.mc_fidelities(m, post, pre, samples=3000, seed=seed) for seed in range(3)]
+        got = [None] * 3
+
+        def call(seed):
+            got[seed] = haar.mc_fidelities(m, post, pre, samples=3000, seed=seed)
+
+        threads = [threading.Thread(target=call, args=(seed,)) for seed in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == expected
 
 
 def isometry_device(d, n, seed):

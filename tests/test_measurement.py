@@ -1,6 +1,8 @@
+import math
 import random
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -503,6 +505,16 @@ class TestSampleOutcomes:
             m.sample_outcomes([1, 0], rng, 1)
         with pytest.raises(OutOfDomain):
             m.sample_outcome([1, 0], rng)
+
+    @pytest.mark.parametrize(
+        "draw",
+        [[0.5], 7.0, math.nan, "ab", np.full(3, math.nan), np.full(3, np.nextafter(1.0, 2.0)), np.full(3, -0.25)],
+        ids=["one-for-three", "7.0", "nan", "string", "nan-array", "above-one", "negative"],
+    )
+    def test_rejects_a_draw_that_is_not_uniforms(self, draw):
+        m = catalog.random_device(2, 2, 1)
+        with pytest.raises(OutOfDomain, match=r"rng\.random\("):
+            m.sample_outcomes([1, 0], SimpleNamespace(random=lambda size: draw), 3)
 
     def test_floor_skip_first_middle_last(self):
         # Outcomes 1, 3 and 5 have 0 < p <= floor; 2 and 4 share the rest.

@@ -144,8 +144,8 @@ def load_device(path: str, tolerance: float | None = None) -> Measurement:
     ops = _decode_pairs(rows, dim, where).reshape(-1, dim, dim)
     labels = obj.get("labels")
     if labels is not None:
-        if not isinstance(labels, list) or len(labels) != len(ops):
-            raise DeviceSpecError(f"{path}: 'labels' must list one name per operator")
+        if not isinstance(labels, list) or len(labels) != len(ops) or not all(isinstance(x, str) for x in labels):
+            raise DeviceSpecError(f"{path}: 'labels' must list one string name per operator")
     env = os.environ.get("QMETER_DEFAULT_TOLERANCE")
     if tolerance is not None:
         source = "--tolerance"

@@ -129,6 +129,19 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", path, "--outcome", "5")
         assert code == 2
 
+    def test_kicked_identity_tie_break_by_value(self, capsys, tmp_path):
+        # The whole space is the top eigenspace: chi_pre is e_1, and chi_post the phase-canonical first kick column.
+        path = write_catalog(capsys, tmp_path, "ki.json", "identity", "--d", "3", "--kick-seed", "2")
+        code, out, err = run(capsys, "estimate", path, "--outcome", "1", "--json")
+        assert code == 0, err
+        rec = json.loads(out)
+        with open(path) as fh:
+            kick = np.array(json.load(fh)["kraus"][0], dtype=np.float64) @ [1.0, 1j]
+        col = kick[:, 0]
+        lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
+        assert np.abs(np.array(rec["chi_pre"]) @ [1.0, 1j] - [1.0, 0.0, 0.0]).max() <= 1e-12
+        assert np.abs(np.array(rec["chi_post"]) @ [1.0, 1j] - col * lead.conjugate() / abs(lead)).max() <= 1e-12
+
 
 class TestFidelities:
     def test_projective_d3_values(self, capsys, tmp_path):
@@ -193,6 +206,29 @@ class TestFidelities:
         again = json.loads(json.dumps(rec))
         assert again == rec
 
+    @pytest.mark.parametrize(
+        "family",
+        [
+            ["identity", "--d", "3", "--kick-seed", "2"],
+            ["random", "--d", "4", "--n", "4", "--seed", "1", "--kick-seed", "3"],
+        ],
+        ids=["kicked_identity", "kicked_random"],
+    )
+    def test_records_match_estimate(self, capsys, tmp_path, family):
+        # One stacked pass reports every outcome: each record is estimate's for that outcome, compared by value.
+        path = write_catalog(capsys, tmp_path, "dev.json", *family)
+        code, out, err = run(capsys, "fidelities", path, "--json")
+        assert code == 0, err
+        report = json.loads(out)
+        assert len(report["outcomes"]) == report["n_outcomes"]
+        for s, rec in enumerate(report["outcomes"], 1):
+            code, out, err = run(capsys, "estimate", path, "--outcome", str(s), "--json")
+            assert code == 0, err
+            single = json.loads(out)
+            assert single.pop("command") == "estimate"
+            assert single == rec, s
+            assert report["per_outcome_a_max"][s - 1] == rec["a_max"]
+
 
 class TestSimulate:
     def test_projective_eigenstate_all_first_outcome(self, capsys, tmp_path):
@@ -233,6 +269,17 @@ class TestSimulate:
         state.write_text(json.dumps({"dim": 2, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}))
         code, _, _ = run(capsys, "simulate", dev, "--state", str(state), "--shots", "1")
         assert code == 2
+
+    def test_state_file_by_value(self, capsys, tmp_path):
+        # A general state through the one Born product: values, not a digest, so the check holds on any build.
+        dev = write_catalog(capsys, tmp_path, "dev.json", "random", "--d", "4", "--n", "4", "--seed", "1")
+        z = np.array([1, 2j, -1, 0.5 - 1j])
+        z /= np.linalg.norm(z)
+        state = tmp_path / "st.json"
+        state.write_text(json.dumps({"dim": 4, "amplitudes": [[x.real, x.imag] for x in z.tolist()]}))
+        code, out, err = run(capsys, "simulate", dev, "--state", str(state), "--seed", "1", "--shots", "1000", "--json")
+        assert code == 0, err
+        self.check_values(json.loads(out), dev, shots=1000)
 
     # sha256 of stdout as the shot-by-shot simulator printed it (numpy 2.4.6,
     # OpenBLAS 0.3.31, x86-64). Outputs are bit-reproducible within one
@@ -720,6 +767,27 @@ class TestInputOutputHardening:
             assert code == 2 and out == ""
             assert "shots" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["domain", "--steps", "1"],
+            ["catalog", "unsharp", "--lambda", "2"],
+            ["catalog", "projective", "--d", "1"],
+            ["estimate", "DEV", "--outcome", "0"],
+            ["fidelities", "DEV", "--montecarlo", "10"],
+        ],
+        ids=lambda argv: "_".join(a.lstrip("-") for a in argv if a != "DEV"),
+    )
+    def test_bad_flag_reaches_its_typed_gate(self, capsys, tmp_path, argv):
+        dev = write_catalog(capsys, tmp_path, "dev.json", "random", "--d", "4", "--n", "4", "--seed", "1")
+        argv = [dev if a == "DEV" else a for a in argv]
+        if argv[0] == "catalog":
+            argv += ["--out", str(tmp_path / "bad.json")]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and err == line + "\n"
+
     def test_json_emit_refuses_nan(self, capsys):
         with pytest.raises(ValueError):
             cli._emit({"frequencies": [float("nan")]}, [], as_json=True)
@@ -812,6 +880,25 @@ class TestInputOutputHardening:
             code, out, err = self._simulate_with_state(capsys, tmp_path, state)
             assert code == 1 and out == "", dim
             assert "dim" in err
+
+    PROJECTIVE_QUBIT = [
+        [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+        [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    ]
+
+    @pytest.mark.parametrize(
+        "label", [None, 7, 2.5, True, [1], {"a": [1]}], ids=["null", "int", "float", "bool", "list", "object"]
+    )
+    def test_labels_must_be_strings(self, capsys, tmp_path, label):
+        path = tmp_path / "labelled.json"
+        path.write_text(json.dumps({"dim": 2, "kraus": self.PROJECTIVE_QUBIT, "labels": ["up", label]}))
+        for command in ("validate", "fidelities"):
+            code, out, err = run(capsys, command, str(path))
+            assert (code, out, err) == (1, "", f"error: {path}: 'labels' must list one string name per operator\n")
+        path.write_text(json.dumps({"dim": 2, "kraus": self.PROJECTIVE_QUBIT, "labels": ["up", "down"]}))
+        code, out, err = run(capsys, "fidelities", str(path), "--json")
+        assert code == 0, err
+        assert [rec["label"] for rec in json.loads(out)["outcomes"]] == ["up", "down"]
 
 
 class TestRejectionCorpus:

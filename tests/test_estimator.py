@@ -474,6 +474,99 @@ class TestCheckBound:
             assert abs(report.bound_lhs - report.bound_rhs) <= 1e-9
 
 
+class TestBoundAtTheDefect:
+    """``check_bound`` judges a device by what its exactly complete completion ``M_s S^{-1/2}`` can read."""
+
+    # Saturating devices scaled off completeness, accepted, with sides that differ by more than BOUND_SLACK.
+    REPROS = {
+        "unsharp_0.999_default_tolerance": (0.999, math.sqrt(1.0 + 5e-11), None, 7.1e-11),
+        "unsharp_0.6_tolerance_one_half": (0.6, 1.0 + 5e-7, 0.5, 1.41e-6),
+    }
+
+    @pytest.mark.parametrize("case", list(REPROS))
+    def test_accepted_saturating_device_satisfies_the_bound(self, case):
+        strength, scale, tolerance, defect = self.REPROS[case]
+        m = Measurement(scale * catalog.unsharp_qubit(strength).kraus, tolerance=tolerance)
+        assert m.completeness_defect == pytest.approx(defect, rel=1e-2)
+        report = est.check_bound(m)
+        assert report.bound_lhs - report.bound_rhs > est.BOUND_SLACK
+        assert report.bound_satisfied
+
+    @staticmethod
+    def catalog_devices():
+        yield from (catalog.projective(d) for d in (2, 3, 8))
+        yield from (catalog.identity_device(d) for d in (1, 2, 5))
+        yield from (catalog.unsharp_qubit(lam) for lam in np.linspace(0.0, 1.0, 21))
+        yield from (catalog.random_device(d, 4, seed) for d in (2, 4, 16) for seed in range(50))
+        yield catalog.tetrahedron_rank_one()
+        yield catalog.with_kicks(
+            catalog.unsharp_qubit(0.3), [haar.haar_isometry(2, 2, haar.RngStream(5, s)) for s in range(2)]
+        )
+
+    def test_verdict_is_lhs_against_rhs_on_catalog_devices(self):
+        for m in self.catalog_devices():
+            report = est.check_bound(m)
+            assert report.bound_satisfied == (report.bound_lhs <= report.bound_rhs + est.BOUND_SLACK)
+
+    def test_a_raised_operation_fidelity_is_still_rejected(self, monkeypatch):
+        m = catalog.unsharp_qubit(0.5)
+        assert est.check_bound(m).bound_satisfied
+        operation_fidelity = est.operation_fidelity
+        monkeypatch.setattr(est, "operation_fidelity", lambda m: operation_fidelity(m) * (1.0 + 1e-9))
+        assert not est.check_bound(m).bound_satisfied
+
+    @staticmethod
+    def completed(m):
+        """``M_s S^{-1/2}`` from plain numpy ``eigh``: the oracle's one extra eigensolve."""
+        k = m.kraus
+        w, v = np.linalg.eigh(np.sum(k.conj().swapaxes(1, 2) @ k, axis=0))
+        return k @ ((v / np.sqrt(w)) @ v.conj().T)
+
+    def off_complete_devices(self):
+        """Unsharp qubits and random devices scaled and perturbed off completeness, and exactly scaled devices.
+
+        A shrunken identity ``c 1`` on d = 1 puts its completion's ``g_post`` on the range's upper end, and a
+        stretched projective device has ``g_post > 1``.
+        """
+        rng = np.random.default_rng(2911)
+        for i in range(150):
+            if i % 5 == 4:
+                k = (i // 5) % 4
+                d = (1, 2, 2, 4)[k]
+                c = math.sqrt(1.0 + (1 if k >= 2 else -1) * rng.uniform(0.0, 0.49) / math.sqrt(d))
+                yield Measurement(c * (catalog.projective(d).kraus if k >= 2 else np.eye(d)[None]), tolerance=0.5)
+                continue
+            if i % 2:
+                m = catalog.unsharp_qubit(rng.uniform())
+            else:
+                m = catalog.random_device((3, 8)[i % 4 // 2], 4, seed=2900 + i)
+            n, d = m.n_outcomes, m.dim
+            noise = rand_complex(rng, n * d, d).reshape(n, d, d)
+            scale = 1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -1)
+            kraus = scale * m.kraus + 10.0 ** rng.uniform(-12, -1) * noise
+            try:
+                yield Measurement(kraus, tolerance=0.5)
+            except IncompleteDevice:
+                continue
+
+    def test_completion_lies_in_the_range(self):
+        checked = 0
+        for m in self.off_complete_devices():
+            report = est.check_bound(m)
+            g_lo, g_hi, f_lo = est._completion_range(m, report.g_post, report.f_op)
+            k = self.completed(m)
+            d = m.dim
+            g = np.linalg.eigvalsh(k.conj().swapaxes(1, 2) @ k)[:, -1].sum() / d
+            f = (d + np.sum(np.abs(np.trace(k, axis1=1, axis2=2)) ** 2)) / (d * (d + 1))
+            # The completion obeys the bound, so the verdict may not reject the device.
+            assert math.sqrt((d + 1) * f - 1.0) <= est._bound_rhs(d, g) + 1e-12
+            assert report.bound_satisfied
+            assert g_lo - 1e-14 <= g <= g_hi + 1e-14, (m.completeness_defect, g_lo, g, g_hi)
+            assert f >= f_lo - 1e-14, (m.completeness_defect, f, f_lo)
+            checked += 1
+        assert checked >= 140
+
+
 class TestPureMeasurements:
     def test_projective_is_pure(self):
         assert est.is_pure_measurement(catalog.projective(3))

@@ -146,11 +146,20 @@ def g_pre_of_guess(m: Measurement, guesses) -> float:
     return (d + _sum_squared_norms(m.kraus, _check_guesses(m, guesses))) / (d * (d + 1))
 
 
+def _trace_moduli(m: Measurement) -> np.ndarray:
+    """Every outcome's ``|tr M_s|`` by ``hypot``, which rounds as scalar ``abs`` does (array ``abs`` does not)."""
+    traces = np.trace(m.kraus, axis1=1, axis2=2)
+    return np.hypot(traces.real, traces.imag)
+
+
+def _fidelity_of_moduli(d: int, moduli: np.ndarray) -> float:
+    """``(d + sum_s |tr M_s|^2)/(d(d+1))`` from the trace moduli, squared by ``pow`` and summed in order."""
+    return (d + sum(x**2 for x in moduli.tolist())) / (d * (d + 1))
+
+
 def operation_fidelity(m: Measurement) -> float:
     """Mean overlap of input and output states: ``(d + sum_s |tr M_s|^2)/(d(d+1))``."""
-    d = m.dim
-    traces = sum(abs(t) ** 2 for t in np.trace(m.kraus, axis1=1, axis2=2))
-    return (d + float(traces)) / (d * (d + 1))
+    return _fidelity_of_moduli(m.dim, _trace_moduli(m))
 
 
 def _bound_rhs(d: int, g):
@@ -181,19 +190,17 @@ def _bound_lhs(d: int, f: float) -> float:
     return math.sqrt(max((d + 1) * f - 1.0, 0.0))
 
 
-def _completion_range(m: Measurement, gp: float, f: float) -> tuple[float, float, float]:
+def _completion_range(m: Measurement, gp: float, moduli: np.ndarray) -> tuple[float, float, float]:
     """``(g_lo, g_hi, f_lo)``: what the completed device ``M_s S^{-1/2}`` (``S = sum_s E_s``) can read.
 
     It is exactly complete, so it obeys the bound. From the defect ``t >= ||S - 1||`` alone, its ``g_post`` lies
-    in ``[gp/(1+t), min(gp/(1-t), 1)]`` and each ``|tr M_s|`` moves by at most ``||M_s||_F t / (2 (1-t)^{3/2})``,
-    so its ``F`` is at least ``f`` with every ``|tr M_s|`` lowered by that much (floored at 0). At ``t = 0`` the
-    range is ``(gp, min(gp, 1), f)``.
+    in ``[gp/(1+t), min(gp/(1-t), 1)]`` and each ``|tr M_s|`` (``moduli``) moves by at most
+    ``||M_s||_F t / (2 (1-t)^{3/2})``, so its ``F`` is at least the one read with every ``|tr M_s|`` lowered by
+    that much (floored at 0). At ``t = 0`` the range is ``(gp, min(gp, 1), F)``.
     """
     d, t = m.dim, m.completeness_defect
-    moduli = np.abs(np.trace(m.kraus, axis1=1, axis2=2))
     lowered = np.maximum(moduli - _fro_norms(m.kraus) * (t / (2.0 * (1.0 - t) ** 1.5)), 0.0)
-    f_lo = f - float(np.sum(moduli * moduli - lowered * lowered)) / (d * (d + 1))
-    return gp / (1.0 + t), min(gp / (1.0 - t), 1.0), f_lo
+    return gp / (1.0 + t), min(gp / (1.0 - t), 1.0), _fidelity_of_moduli(d, lowered)
 
 
 def check_bound(m: Measurement) -> FidelityReport:
@@ -207,15 +214,13 @@ def check_bound(m: Measurement) -> FidelityReport:
     d = m.dim
     a_maxes = _a_maxes(m)
     gp = float(a_maxes.sum()) / d
-    f = operation_fidelity(m)
+    moduli = _trace_moduli(m)
+    f = _fidelity_of_moduli(d, moduli)
     lhs = _bound_lhs(d, f)
     rhs = float(_bound_rhs(d, gp))
-    # A g_post of at most 1 lies in the range and F_lo <= F, so a device passing at its own sides passes the verdict.
-    satisfied = gp <= 1.0 and lhs <= rhs + BOUND_SLACK
-    if not satisfied:
-        g_lo, g_hi, f_lo = _completion_range(m, gp, f)
-        ends = [g_lo, g_hi, 1.0 / d] if g_lo <= 1.0 / d <= g_hi else [g_lo, g_hi]
-        satisfied = _bound_lhs(d, f_lo) <= float(np.max(_bound_rhs(d, np.array(ends)))) + BOUND_SLACK
+    g_lo, g_hi, f_lo = _completion_range(m, gp, moduli)
+    ends = [g_lo, g_hi, 1.0 / d] if g_lo <= 1.0 / d <= g_hi else [g_lo, g_hi]
+    satisfied = _bound_lhs(d, f_lo) <= float(np.max(_bound_rhs(d, np.array(ends)))) + BOUND_SLACK
     return FidelityReport(
         g_post=gp,
         g_pre=(1.0 + gp) / (d + 1),

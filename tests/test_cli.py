@@ -279,7 +279,10 @@ class TestSimulate:
         state.write_text(json.dumps({"dim": 4, "amplitudes": [[x.real, x.imag] for x in z.tolist()]}))
         code, out, err = run(capsys, "simulate", dev, "--state", str(state), "--seed", "1", "--shots", "1000", "--json")
         assert code == 0, err
-        self.check_values(json.loads(out), dev, shots=1000)
+        rec = json.loads(out)
+        # check_values builds psi from the printed state, so tie that state to the file first.
+        assert np.abs(np.array(rec["state"]) @ [1, 1j] - z).max() <= 1e-15
+        self.check_values(rec, dev, shots=1000)
 
     # sha256 of stdout as the shot-by-shot simulator printed it (numpy 2.4.6,
     # OpenBLAS 0.3.31, x86-64). Outputs are bit-reproducible within one

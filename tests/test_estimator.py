@@ -511,8 +511,8 @@ class TestBoundAtTheDefect:
     def test_a_raised_operation_fidelity_is_still_rejected(self, monkeypatch):
         m = catalog.unsharp_qubit(0.5)
         assert est.check_bound(m).bound_satisfied
-        operation_fidelity = est.operation_fidelity
-        monkeypatch.setattr(est, "operation_fidelity", lambda m: operation_fidelity(m) * (1.0 + 1e-9))
+        fidelity_of_moduli = est._fidelity_of_moduli
+        monkeypatch.setattr(est, "_fidelity_of_moduli", lambda d, moduli: fidelity_of_moduli(d, moduli) * (1.0 + 1e-9))
         assert not est.check_bound(m).bound_satisfied
 
     @staticmethod
@@ -553,7 +553,7 @@ class TestBoundAtTheDefect:
         checked = 0
         for m in self.off_complete_devices():
             report = est.check_bound(m)
-            g_lo, g_hi, f_lo = est._completion_range(m, report.g_post, report.f_op)
+            g_lo, g_hi, f_lo = est._completion_range(m, report.g_post, est._trace_moduli(m))
             k = self.completed(m)
             d = m.dim
             g = np.linalg.eigvalsh(k.conj().swapaxes(1, 2) @ k)[:, -1].sum() / d

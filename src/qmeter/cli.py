@@ -41,7 +41,7 @@ from .errors import (
     OutOfDomain,
     QmeterError,
 )
-from .matkernel import canonicalize_phase, finite_scalar
+from .matkernel import _max_count, canonicalize_phase, finite_scalar
 from .measurement import DEFAULT_COMPLETENESS_TOL, Measurement, as_state
 
 MC_AGREEMENT_ABS = 1e-3
@@ -127,7 +127,7 @@ def load_device(path: str, tolerance: float | None = None) -> Measurement:
         raise DeviceSpecError(f"{path}: device spec must be a JSON object")
     if "dim" not in obj or "kraus" not in obj:
         raise DeviceSpecError(f"{path}: device spec needs 'dim' and 'kraus'")
-    dim = finite_scalar(obj["dim"], int, f"{path}: 'dim'", 1, error=DeviceSpecError)
+    dim = finite_scalar(obj["dim"], int, f"{path}: 'dim'", 1, _max_count(16, 2), error=DeviceSpecError)
     raw_kraus = obj["kraus"]
     if not isinstance(raw_kraus, list) or not raw_kraus:
         raise DeviceSpecError(f"{path}: 'kraus' must be a non-empty list of matrices")
@@ -287,6 +287,7 @@ def cmd_fidelities(args) -> int:
     m = load_device(args.device)
     report = estimator.check_bound(m)
     pairs = estimator.estimate_pairs(m)
+    a_maxes = [p.a_max for p in pairs]
     rec = {
         "command": "fidelities",
         "dim": m.dim,
@@ -294,7 +295,7 @@ def cmd_fidelities(args) -> int:
         "g_post": report.g_post,
         "g_pre": report.g_pre,
         "f": report.f_op,
-        "per_outcome_a_max": [float(x) for x in report.per_outcome_a_max],
+        "per_outcome_a_max": a_maxes,
         "bound_lhs": report.bound_lhs,
         "bound_rhs": report.bound_rhs,
         "bound_satisfied": report.bound_satisfied,
@@ -306,7 +307,7 @@ def cmd_fidelities(args) -> int:
         f"F      = {report.f_op:.17g}",
         f"bound: lhs={report.bound_lhs:.17g} rhs={report.bound_rhs:.17g} "
         f"satisfied={report.bound_satisfied}",
-        "a_max per outcome: " + " ".join(f"{x:.17g}" for x in report.per_outcome_a_max),
+        "a_max per outcome: " + " ".join(f"{x:.17g}" for x in a_maxes),
     ]
     if args.montecarlo is not None:
         block = _mc_block(m, pairs, args.montecarlo, args.seed, report)
@@ -486,7 +487,7 @@ def main(argv=None) -> int:
     except (DeviceSpecError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (QmeterError, ValueError) as e:
+    except (QmeterError, ValueError, MemoryError) as e:  # MemoryError: a request larger than memory
         print(f"error: {e}", file=sys.stderr)
         return 2
 

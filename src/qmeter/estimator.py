@@ -34,7 +34,6 @@ from .matkernel import (
     canonicalize_phase,
     finite_array,
     finite_scalar,
-    frozen,
     hermitian_eig,
 )
 from .measurement import Measurement, _check_guesses, _floored_psd_eigenvalues, as_state
@@ -71,7 +70,6 @@ class FidelityReport:
     g_post: float
     g_pre: float
     f_op: float
-    per_outcome_a_max: np.ndarray
     bound_lhs: float
     bound_rhs: float
     bound_satisfied: bool
@@ -104,7 +102,9 @@ def _estimate_rows(m: Measurement, rows: slice) -> list[EstimatePair]:
     norms = np.sqrt(np.sum(v.real**2 + v.imag**2, axis=1))
     vanishing = (norms * norms <= A_MAX_FLOOR)[:, None]
     chi_post = np.where(vanishing, chi_pre, canonicalize_phase(v / np.where(vanishing, 1.0, norms[:, None])))
-    fields = zip(_a_maxes(m)[rows].tolist(), frozen(chi_pre), frozen(chi_post), degenerate.tolist())
+    chi_pre.setflags(write=False)
+    chi_post.setflags(write=False)
+    fields = zip(_a_maxes(m)[rows].tolist(), chi_pre, chi_post, degenerate.tolist())
     return [EstimatePair(s, *row) for s, row in zip(range(1, m.n_outcomes + 1)[rows], fields)]
 
 
@@ -212,8 +212,7 @@ def check_bound(m: Measurement) -> FidelityReport:
     side peaks. It never rejects a device whose completion obeys the bound, and at defect 0 it is ``lhs <= rhs``.
     """
     d = m.dim
-    a_maxes = _a_maxes(m)
-    gp = float(a_maxes.sum()) / d
+    gp = float(_a_maxes(m).sum()) / d
     moduli = _trace_moduli(m)
     f = _fidelity_of_moduli(d, moduli)
     lhs = _bound_lhs(d, f)
@@ -225,7 +224,6 @@ def check_bound(m: Measurement) -> FidelityReport:
         g_post=gp,
         g_pre=(1.0 + gp) / (d + 1),
         f_op=f,
-        per_outcome_a_max=frozen(a_maxes),
         bound_lhs=lhs,
         bound_rhs=rhs,
         bound_satisfied=satisfied,
@@ -276,7 +274,7 @@ def verify_estimate_relations(m: Measurement, s: int) -> RelationCheck:
     )
 
 
-def make_rank_one_device(pre_states, post_states, weights, tolerance=None) -> Measurement:
+def make_rank_one_device(pre_states, post_states, weights) -> Measurement:
     """Build ``M_s = sqrt(w_s) |post_s><pre_s|`` from rank-one data.
 
     The weighted projectors onto the pre-states must resolve the identity (they
@@ -301,7 +299,7 @@ def make_rank_one_device(pre_states, post_states, weights, tolerance=None) -> Me
     if np.any(w <= 0.0):
         raise OutOfDomain("rank-one weights must be positive and finite")
     kraus = np.sqrt(w)[:, None, None] * (posts[:, :, None] * pres.conj()[:, None, :])
-    return Measurement(kraus, tolerance=tolerance)
+    return Measurement(kraus)
 
 
 def domain_boundary(d, steps: int) -> np.ndarray:

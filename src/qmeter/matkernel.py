@@ -89,13 +89,6 @@ def _max_count(item_bytes: int, power: int = 1) -> int:
     return n
 
 
-def frozen(a: np.ndarray) -> np.ndarray:
-    """Return a read-only copy of ``a`` (shared safely across threads)."""
-    out = np.array(a, copy=True)
-    out.setflags(write=False)
-    return out
-
-
 def _fro_norms(stack: np.ndarray) -> np.ndarray:
     """The Frobenius norm ``sqrt(sum |m_ij|^2)`` of each slice of an ``(n, d, d)`` stack: inf where squares overflow."""
     squares = stack.real**2 + stack.imag**2

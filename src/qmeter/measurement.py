@@ -35,7 +35,6 @@ from .matkernel import (
     _max_count,
     finite_array,
     finite_scalar,
-    frozen,
     hermitian_eig,
     polar_decompose,
 )
@@ -297,9 +296,7 @@ class Measurement:
         i = self._index(s)
         unitary, _ = polar_decompose(self._kraus[i])
         right = self.spectrum.eigenvectors[i]
-        return BiOrthogonalFactors(
-            eigenvalues=frozen(_floored_psd_eigenvalues(self.spectrum.eigenvalues[i])),
-            right_basis=right,
-            left_basis=frozen(unitary @ right),
-            unitary=frozen(unitary),
-        )
+        eigenvalues, left = _floored_psd_eigenvalues(self.spectrum.eigenvalues[i]), unitary @ right
+        for a in (eigenvalues, left, unitary):
+            a.setflags(write=False)
+        return BiOrthogonalFactors(eigenvalues=eigenvalues, right_basis=right, left_basis=left, unitary=unitary)

@@ -778,6 +778,11 @@ class TestInputOutputHardening:
             ["catalog", "projective", "--d", "1"],
             ["estimate", "DEV", "--outcome", "0"],
             ["fidelities", "DEV", "--montecarlo", "10"],
+            # Requests beyond memory: each asks numpy for at least 2**60 bytes at once, which no 64-bit Linux
+            # maps whatever its overcommit setting.
+            ["simulate", "DEV", "--haar", "--shots", str(2**57)],
+            ["fidelities", "DEV", "--montecarlo", str(2**57)],
+            ["domain", "--steps", str(2**58)],
         ],
         ids=lambda argv: "_".join(a.lstrip("-") for a in argv if a != "DEV"),
     )
@@ -790,6 +795,17 @@ class TestInputOutputHardening:
         assert (code, out) == (2, "")
         [line] = err.splitlines()
         assert line.startswith("error: ") and err == line + "\n"
+
+    # 759250124 is the largest d whose (d, d) complex matrix numpy can index; it reaches the row check.
+    @pytest.mark.parametrize("dim", [759250124, 759250125, 3037000500, 2**62, 10**20])
+    def test_dim_is_gated_at_numpys_index_range(self, capsys, tmp_path, dim):
+        path = tmp_path / "huge_dim.json"
+        path.write_text(json.dumps({"dim": dim, "kraus": [[[[1, 0]]]]}))
+        code, out, err = run(capsys, "validate", str(path))
+        tail = "kraus operator 1: expected 759250124 rows" if dim == 759250124 else (
+            f"'dim' must be an integer in [1, 759250124], got {dim}"
+        )
+        assert (code, out, err) == (1, "", f"error: {path}: {tail}\n")
 
     def test_json_emit_refuses_nan(self, capsys):
         with pytest.raises(ValueError):
@@ -1139,7 +1155,7 @@ class TestPackage:
         "make_rank_one_device operation_fidelity pure_part tradeoff_bound verify_estimate_relations",
         "haar": "MonteCarloResult RngStream g_post_integrand g_pre_integrand haar_isometry haar_state haar_states "
         "mc_estimation_fidelity mc_fidelities mc_g_post mc_g_pre mc_operation_fidelity operation_integrand",
-        "matkernel": "EigenSystem canonicalize_phase finite_array finite_scalar frozen hermitian_eig polar_decompose",
+        "matkernel": "EigenSystem canonicalize_phase finite_array finite_scalar hermitian_eig polar_decompose",
         "measurement": "BiOrthogonalFactors Measurement as_state as_states",
     }
 

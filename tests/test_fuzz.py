@@ -247,8 +247,7 @@ def constructor_call(rng):
             posts = junk_or_mutant(posts, rng)
         elif which == 2:
             weights = rng.choice(ARGUMENT_JUNK + [[0.5, 0.5, 0.5, "x"], [0.5, 0.5, 0.5, -1], [0.5j] * 4, [1e308] * 4])
-        tolerance = rng.choice(TOLERANCES)
-        return lambda: make_rank_one_device(pres, posts, weights, tolerance=tolerance)
+        return lambda: make_rank_one_device(pres, posts, weights)
     if kind == 2:
         m = catalog.random_device(2, rng.choice((1, 3)), seed=rng.randrange(100))
         kicks = [haar.haar_isometry(2, 2, haar.RngStream(7, s)) for s in range(m.n_outcomes)]

@@ -102,7 +102,6 @@ class TestValidate:
         "tolerance_list": (lambda: Measurement([np.eye(2)], tolerance=[1]), OutOfDomain),
         "tolerance_huge_int": (lambda: Measurement([np.eye(2)], tolerance=10**400), OutOfDomain),
         "rank_one_weights": (lambda: est.make_rank_one_device(BASIS, BASIS, "ab"), OutOfDomain),
-        "rank_one_tolerance": (lambda: est.make_rank_one_device(BASIS, BASIS, [1, 1], tolerance="x"), OutOfDomain),
         "rank_one_states": (lambda: est.make_rank_one_device(5, 5, [1, 1]), DimensionMismatch),
         "kicks_string": (lambda: catalog.with_kicks(catalog.projective(2), "ab"), ShapeMismatch),
         "kicks_huge": (lambda: catalog.with_kicks(catalog.projective(2), np.full((2, 2, 2), 1e200)), NotUnitary),
@@ -212,7 +211,8 @@ class TestStackedStorage:
         ops[0] = 0.0
         assert m.kraus.shape == m.effects.shape == (2, 2, 2)
         assert m.kraus[0, 0, 0] == 1.0
-        for a in (m.kraus, m.effects, m.kraus_op(2), m.spectrum.eigenvalues, m.spectrum.eigenvectors):
+        factors = vars(m.bi_orthogonal_factors(2)).values()
+        for a in (m.kraus, m.effects, m.kraus_op(2), m.spectrum.eigenvalues, m.spectrum.eigenvectors, *factors):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[...] = 0.0

@@ -41,8 +41,8 @@ the calling thread, never of one row, and bit-equal to the whole-block product.
 (A whole-block product above OpenBLAS's threading cut wakes its second thread,
 which then spins between calls and takes the second CPU.) Otherwise one worker
 takes every block with whole-block products. Either way, the output is the
-same. Memory is O(samples) floats plus O(2 * ``MC_CHUNK`` * n * d) complex
-amplitudes, the same bound as one block of 4096.
+same. Memory is O(samples) floats plus one block per worker: at most
+2 * ``MC_CHUNK`` * n * d complex amplitudes of collapse products at once.
 """
 
 from __future__ import annotations
@@ -112,6 +112,12 @@ def _gaussian_amplitudes(uniforms: np.ndarray) -> np.ndarray:
     return radius * np.cos(angle) + 1j * (radius * np.sin(angle))
 
 
+def _haar_draw(uniforms: np.ndarray) -> np.ndarray:
+    """Haar states from a (..., d, 2) uniform block: Box-Muller, then each length-d vector normalized."""
+    amps = _gaussian_amplitudes(uniforms)
+    return amps / np.sqrt(np.sum(amps.real**2 + amps.imag**2, axis=-1, keepdims=True))
+
+
 def _stream_generator(stream) -> np.random.Generator:
     if not isinstance(stream, RngStream):
         raise OutOfDomain(f"stream must be a haar.RngStream, got {type(stream).__name__}")
@@ -121,8 +127,7 @@ def _stream_generator(stream) -> np.random.Generator:
 def haar_state(d: int, stream: RngStream) -> np.ndarray:
     """One Haar-random pure state of dimension ``d`` from the stream's origin."""
     d = finite_scalar(d, int, "dimension", 1, _max_count(16))
-    amps = _gaussian_amplitudes(_stream_generator(stream).random((d, 2)))
-    return amps / np.sqrt(np.sum(amps.real**2 + amps.imag**2))
+    return _haar_draw(_stream_generator(stream).random((d, 2)))
 
 
 def haar_states(d: int, count: int, seed: int, start: int = 0) -> np.ndarray:
@@ -140,9 +145,7 @@ def haar_states(d: int, count: int, seed: int, start: int = 0) -> np.ndarray:
     gen.bit_generator.advance(d * start // 2)  # four words per block
     if d * start % 2:
         gen.random(2)
-    amps = _gaussian_amplitudes(gen.random((count, d, 2)))
-    norms = np.sqrt(np.sum(amps.real**2 + amps.imag**2, axis=1))
-    return amps / norms[:, None]
+    return _haar_draw(gen.random((count, d, 2)))
 
 
 def haar_isometry(rows: int, cols: int, stream: RngStream) -> np.ndarray:

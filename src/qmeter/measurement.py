@@ -226,11 +226,16 @@ class Measurement:
         return spectrum
 
     def _born(self, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The Born rule, the one place it is computed: every ``M_s psi`` and ``p_s = ||M_s psi||^2``, row ``s - 1``."""
+        """The Born rule, the one place it is computed: every ``M_s psi`` and ``p_s = ||M_s psi||^2``, row ``s - 1``.
+
+        The total is held to the state's own squared norm, which :func:`as_state` lets sit
+        ``STATE_NORM_TOL`` off 1: ``sum_s p_s / ||psi||^2`` is the device's completeness at ``psi``.
+        """
         amps = self._kraus @ psi
         p = np.sum(amps.real**2 + amps.imag**2, axis=1)
-        if abs(p.sum() - 1.0) > self._slack:
-            raise InternalConsistencyError(f"probabilities sum to {p.sum():.12f}, not 1")
+        total, norm2 = p.sum(), np.vdot(psi, psi).real
+        if abs(total - norm2) > self._slack * norm2:
+            raise InternalConsistencyError(f"probabilities sum to {total:.12f}, not ||psi||^2 = {norm2:.12f}")
         return amps, p
 
     def outcome_distribution(self, psi) -> np.ndarray:

@@ -23,10 +23,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv):
-    """Run ``python *argv`` with this checkout's ``qmeter`` on the path."""
+def run_module(*argv, env=None):
+    """Run ``python *argv`` with this checkout's ``qmeter`` on the path and the variables in ``env`` set."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, **(env or {}), "PYTHONPATH": path}
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60)
 
 
@@ -296,27 +297,26 @@ class TestSimulate:
         ("random", True): "cc3b8686652020a212b6c6496e7c8e26b99269a36e511b5205302e64d4a07bc1",
     }
 
+    # Each pinned case's catalog flags and simulate flags; the state file is read from the working directory.
+    PINNED_CASES = {
+        "unsharp": (["unsharp", "--lambda", "0.4"], ["--haar", "--seed", "9", "--shots", "200"]),
+        # |0> on a 3-outcome projective device: outcomes 2 and 3 have p = 0.
+        "projective": (["projective", "--d", "3"], ["--state", "zero.json", "--seed", "2", "--shots", "50"]),
+        "random": (["random", "--d", "4", "--n", "4", "--seed", "5"], ["--haar", "--seed", "11", "--shots", "300"]),
+    }
+    ZERO_STATE = {"dim": 3, "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+
     @pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
-    @pytest.mark.parametrize("case", ["unsharp", "projective", "random"])
+    @pytest.mark.parametrize("case", list(PINNED_CASES))
     def test_stdout_matches_pinned_digest(self, capsys, tmp_path, monkeypatch, case, as_json):
         monkeypatch.chdir(tmp_path)  # the JSON record names the state file as given
-        if case == "unsharp":
-            dev = write_catalog(capsys, tmp_path, "u.json", "unsharp", "--lambda", "0.4")
-            argv = [dev, "--haar", "--seed", "9", "--shots", "200"]
-        elif case == "projective":
-            # |0> on a 3-outcome projective device: outcomes 2 and 3 have p = 0.
-            dev = write_catalog(capsys, tmp_path, "p.json", "projective", "--d", "3")
-            (tmp_path / "zero.json").write_text(
-                json.dumps({"dim": 3, "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]})
-            )
-            argv = [dev, "--state", "zero.json", "--seed", "2", "--shots", "50"]
-        else:
-            dev = write_catalog(capsys, tmp_path, "r.json", "random", "--d", "4", "--n", "4", "--seed", "5")
-            argv = [dev, "--haar", "--seed", "11", "--shots", "300"]
-        code, out, err = run(capsys, "simulate", *argv, *(["--json"] if as_json else []))
+        (tmp_path / "zero.json").write_text(json.dumps(self.ZERO_STATE))
+        family, flags = self.PINNED_CASES[case]
+        dev = write_catalog(capsys, tmp_path, "dev.json", *family)
+        code, out, err = run(capsys, "simulate", dev, *flags, *(["--json"] if as_json else []))
         assert code == 0, err
         if as_json:  # the values first, so a digest that fails on another build says whether they moved
-            self.check_values(json.loads(out), dev, shots=int(argv[argv.index("--shots") + 1]))
+            self.check_values(json.loads(out), dev, shots=int(flags[flags.index("--shots") + 1]))
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_DIGESTS[case, as_json], build_note()
 
     @staticmethod
@@ -365,12 +365,12 @@ def reference_simulate_record(device, seed, shots, state=None) -> dict:
     }
 
 
-def assert_same_text(got: str, want: str) -> None:
+def assert_same_text(got: str, want: str, what: object = "") -> None:
     """String equality that reports the first difference: pytest's diff of a 100 KB line takes minutes."""
     if got != want:
         i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
         lo = max(i - 30, 0)
-        pytest.fail(f"differs at char {i}: {got[lo:i + 30]!r} != {want[lo:i + 30]!r}")
+        pytest.fail(f"{what} differs at char {i}: {got[lo:i + 30]!r} != {want[lo:i + 30]!r}")
 
 
 class TestSimulateEncoding:
@@ -510,6 +510,66 @@ class TestPinnedOutputs:
             assert report[key] == pytest.approx(value, abs=1e-12), f"{key}; {build_note()}"
         for name, data in outputs.items():
             assert hashlib.sha256(data).hexdigest() == self.PINNED_DIGESTS[device, name], f"{name}; {build_note()}"
+
+
+class TestOneBlasThread:
+    """Every pinned-digest command prints the same bytes with OpenBLAS held to one thread as in-process.
+
+    The pins hold only on the build they were recorded on; this comparison holds on any build. One child
+    interpreter runs the commands with ``OPENBLAS_NUM_THREADS=1``, and this process runs them again under its
+    own BLAS setting, each in a directory of its own laid out alike. The last Monte Carlo run has at least two
+    blocks, and both sides report two usable CPUs, so the two-worker schedule runs in both.
+    """
+
+    CHILD = """
+import contextlib, io, json, os, sys
+from qmeter import cli, haar
+haar._usable_cpus = lambda: 2
+os.chdir(sys.argv[1])
+outputs = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    outputs.append([code, out.getvalue()])
+print(json.dumps(outputs))
+"""
+    SAMPLES = 5000  # at least two Monte Carlo blocks
+
+    @classmethod
+    def commands(cls):
+        """The catalog, report and simulate commands of the pinned-digest tests, with relative paths."""
+        argv = []
+        for device, family in TestPinnedOutputs.DEVICES.items():
+            argv.append(["catalog", *family, "--out", f"{device}.json"])
+            argv += [[command, f"{device}.json", *flags] for command, *flags in TestPinnedOutputs.COMMANDS.values()]
+        for case, (family, flags) in TestSimulate.PINNED_CASES.items():
+            argv.append(["catalog", *family, "--out", f"{case}.json"])
+            argv += [["simulate", f"{case}.json", *flags, *as_json] for as_json in ([], ["--json"])]
+        argv.append(["catalog", "random", "--d", "8", "--n", "4", "--seed", "8", "--out", "d8.json"])
+        argv.append(["fidelities", "d8.json", "--montecarlo", str(cls.SAMPLES), "--seed", "3", "--json"])
+        return argv
+
+    def test_matches_in_process_run(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(haar, "_usable_cpus", lambda: 2)
+        assert len(list(haar._blocks(self.SAMPLES))) >= 2
+        argv = self.commands()
+        here, child = tmp_path / "in_process", tmp_path / "one_thread"
+        for path in (here, child):
+            path.mkdir()
+            (path / "zero.json").write_text(json.dumps(TestSimulate.ZERO_STATE))
+        proc = run_module(
+            "-W", "error::RuntimeWarning", "-c", self.CHILD, str(child), json.dumps(argv),
+            env={"OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        monkeypatch.chdir(here)
+        for command, (child_code, child_out) in zip(argv, json.loads(proc.stdout), strict=True):
+            code, out, err = run(capsys, *command)
+            assert (child_code, code) == (0, 0), err
+            assert_same_text(child_out, out, command)
+        # The spec files, written by the catalog commands.
+        for path in sorted(here.iterdir()):
+            assert (child / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 class TestDomain:
@@ -737,6 +797,10 @@ class TestAcceptedAtItsOwnTolerance:
     BORN_EDGE = {"dim": 1, "kraus": [[[[0.57735144751483, 0.0]]]] * 3, "tolerance": 4.0818424085209415e-06}
     BORN_EDGE_STATE = {"dim": 1, "amplitudes": [[0.08277720600833575, 0.9965680780385521]]}
 
+    # The tolerance-0 identity and a state whose norm sits 1e-10 off 1, inside STATE_NORM_TOL.
+    NORM_EDGE = {"dim": 2, "kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]], "tolerance": 0}
+    NORM_EDGE_STATE = {"dim": 2, "amplitudes": [[1.000000000099, 0.0], [0.0, 0.0]]}
+
     def write(self, tmp_path, name, obj):
         path = tmp_path / name
         path.write_text(json.dumps(obj))
@@ -760,6 +824,13 @@ class TestAcceptedAtItsOwnTolerance:
         code, out, err = run(capsys, "simulate", path, "--state", state, "--json")
         assert (code, err) == (0, "")
         assert sum(json.loads(out)["counts"]) == 1
+
+    def test_state_norm_edge(self, capsys, tmp_path):
+        path = self.write(tmp_path, "identity.json", self.NORM_EDGE)
+        state = self.write(tmp_path, "state.json", self.NORM_EDGE_STATE)
+        code, out, err = run(capsys, "simulate", path, "--state", state, "--shots", "3", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["counts"] == [3]
 
 
 class TestInputOutputHardening:

@@ -84,6 +84,11 @@ class TestHaarStates:
         b = haar.haar_state(4, haar.RngStream(9, 2))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 64, 1000])
+    @pytest.mark.parametrize("seed", [0, 5, -3, 2**64 + 1])
+    def test_haar_state_is_sample_zero_of_the_ensemble(self, d, seed):
+        assert np.array_equal(haar.haar_state(d, haar.RngStream(seed, 0)), haar.haar_states(d, 1, seed)[0])
+
     def test_bad_dimension(self):
         with pytest.raises(OutOfDomain):
             haar.haar_state(0, haar.RngStream(1))

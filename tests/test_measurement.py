@@ -328,6 +328,28 @@ class TestOutcomeDistribution:
                 assert np.all(p >= 0.0)
 
 
+class TestBornTotal:
+    """``sum_s p_s`` is held to the state's own squared norm, within the device's slack."""
+
+    def test_state_at_its_norm_tolerance_runs_everywhere(self):
+        # ||psi|| sits 1e-10 off 1, inside STATE_NORM_TOL, so sum_s p_s sits 2e-10 off 1 on a complete device.
+        m, psi = Measurement([np.eye(2)], tolerance=0), [1.000000000099, 0.0]
+        assert m.outcome_distribution(psi).tolist() == [1.000000000099**2]
+        assert m.collapse(psi, 1).tolist() == [1.0, 0.0]
+        outcomes, posts = m.sample_outcomes(psi, np.random.default_rng(1), 5)
+        assert outcomes.tolist() == [1] * 5 and posts[1].tolist() == [1.0, 0.0]
+
+    def test_total_off_by_the_defect_raises(self):
+        # A tolerance-0 device accepted past its tolerance: the effects sum to 1 + 0.3 |u><u|.
+        u = haar.haar_state(3, haar.RngStream(9, 1))
+        stretch = np.eye(3) + (np.sqrt(1.3) - 1.0) * np.outer(u, u.conj())
+        m = Measurement.__new__(Measurement)
+        m._accept(catalog.random_device(3, 2, seed=9).kraus @ stretch, None, 0.0, limit=0.5)
+        top = np.linalg.eigh(m.effects.sum(axis=0) - np.eye(3))[1][:, -1]
+        with pytest.raises(InternalConsistencyError, match="probabilities sum to 1.3"):
+            m.outcome_distribution(top)
+
+
 class TestCollapse:
     def test_projective_projection(self):
         m = catalog.projective(2)

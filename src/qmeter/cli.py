@@ -487,7 +487,7 @@ def main(argv=None) -> int:
     except (DeviceSpecError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (QmeterError, ValueError, MemoryError) as e:  # MemoryError: a request larger than memory
+    except (QmeterError, MemoryError) as e:  # MemoryError: a request larger than memory
         print(f"error: {e}", file=sys.stderr)
         return 2
 

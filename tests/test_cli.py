@@ -883,6 +883,17 @@ class TestInputOutputHardening:
             cli._emit({"frequencies": [float("nan")]}, [], as_json=True)
         assert capsys.readouterr().out == ""
 
+    def test_untyped_error_propagates(self, capsys, tmp_path, monkeypatch):
+        # Every error qmeter reports is typed; a bare ValueError is a bug and keeps its traceback.
+        path = write_catalog(capsys, tmp_path, "proj.json", "projective", "--d", "2")
+
+        def broken(m):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(estimator, "check_bound", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            cli.main(["fidelities", path])
+
     def test_bool_dim_is_malformed(self, capsys, tmp_path):
         path = tmp_path / "bool_dim.json"
         path.write_text(json.dumps({"dim": True, "kraus": [[[[1.0, 0.0]]]]}))

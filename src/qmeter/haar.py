@@ -23,15 +23,15 @@ summation.
 Monte Carlo evaluation
 ----------------------
 One private kernel, ``_block_values``, evaluates the integrands on a block of
-states: one product per guess set for ``g_post``, one stacked collapse product
+states: one product per guess set, one stacked collapse product
 ``states @ K.reshape(n*d, d).T`` shared by ``g_pre`` and ``F`` (made only when
-one of them is asked for), and row-wise ``einsum`` reductions. The public
+one of them is asked for, in row tiles), and row-wise ``einsum`` reductions. The public
 integrands and every ``mc_*`` function call it, after checking that their
 guesses (and the integrands' states) are normalized states of dimension d. A
 Monte Carlo call draws its Haar ensemble once, in ``ceil(samples / MC_CHUNK)``
 near-equal blocks (``MC_CHUNK`` = 2048; no block has a single row), so
 :func:`mc_fidelities` checks all three on one set of states. Per-sample values
-depend only on their own row, not on the block size.
+depend only on their own row, not on the block or tile size.
 
 The blocks run on two workers, the caller and one thread, dealt in turn, when
 there are at least two blocks and two usable CPUs and ``n * d**2 <= 1024``.
@@ -40,9 +40,12 @@ Each worker then makes its three products by ``_rows_matmul``: stacked calls of
 the calling thread, never of one row, and bit-equal to the whole-block product.
 (A whole-block product above OpenBLAS's threading cut wakes its second thread,
 which then spins between calls and takes the second CPU.) Otherwise one worker
-takes every block with whole-block products. Either way, the output is the
-same. Memory is O(samples) floats plus one block per worker: at most
-2 * ``MC_CHUNK`` * n * d complex amplitudes of collapse products at once.
+takes every block with unsplit products. Either way, the output is the
+same. Memory is bounded in bytes: the values, 8 * rows * samples bytes (one row
+per integrand), and per worker one state block of ``MC_CHUNK * d * 16`` bytes
+(the draw overwrites its own uniform block), one collapse tile of at most 512
+KiB on two workers or 32 MiB on one (but at least two rows), and a few
+``MC_CHUNK * n`` rows of sums.
 """
 
 from __future__ import annotations
@@ -59,8 +62,9 @@ from .matkernel import _max_count, finite_scalar
 from .measurement import Measurement, _check_guesses, as_state, as_states
 
 DEFAULT_SAMPLES = 100_000
-# Most Haar samples drawn and integrated at a time by one Monte Carlo worker.
-# A block's stacked collapse product is MC_CHUNK * n * d complex numbers.
+# Most Haar samples drawn and integrated at a time by one Monte Carlo worker. A block of
+# states is MC_CHUNK * d * 16 bytes, the uniform block it was drawn in; its collapse product
+# is made in tiles of _TILE_BYTES or _SPLIT_TILE_BYTES.
 MC_CHUNK = 2048
 # Most multiply-adds (rows * inner * columns) in one matrix product of a
 # two-worker Monte Carlo call: OpenBLAS runs a product this small on the
@@ -69,6 +73,11 @@ _CALL_MACS = 32768
 # Fewest rows per call that the collapse product may be split into before a
 # second worker stops paying: at d = 64 on 2 vCPUs, 2-row calls made an op 1.8x slower.
 _MIN_CALL_ROWS = 32
+# Most bytes of collapse product one Monte Carlo worker holds at once. On one worker every
+# product call wakes OpenBLAS's threads, so its tiles are large; on two, products are already
+# split into single-threaded calls, so small tiles cost nothing.
+_TILE_BYTES = 32 * 2**20
+_SPLIT_TILE_BYTES = 512 * 2**10
 
 
 @dataclass(frozen=True)
@@ -102,20 +111,30 @@ class MonteCarloResult:
 
 
 def _gaussian_amplitudes(uniforms: np.ndarray) -> np.ndarray:
-    """Box-Muller a (..., d, 2) uniform block into (..., d) complex normals.
+    """Box-Muller a (..., d, 2) uniform block into (..., d) complex normals, in place.
 
     Exactly two uniform words per amplitude, so consumption is
-    position-predictable (unlike ziggurat-based normal sampling).
+    position-predictable (unlike ziggurat-based normal sampling). The block is
+    consumed: each word pair becomes its amplitude, and the result is a view of it.
     """
-    radius = np.sqrt(-2.0 * np.log1p(-uniforms[..., 0]))
-    angle = (2.0 * np.pi) * uniforms[..., 1]
-    return radius * np.cos(angle) + 1j * (radius * np.sin(angle))
+    radius, angle = uniforms[..., 0], uniforms[..., 1]
+    np.log1p(np.negative(radius, out=radius), out=radius)
+    np.sqrt(np.multiply(radius, -2.0, out=radius), out=radius)
+    np.multiply(angle, 2.0 * np.pi, out=angle)
+    cos = np.cos(angle)
+    np.multiply(radius, np.sin(angle, out=angle), out=angle)
+    np.multiply(radius, cos, out=radius)
+    # A radius of 0 (cos is never 0) leaves zeros: sign them as a + 1j * b does, re = a + 0*b and im = b + 0.
+    if not radius.all():
+        np.add(radius, np.multiply(angle, 0.0, out=cos), out=radius)
+        np.add(angle, 0.0, out=angle)
+    return uniforms.view(np.complex128)[..., 0]
 
 
 def _haar_draw(uniforms: np.ndarray) -> np.ndarray:
-    """Haar states from a (..., d, 2) uniform block: Box-Muller, then each length-d vector normalized."""
+    """Haar states from a (..., d, 2) uniform block, consumed: Box-Muller, then each length-d vector normalized."""
     amps = _gaussian_amplitudes(uniforms)
-    return amps / np.sqrt(np.sum(amps.real**2 + amps.imag**2, axis=-1, keepdims=True))
+    return np.divide(amps, np.sqrt(np.sum(amps.real**2 + amps.imag**2, axis=-1, keepdims=True)), out=amps)
 
 
 def _stream_generator(stream) -> np.random.Generator:
@@ -136,7 +155,7 @@ def haar_states(d: int, count: int, seed: int, start: int = 0) -> np.ndarray:
     Row ``i`` equals sample ``start + i`` no matter how the range is chunked;
     ``haar_states(d, n, seed)`` is bit-identical to concatenating any partition.
     """
-    # 16 bytes per amplitude (two uniform doubles, then one complex), in a block numpy can index;
+    # 16 bytes per amplitude (two uniform doubles, overwritten by one complex), in a block numpy can index;
     # the first Philox block, d * start // 2, must fit one 64-bit counter word.
     d = finite_scalar(d, int, "dimension", 1, _max_count(16))
     count = finite_scalar(count, int, "sample count", 0, _max_count(16 * d))
@@ -173,17 +192,17 @@ def _summarize(values: np.ndarray) -> MonteCarloResult:
     )
 
 
-def _blocks(samples: int):
-    """``(start, count)`` of ``ceil(samples / MC_CHUNK)`` near-equal blocks.
+def _parts(total: int, most: int):
+    """``(start, count)`` of ``ceil(total / most)`` near-equal parts of ``range(total)``, none of one row.
 
-    With at least 100 samples, equal splitting never leaves a one-row block:
-    numpy routes a one-row matmul through a matrix-vector product that rounds
-    differently, so that row's values would depend on the block size.
+    numpy routes a one-row matmul through a matrix-vector kernel that rounds
+    differently, so a one-row part would make that row's values depend on the
+    split. Only ``most <= 2`` can leave one; the parts then take 2 or 3 rows.
     """
-    n_blocks = -(-samples // MC_CHUNK)
-    size, extra = divmod(samples, n_blocks)
+    parts = max(min(-(-total // most), total // 2), 1)
+    size, extra = divmod(total, parts)
     start = 0
-    for i in range(n_blocks):
+    for i in range(parts):
         count = size + (i < extra)
         yield start, count
         start += count
@@ -220,17 +239,19 @@ def _row_norms_squared(amp: np.ndarray) -> np.ndarray:
 
 
 def _block_values(
-    m: Measurement, states: np.ndarray, post=None, pre=None, operation=False, matmul=np.matmul
+    m: Measurement, states: np.ndarray, post=None, pre=None, operation=False, matmul=np.matmul, tile=_TILE_BYTES
 ) -> list[np.ndarray]:
     """Per-state integrand values on one block of states, one row per integrand asked for.
 
     The rows come in the order ``g_post`` (if ``post`` guesses are given),
     ``g_pre`` (if ``pre`` guesses are given), ``F`` (if ``operation``). The
     guesses are used as given; the public callers validate them. The stacked
-    collapse product ``M_s psi`` is made once, and only for ``g_pre`` or ``F``.
+    collapse product ``M_s psi`` is made only for ``g_pre`` or ``F``, in row
+    tiles of at most ``tile`` bytes (at least two rows), each reduced to the
+    ``(rows, n)`` sums they read before the next is made.
     The ``g_post`` row's product form ``|<chi_s|M_s|psi>|^2`` is the same
     integral as the fidelity-times-probability sum but never divides by a
-    near-zero outcome probability. ``matmul`` makes the three state products:
+    near-zero outcome probability. ``matmul`` makes the state products:
     ``np.matmul`` or the bit-equal :func:`_rows_matmul`.
     """
     rows = []
@@ -240,14 +261,23 @@ def _block_values(
         rows.append(_row_norms_squared(matmul(states, weights)))
     if pre is not None or operation:
         n, d = m.n_outcomes, m.dim
-        collapsed = matmul(states, m.kraus.reshape(n * d, d).T).reshape(states.shape[0], n, d)
+        kraus = m.kraus.reshape(n * d, d).T
+        p = np.empty((states.shape[0], n)) if pre is not None else None
+        overlaps = np.empty((states.shape[0], n), np.complex128) if operation else None
+        for start, count in _parts(states.shape[0], max(tile // (16 * n * d), 2)):
+            part = states[start : start + count]
+            collapsed = matmul(part, kraus)
+            if pre is not None:
+                p[start : start + count] = _row_norms_squared(collapsed.reshape(count * n, d)).reshape(count, n)
+            if operation:
+                collapsed = collapsed.reshape(count, n, d)
+                np.einsum("ik,isk->is", part.conj(), collapsed, out=overlaps[start : start + count])
+            del collapsed  # holding it while the next tile is made would double the tile
     if pre is not None:
-        flat = collapsed.view(np.float64)
-        p = np.einsum("isk,isk->is", flat, flat)
         amp = matmul(states, pre.conj().T)
         rows.append(np.einsum("is,is->i", p, amp.real**2 + amp.imag**2))
     if operation:
-        rows.append(_row_norms_squared(np.einsum("ik,isk->is", states.conj(), collapsed)))
+        rows.append(_row_norms_squared(overlaps))
     return rows
 
 
@@ -277,11 +307,11 @@ def _monte_carlo(
     """
     samples = finite_scalar(samples, int, "Monte Carlo samples", 100, _max_count(24))  # up to 3 float rows
     values = np.empty(((post is not None) + (pre is not None) + operation, samples))
-    blocks = list(_blocks(samples))
+    blocks = list(_parts(samples, MC_CHUNK))
     n, d = m.n_outcomes, m.dim
     split = len(blocks) >= 2 and _CALL_MACS // (n * d * d) >= _MIN_CALL_ROWS and _usable_cpus() >= 2
     shares = [blocks[0::2], blocks[1::2]] if split else [blocks]
-    matmul = _rows_matmul if split else np.matmul
+    matmul, tile = (_rows_matmul, _SPLIT_TILE_BYTES) if split else (np.matmul, _TILE_BYTES)
     failures = []
 
     def run(share):
@@ -290,7 +320,7 @@ def _monte_carlo(
                 if failures:  # the other worker failed: its exception is raised
                     return
                 states = haar_states(d, count, seed, start)
-                values[:, start : start + count] = _block_values(m, states, post, pre, operation, matmul)
+                values[:, start : start + count] = _block_values(m, states, post, pre, operation, matmul, tile)
                 del states  # holding it while the next block is drawn would raise peak memory
         except BaseException as exc:  # re-raised by the caller once both workers stopped
             failures.append(exc)

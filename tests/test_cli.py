@@ -551,7 +551,7 @@ print(json.dumps(outputs))
 
     def test_matches_in_process_run(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(haar, "_usable_cpus", lambda: 2)
-        assert len(list(haar._blocks(self.SAMPLES))) >= 2
+        assert len(list(haar._parts(self.SAMPLES, haar.MC_CHUNK))) >= 2
         argv = self.commands()
         here, child = tmp_path / "in_process", tmp_path / "one_thread"
         for path in (here, child):

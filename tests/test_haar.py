@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,64 @@ class TestStreamLayout:
     def test_stream_starts_at_its_own_counter_block(self, index):
         philox = np.random.Generator(np.random.Philox(key=11, counter=index << 128))
         assert np.array_equal(haar.RngStream(11, index).generator().random(9), philox.random(9))
+
+
+class TestInPlaceDraw:
+    """The draw overwrites its uniform block, and its bits are those of the out-of-place Box-Muller expression."""
+
+    @staticmethod
+    def out_of_place(uniforms):
+        radius = np.sqrt(-2.0 * np.log1p(-uniforms[..., 0]))
+        angle = (2.0 * np.pi) * uniforms[..., 1]
+        return radius * np.cos(angle) + 1j * (radius * np.sin(angle))
+
+    @classmethod
+    def normalized(cls, uniforms):
+        amps = cls.out_of_place(uniforms)
+        return amps / np.sqrt(np.sum(amps.real**2 + amps.imag**2, axis=-1, keepdims=True))
+
+    @staticmethod
+    def assert_same_bits(got, expected):
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("seed", [0, 13, -2])
+    def test_haar_states(self, d, seed):
+        for start, count in ((0, 1), (0, 2), (5, 257), (3, 2048)):
+            u = TestStreamLayout.words(seed, 2 * d * start, count * 2 * d).reshape(count, d, 2)
+            self.assert_same_bits(haar.haar_states(d, count, seed, start), self.normalized(u))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("seed", [0, 13, -2])
+    def test_haar_state(self, d, seed):
+        for index in (0, 1, 2**64 - 1):
+            u = np.random.Generator(np.random.Philox(key=seed % 2**64, counter=index << 128)).random((d, 2))
+            self.assert_same_bits(haar.haar_state(d, haar.RngStream(seed, index)), self.normalized(u))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("seed", [0, 13, -2])
+    def test_haar_isometry(self, d, seed):
+        for rows in (d, 2 * d + 1):
+            u = np.random.Generator(np.random.Philox(key=seed % 2**64, counter=3 << 128)).random((rows, d, 2))
+            q, r = np.linalg.qr(self.out_of_place(u))
+            diag = np.diagonal(r).copy()
+            diag[diag == 0] = 1.0
+            self.assert_same_bits(haar.haar_isometry(rows, d, haar.RngStream(seed, 3)), q * (diag / np.abs(diag)))
+
+    def test_a_zero_radius_word_keeps_the_expressions_signs_of_zero(self):
+        # A radius word of exactly 0.0 (odds 2**-53 per amplitude) makes a zero amplitude; an angle word in
+        # each quadrant and on each axis gives each sign of cos and sin.
+        angles = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.75, 0.9])
+        u = np.stack([np.stack([np.zeros(8), angles], axis=-1), np.full((8, 2), 0.4)], axis=1)
+        self.assert_same_bits(haar._gaussian_amplitudes(u.copy()), self.out_of_place(u))
+        self.assert_same_bits(haar._haar_draw(u.copy()), self.normalized(u))
+
+    def test_the_uniform_block_becomes_the_states(self):
+        u = haar.RngStream(4).generator().random((5, 3, 2))
+        states = haar._haar_draw(u)
+        assert np.shares_memory(states, u) and states.flags.c_contiguous
+        assert np.array_equal(u.view(np.complex128)[..., 0], states)
 
 
 class TestSeeds:
@@ -481,11 +540,19 @@ class TestBlockDriver:
                 with pytest.raises(OutOfDomain):
                     call(bad)
 
-    @pytest.mark.parametrize("blocks, extra", [(1, 1), (1, 2), (1, 3), (2, 1)])
-    def test_per_sample_values_do_not_depend_on_block_size(self, monkeypatch, blocks, extra):
+    @pytest.mark.parametrize(
+        "blocks, extra, tile_rows",
+        [(1, 1, None), (1, 2, None), (1, 3, None), (2, 1, None), (1, 1, 2), (2, 1, 2), (1, 3, 7)],
+        ids=["1-1", "1-2", "1-3", "2-1", "1-1-two_row_tiles", "2-1-two_row_tiles", "1-3-seven_row_tiles"],
+    )
+    def test_per_sample_values_do_not_depend_on_block_size(self, monkeypatch, blocks, extra, tile_rows):
+        # Both workers' tile budgets are set; odd blocks of 2-row tiles end in one 3-row tile.
         m = catalog.random_device(5, 4, seed=48)
-        post, pre = optimal_post(m), optimal_pre(m)
+        post, pre = np.array(optimal_post(m)), np.array(optimal_pre(m))
         samples = blocks * haar.MC_CHUNK + extra
+        if tile_rows is not None:
+            monkeypatch.setattr(haar, "_TILE_BYTES", 16 * 4 * 5 * tile_rows + 5)
+            monkeypatch.setattr(haar, "_SPLIT_TILE_BYTES", 16 * 4 * 5 * tile_rows + 5)
         rows = []
         summarize = haar._summarize
 
@@ -494,16 +561,41 @@ class TestBlockDriver:
             return summarize(values)
 
         monkeypatch.setattr(haar, "_summarize", recording_summarize)
-        haar.mc_fidelities(m, post, pre, samples=samples, seed=49)
         states = haar.haar_states(m.dim, samples, seed=49)
-        whole = [
-            haar.g_post_integrand(m, post, states),
-            haar.g_pre_integrand(m, pre, states),
-            haar.operation_integrand(m, states),
-        ]
-        assert len(rows) == 3
-        for row, expected in zip(rows, whole):
-            assert np.array_equal(row, expected)
+        whole = haar._block_values(m, states, post, pre, True, np.matmul, 16 * 4 * 5 * samples)
+        for cpus in (1, 2):  # one worker with np.matmul, then two with _rows_matmul
+            monkeypatch.setattr(haar, "_usable_cpus", lambda cpus=cpus: cpus)
+            rows.clear()
+            haar.mc_fidelities(m, post, pre, samples=samples, seed=49)
+            assert len(rows) == 3
+            for row, expected in zip(rows, whole):
+                assert np.array_equal(row, expected)
+
+    @pytest.mark.parametrize("total", [0, 1, 2, 3, 5, 100, 2047, 2048, 2049, 10_000])
+    @pytest.mark.parametrize("most", [1, 2, 3, 7, 2048])
+    def test_parts(self, total, most):
+        parts = list(haar._parts(total, most))
+        counts = [count for _, count in parts]
+        assert [start for start, _ in parts] == [sum(counts[:i]) for i in range(len(parts))]
+        assert sum(counts) == total and max(counts) - min(counts) <= 1
+        assert min(counts) >= min(total, 2) and max(counts) <= max(most, 3)
+        if total >= 100 and most == haar.MC_CHUNK:  # the blocks: ceil(total / MC_CHUNK) of them
+            assert len(parts) == -(-total // most)
+
+
+class TestBoundedMemory:
+    def test_mc_fidelities_peak_is_bounded_in_bytes(self):
+        # n d^2 > 1024, so one worker takes every block and the peak does not depend on the machine.
+        # Whole-block collapse products made it 238 MB; 32 MiB tiles make it 43 MB.
+        m = catalog.random_device(32, 256, seed=70)
+        post, pre = haar.haar_states(32, 256, seed=71), haar.haar_states(32, 256, seed=72)
+        tracemalloc.start()
+        try:
+            haar.mc_fidelities(m, post, pre, samples=5000, seed=73)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
 
 class TestThreadedDriver:
@@ -554,7 +646,7 @@ class TestThreadedDriver:
         m = catalog.random_device(4, 3, seed=65)
         post, pre = optimal_post(m), optimal_pre(m)
         samples = 5 * haar.MC_CHUNK
-        start = list(haar._blocks(samples))[failing][0]
+        start = list(haar._parts(samples, haar.MC_CHUNK))[failing][0]
         marker = haar.haar_states(4, 1, seed=66, start=start)[0]
         error = RuntimeError("block failed")
         raised_in = []
